@@ -11,6 +11,15 @@ from .errors import ContractError, ShapeError
 from .geometry import ominus
 
 
+def _check_object_of(object_of: np.ndarray) -> None:
+    """Object indices must be non-negative and leave no object empty."""
+    if object_of.size:
+        if object_of.min() < 0:
+            raise ContractError("negative object index")
+        if (np.bincount(object_of) == 0).any():
+            raise ContractError("every object must own at least one particle")
+
+
 @dataclass
 class ParticleSystem:
     """One frame of a particle scene.
@@ -37,13 +46,7 @@ class ParticleSystem:
             raise ShapeError("attrs/object_of must have N rows")
         if not (np.isfinite(self.positions).all() and np.isfinite(self.velocities).all()):
             raise ContractError("non-finite positions or velocities")
-        if n:
-            m = int(self.object_of.max()) + 1
-            if self.object_of.min() < 0:
-                raise ContractError("negative object index")
-            counts = np.bincount(self.object_of, minlength=m)
-            if (counts == 0).any():
-                raise ContractError("every object must own at least one particle")
+        _check_object_of(self.object_of)
 
     @property
     def n_particles(self) -> int:
@@ -78,61 +81,87 @@ def _empty_edges() -> np.ndarray:
     return np.zeros((0, 2), dtype=np.int64)
 
 
+# Cell keys are folded into one int64 code of 21 bits per axis.  Folding
+# wraps keys that differ by a multiple of 2**21 onto the same code, so a code
+# match only nominates a candidate pair; the exact key test below decides.
+_CELL_BITS = 21
+_CELL_MASK = (1 << _CELL_BITS) - 1
+
+
+def _candidate_pairs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (i, j) whose folded cell code is one of i's 27 neighbour codes.
+
+    Particles are argsorted by their own code; ``searchsorted`` then finds
+    the run of particles under each neighbour code.  The 27 codes of one
+    cell are distinct, so no pair is nominated twice.
+    """
+    n = keys.shape[0]
+    steps = np.array([-1, 0, 1], dtype=np.int64)[:, None]
+    cx, cy, cz = (
+        ((keys[:, axis] + steps) & _CELL_MASK) << (_CELL_BITS * (2 - axis))
+        for axis in range(3)
+    )
+    # row 13 of the (27, N) neighbour codes is offset (0, 0, 0): the own cell
+    queries = (cx[:, None, None, :] | cy[None, :, None, :] | cz[None, None, :, :]).reshape(27, n)
+    order = np.argsort(queries[13])
+    sorted_codes = queries[13][order]
+    queries = queries.reshape(-1)
+    lo = np.searchsorted(sorted_codes, queries, side="left")
+    counts = np.searchsorted(sorted_codes, queries, side="right") - lo
+    run_start = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    senders = np.repeat(np.tile(np.arange(n), 27), counts)
+    receivers = order[run_start + np.arange(run_start.shape[0])]
+    return senders, receivers
+
+
 def build_edges(system: ParticleSystem, r: float) -> EdgeSets:
     """All directed particle pairs closer than ``r``, partitioned by object.
 
-    Cell-list spatial hashing; expected O(N) for bounded density.  Ordering
-    is lexicographic by (i, j) so downstream aggregation is reproducible.
+    Sort-based cell binning: positions are floor-divided by ``r`` into
+    integer cell keys (clipped to +-2**31 so diverged coordinates share the
+    boundary cells), particles are argsorted by cell code, and each
+    particle's 27 neighbour cells are looked up with ``searchsorted``.
+    An edge (i, j) is a pair with i != j, cell keys at most one apart on
+    every axis, and ``d @ d < r * r`` for d = x_i - x_j, evaluated with the
+    same float dot product as a per-pair loop.  Edges are in lexicographic
+    (i, j) order, so downstream aggregation is reproducible.
     """
     if r <= 0:
         raise ContractError("cutoff radius must be positive")
     pos = system.positions
     n = pos.shape[0]
-    cells: dict[tuple[int, int, int], list[int]] = {}
-    # clip so degenerate (diverged) coordinates cannot overflow the cell key;
-    # far-out particles share boundary cells and the exact distance test
-    # still filters them
     keys = np.floor(np.clip(pos / r, -2.0**31, 2.0**31)).astype(np.int64)
-    for i in range(n):
-        cells.setdefault(tuple(keys[i]), []).append(i)
+    i, j = _candidate_pairs(keys)
 
-    senders: list[int] = []
-    receivers: list[int] = []
-    r2 = r * r
-    for i in range(n):
-        kx, ky, kz = keys[i]
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    bucket = cells.get((kx + dx, ky + dy, kz + dz))
-                    if not bucket:
-                        continue
-                    for j in bucket:
-                        if j == i:
-                            continue
-                        d = pos[i] - pos[j]
-                        if d @ d < r2:
-                            senders.append(i)
-                            receivers.append(j)
-    if not senders:
+    keep = i != j
+    for axis in range(3):
+        k = keys[:, axis]
+        step = k[j] - k[i]
+        keep &= (step >= -1) & (step <= 1)
+    i, j = i[keep], j[keep]
+    d = np.take(pos, i, axis=0) - np.take(pos, j, axis=0)
+    # batched (1, 3) @ (3, 1) runs the same dot kernel as d_row @ d_row;
+    # (d * d).sum(1) or einsum would round differently
+    close = (d[:, None, :] @ d[:, :, None])[:, 0, 0] < r * r
+    if not close.any():
         return EdgeSets(inter=_empty_edges(), inner=_empty_edges(), obj=_empty_edges())
 
-    edges = np.stack([np.asarray(senders), np.asarray(receivers)], axis=1)
-    order = np.lexsort((edges[:, 1], edges[:, 0]))
-    edges = edges[order]
-    same = system.object_of[edges[:, 0]] == system.object_of[edges[:, 1]]
+    pair_code = np.sort(i[close] * n + j[close])
+    edges = np.stack([pair_code // n, pair_code % n], axis=1)
+    obj_i = system.object_of[edges[:, 0]]
+    obj_j = system.object_of[edges[:, 1]]
+    same = obj_i == obj_j
     inner = edges[same]
     inter = edges[~same]
 
     if inter.shape[0]:
-        pairs = np.stack(
-            [system.object_of[inter[:, 0]], system.object_of[inter[:, 1]]], axis=1
-        )
-        obj, inter_to_obj = np.unique(pairs, axis=0, return_inverse=True)
+        m = system.n_objects
+        obj_code, inter_to_obj = np.unique(obj_i[~same] * m + obj_j[~same], return_inverse=True)
+        obj = np.stack([obj_code // m, obj_code % m], axis=1)
     else:
         obj = _empty_edges()
         inter_to_obj = np.zeros((0,), dtype=np.int64)
-    return EdgeSets(inter=inter, inner=inner, obj=obj, inter_to_obj=inter_to_obj.reshape(-1))
+    return EdgeSets(inter=inter, inner=inner, obj=obj, inter_to_obj=inter_to_obj)
 
 
 def merged_particle_edges(edges: EdgeSets) -> np.ndarray:

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, GenerationError, ShapeError, TrajectoryParseError
-from .graph import ParticleSystem
+from .graph import ParticleSystem, _check_object_of
 
 TRAJ_MAGIC = b"SGTJ"
 TRAJ_VERSION = 1
@@ -124,6 +124,14 @@ class Trajectory:
         self.attrs = np.atleast_2d(np.asarray(self.attrs, dtype=np.float64))
         if self.frames.ndim != 3 or self.frames.shape[2] != 3:
             raise ShapeError("frames must be (T, N, 3)")
+        n = self.frames.shape[1]
+        if self.object_of.shape != (n,):
+            raise ShapeError("object_of must be (N,)")
+        if self.attrs.shape[0] != n:
+            raise ShapeError("attrs must have N rows")
+        if not np.isfinite(self.frames).all():
+            raise ContractError("non-finite frame positions")
+        _check_object_of(self.object_of)
 
     @property
     def n_frames(self) -> int:

@@ -237,6 +237,14 @@ def evaluate(
         raise ContractError(f"horizon {horizons[-1]} exceeds last frame {t_max}")
     if rotate_angles is not None and len(rotate_angles) != len(trajectories):
         raise ContractError("need one rotation angle per trajectory")
+    if contact_pairs is None:
+        object_counts = {int(t.object_of.max()) + 1 for t in trajectories}
+        if len(object_counts) > 1:
+            raise ContractError(
+                f"trajectories have {sorted(object_counts)} objects; pass contact_pairs"
+            )
+        n_objects = object_counts.pop()
+        contact_pairs = [(k, l) for k in range(n_objects) for l in range(k + 1, n_objects)]
 
     errors = np.zeros((len(trajectories), len(horizons)))
     preds: list[Trajectory] = []
@@ -265,9 +273,6 @@ def evaluate(
         for col, h in enumerate(horizons):
             errors[idx, col] = rollout_mse(pred, truth, h)
 
-    n_objects = int(trajectories[0].object_of.max()) + 1
-    if contact_pairs is None:
-        contact_pairs = [(k, l) for k in range(n_objects) for l in range(k + 1, n_objects)]
     threshold = contact_threshold if contact_threshold is not None else model.cutoff
     if contact_pairs:
         acc = float(np.mean([

@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from sgnn import ad
+from sgnn.errors import ContractError
 from sgnn.geometry import Gravity
+from sgnn.graph import EdgeSets, ParticleSystem
 from sgnn.mlp import MLP, mlp_forward, mlp_grads
 
 GRAVITY = Gravity()
@@ -31,6 +33,62 @@ def rel_err(a: np.ndarray, b: np.ndarray, floor: float = 1e-5) -> float:
     b = np.asarray(b, dtype=float)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float(np.max(np.abs(a - b) / denom))
+
+
+def loop_build_edges(system: ParticleSystem, r: float) -> EdgeSets:
+    """Per-particle cell-list loop: the reference for ``graph.build_edges``.
+
+    Buckets particles by clipped cell key in a dict, scans the 27 adjacent
+    buckets of each particle, keeps pairs with ``d @ d < r * r``, then
+    lexsorts and partitions by object.
+    """
+    if r <= 0:
+        raise ContractError("cutoff radius must be positive")
+    pos = system.positions
+    n = pos.shape[0]
+    cells: dict[tuple[int, int, int], list[int]] = {}
+    keys = np.floor(np.clip(pos / r, -2.0**31, 2.0**31)).astype(np.int64)
+    for i in range(n):
+        cells.setdefault(tuple(keys[i]), []).append(i)
+
+    senders: list[int] = []
+    receivers: list[int] = []
+    r2 = r * r
+    for i in range(n):
+        kx, ky, kz = keys[i]
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                for dz in (-1, 0, 1):
+                    bucket = cells.get((kx + dx, ky + dy, kz + dz))
+                    if not bucket:
+                        continue
+                    for j in bucket:
+                        if j == i:
+                            continue
+                        d = pos[i] - pos[j]
+                        if d @ d < r2:
+                            senders.append(i)
+                            receivers.append(j)
+    empty = np.zeros((0, 2), dtype=np.int64)
+    if not senders:
+        return EdgeSets(inter=empty, inner=empty, obj=empty)
+
+    edges = np.stack([np.asarray(senders), np.asarray(receivers)], axis=1)
+    order = np.lexsort((edges[:, 1], edges[:, 0]))
+    edges = edges[order]
+    same = system.object_of[edges[:, 0]] == system.object_of[edges[:, 1]]
+    inner = edges[same]
+    inter = edges[~same]
+
+    if inter.shape[0]:
+        pairs = np.stack(
+            [system.object_of[inter[:, 0]], system.object_of[inter[:, 1]]], axis=1
+        )
+        obj, inter_to_obj = np.unique(pairs, axis=0, return_inverse=True)
+    else:
+        obj = empty
+        inter_to_obj = np.zeros((0,), dtype=np.int64)
+    return EdgeSets(inter=inter, inner=inner, obj=obj, inter_to_obj=inter_to_obj.reshape(-1))
 
 
 def naive_ominus(zi: np.ndarray, zj: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Interaction graph: cutoff edges vs brute force, pooling vs naive loops."""
+"""Interaction graph: cutoff edges vs brute force and a reference loop; pooling vs naive loops."""
 
 import numpy as np
 import pytest
@@ -14,6 +14,9 @@ from sgnn.graph import (
     pool_objects,
     pooled_object_edge_features,
 )
+from sgnn.scenes import SceneConfig, generate_scene
+
+from helpers import loop_build_edges
 
 
 def brute_force_edges(system: ParticleSystem, r: float) -> EdgeSets:
@@ -88,6 +91,90 @@ def test_matches_brute_force_scan(trial):
     np.testing.assert_array_equal(fast.obj, slow.obj)
     # partition covers the cutoff graph disjointly
     assert fast.inter.shape[0] + fast.inner.shape[0] == slow.inter.shape[0] + slow.inner.shape[0]
+
+
+def assert_same_edges(got: EdgeSets, want: EdgeSets):
+    for name in ("inter", "inner", "obj", "inter_to_obj"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.shape == b.shape, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+@pytest.mark.parametrize("trial", range(12))
+def test_matches_loop_on_random_clouds(trial):
+    rng = np.random.default_rng(500 + trial)
+    n = [0, 1, 2, 7, 40, 150][trial % 6]
+    sys_ = random_system(rng, n=n, objects=min(4, max(n, 1)), spread=float(rng.uniform(0.1, 2.0)))
+    r = float(rng.uniform(0.05, 0.9))
+    assert_same_edges(build_edges(sys_, r), loop_build_edges(sys_, r))
+
+
+@pytest.mark.parametrize("spacing,r", [(0.5, 0.5), (0.25, 0.5), (0.08, 0.08), (0.04, 0.08),
+                                       (0.1, 0.1 * np.sqrt(2.0))])
+def test_matches_loop_on_lattice_at_cutoff(spacing, r):
+    # Lattice neighbours sit exactly at (or within rounding of) the cutoff and
+    # on cell boundaries, where norm(d) < r and d @ d < r * r can disagree.
+    grid = np.arange(-3, 4) * spacing
+    pos = np.stack(np.meshgrid(grid, grid, grid, indexing="ij"), axis=-1).reshape(-1, 3)
+    object_of = (np.arange(pos.shape[0]) * 3) // pos.shape[0]
+    sys_ = make_system(pos, object_of)
+    assert_same_edges(build_edges(sys_, r), loop_build_edges(sys_, r))
+    d = pos[:, None, :] - pos[None, :, :]
+    assert np.isclose(np.einsum("ijk,ijk->ij", d, d), r * r, rtol=1e-12, atol=0).any()
+
+
+def test_matches_loop_on_shell_at_cutoff():
+    # Neighbours of particle 0 lie within a few ulps of distance r, so whether
+    # each pair is an edge depends on how d @ d rounds; (d * d).sum(1) and
+    # einsum round some of them the other way.
+    rng = np.random.default_rng(11)
+    r = 0.08
+    u = rng.normal(size=(300, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    shell = u * r * (1.0 + rng.integers(-3, 4, size=(300, 1)) * 2.0**-52)
+    pos = np.concatenate([np.zeros((1, 3)), shell])
+    sys_ = make_system(pos, np.arange(301) % 2)
+    want = loop_build_edges(sys_, r)
+    assert_same_edges(build_edges(sys_, r), want)
+    from_origin = np.count_nonzero(merged_particle_edges(want)[:, 0] == 0)
+    assert 0 < from_origin < 300
+
+
+def test_matches_loop_on_every_scene_frame():
+    cfg = SceneConfig(objects=3, frames=41, push_speed=0.25, bias_angle=0.0,
+                      drop_height=0.12, seed=0)
+    traj = generate_scene(cfg)
+    contacts = 0
+    for t in range(1, traj.n_frames):
+        sys_ = traj.system_at(t)
+        want = loop_build_edges(sys_, 0.08)
+        assert_same_edges(build_edges(sys_, 0.08), want)
+        contacts += want.inter.shape[0]
+    assert contacts > 0
+
+
+@pytest.mark.parametrize("trial", range(4))
+def test_matches_loop_on_diverged_clouds(trial):
+    # Coordinates up to +-1e12 clip to the +-2**31 boundary cells, so far-apart
+    # particles share a cell; keys 2**21 apart fold onto one cell code.  Neither
+    # may add or drop an edge.
+    rng = np.random.default_rng(900 + trial)
+    r = 0.08
+    parts = [
+        rng.uniform(-0.3, 0.3, size=(30, 3)),
+        1e12 * rng.choice([-1.0, 1.0], size=(30, 3)) + rng.uniform(-0.05, 0.05, size=(30, 3)),
+        rng.uniform(-1e12, 1e12, size=(20, 3)),
+        np.array([[2.0**31 * r, 0, 0], [2.0**31 * r + 0.03, 0, 0], [-(2.0**31) * r, 0, 0]]),
+        np.array([[0.0, 0, 0], [2.0**21 * r, 0, 0], [2.0**21 * r, 2.0**21 * r, 0.01]]),
+        np.array([[1e12, 0.0, 0.0], [1e12, 0.05, 0.0], [-1e12, 1e12, 0.0]]),
+    ]
+    pos = np.concatenate(parts)[rng.permutation(sum(p.shape[0] for p in parts))]
+    object_of = np.arange(pos.shape[0]) % 5
+    sys_ = make_system(pos, object_of)
+    want = loop_build_edges(sys_, r)
+    assert_same_edges(build_edges(sys_, r), want)
+    assert want.inter.shape[0] and want.inner.shape[0]
 
 
 def test_edges_invariant_under_rigid_motion():

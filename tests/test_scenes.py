@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sgnn.errors import ContractError, GenerationError, TrajectoryParseError
+from sgnn.errors import ContractError, GenerationError, ShapeError, TrajectoryParseError
 from sgnn.geometry import SubgroupTransform
 from sgnn.scenes import (
     SceneConfig,
@@ -249,6 +249,42 @@ def test_header_only_empty_trajectory_round_trip(tmp_path):
     back = load_trajectory(path)
     assert back.n_frames == 0
     assert back.n_particles == 5
+
+
+def trajectory_fields(n=4):
+    return dict(frames=np.zeros((3, n, 3)), object_of=np.array([0, 0, 1, 1][:n]),
+                attrs=np.ones((n, 2)), dt=0.01)
+
+
+@pytest.mark.parametrize("field,value,error", [
+    ("object_of", np.zeros((4, 1), dtype=int), ShapeError),
+    ("object_of", np.zeros(3, dtype=int), ShapeError),
+    ("attrs", np.ones((3, 2)), ShapeError),
+    ("frames", np.full((3, 4, 3), np.nan), ContractError),
+    ("frames", np.array([[[0.0, 0.0, np.inf]] * 4] * 3), ContractError),
+    ("object_of", np.array([0, -1, 1, 1]), ContractError),
+    ("object_of", np.array([0, 0, 2, 2]), ContractError),
+])
+def test_trajectory_rejects_malformed_fields(field, value, error):
+    kwargs = trajectory_fields()
+    kwargs[field] = value
+    with pytest.raises(error):
+        Trajectory(**kwargs)
+
+
+@pytest.mark.parametrize("offset,payload", [
+    (24, np.array([0, 0, 2, 2], dtype="<u4").tobytes()),  # object table
+    (-8, np.array([np.nan]).tobytes()),  # last frame coordinate
+], ids=["object-gap", "nan-frame"])
+def test_load_trajectory_rejects_invalid_contents(tmp_path, offset, payload):
+    path = tmp_path / "bad.sgtj"
+    save_trajectory(Trajectory(**trajectory_fields()), path)
+    data = bytearray(path.read_bytes())
+    start = offset % len(data)
+    data[start:start + len(payload)] = payload
+    path.write_bytes(bytes(data))
+    with pytest.raises(ContractError):
+        load_trajectory(path)
 
 
 def test_system_at_finite_difference_velocities():

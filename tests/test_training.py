@@ -168,6 +168,14 @@ def test_evaluate_rejects_long_horizon():
         evaluate(small_model(), trajs, [10])
 
 
+def test_evaluate_mixed_object_counts_need_contact_pairs():
+    trajs = static_trajectories(1, frames=5) + falling_trajectories(1, frames=5, objects=2)
+    with pytest.raises(ContractError):
+        evaluate(small_model(), trajs, [3])
+    report = evaluate(small_model(), trajs, [3], contact_pairs=[])
+    assert np.isnan(report["rows"][0]["contact_accuracy"])
+
+
 def test_rotation_robustness_of_trained_model():
     trajs = falling_trajectories(5, frames=8)
     model = small_model(seed=7)

@@ -1,7 +1,13 @@
 """The verification harness itself: suites pass at reduced trial counts."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import sgnn
 from sgnn.errors import ContractError
 from sgnn.verify import (
     equivariance_suite,
@@ -24,6 +30,22 @@ def test_equivariance_suite_passes():
 def test_gradient_suite_passes():
     for r in gradient_suite(instances=2, seed=1):
         assert r.passed, r.line()
+
+
+def test_gradient_suite_output_independent_of_hash_seed():
+    src = str(Path(sgnn.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sgnn.cli", "verify", "--suite", "gradients",
+             "--trials", "1", "--seed", "3"],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_lemma5_suite_passes():
