@@ -407,8 +407,3 @@ def sum_(a, axis=None, keepdims: bool = False):
 def value_of(x) -> Array:
     """Plain numpy view of a Var or array."""
     return _value(x)
-
-
-def backward(tape: Tape, output: Var, output_grad) -> Grads:
-    """Functional alias for ``Tape.backward``."""
-    return tape.backward(output, output_grad)

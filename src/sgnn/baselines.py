@@ -3,8 +3,10 @@ scalarization (EGNN-style) and multichannel scalarization (GMN-style), each
 with an optional gravity term that trades full orthogonal equivariance for
 equivariance about the vertical axis only.
 
-All variants share the residual/masking conventions of the object-aware
-layer so the expressivity-ordering constructions compare like with like.
+All variants share the receiver mask and aggregation of the object-aware
+layer so the expressivity-ordering constructions compare like with like; the
+multichannel layer is that layer itself, run without objects and with the
+node's own velocity channel in the update.
 """
 
 from __future__ import annotations
@@ -15,14 +17,10 @@ import numpy as np
 
 from . import ad
 from .errors import ShapeError
-from .geometry import Gravity, ominus, scalarize_equivariant, scalarize_subequivariant
-from .graph import ParticleSystem, build_edges, merged_particle_edges
+from .geometry import Gravity
+from .graph import ParticleSystem, _aggregate, _receiver_mask, build_edges, merged_particle_edges
+from .layers import SompParams, somp_forward
 from .mlp import MLP, mlp_forward, mlp_init
-
-
-def _edge_mask(edges: np.ndarray, n_nodes: int):
-    counts = np.bincount(edges[:, 0], minlength=n_nodes).astype(np.float64)
-    return (counts > 0).astype(np.float64)
 
 
 # ----------------------------------------------------------------- GNS-style
@@ -67,8 +65,8 @@ def gns_forward(params: GNSParams, x, v, h, edges: np.ndarray, tape: ad.Tape | N
     if edges.shape[0] == 0:
         return x, v, h
     recv, send = edges[:, 0], edges[:, 1]
-    mask = _edge_mask(edges, n)[:, None]
-    denom = np.maximum(np.bincount(recv, minlength=n), 1.0)[:, None]
+    mask, denom = _receiver_mask(recv, n)
+    mask = mask[:, None]
     for _ in range(params.iterations):
         rel = ad.sub(ad.gather(x, recv), ad.gather(x, send))
         feats = ad.concat(
@@ -76,9 +74,7 @@ def gns_forward(params: GNSParams, x, v, h, edges: np.ndarray, tape: ad.Tape | N
             axis=-1,
         )
         msg = mlp_forward(params.phi, feats, tape=tape)
-        agg = ad.segment_sum(msg, recv, n)
-        if params.aggregate == "mean":
-            agg = ad.div(agg, denom)
+        agg = _aggregate(msg, recv, n, denom, params.aggregate)
         upd = mlp_forward(params.psi, ad.concat([agg, v, h], axis=-1), tape=tape)
         dx = ad.narrow(upd, -1, 0, 3)
         dv = ad.narrow(upd, -1, 3, 3)
@@ -156,8 +152,8 @@ def egnn_forward(
     if params.subequivariant and gravity is None:
         raise ShapeError("gravity required for the subequivariant variant")
     recv, send = edges[:, 0], edges[:, 1]
-    mask = _edge_mask(edges, n)[:, None]
-    denom = np.maximum(np.bincount(recv, minlength=n), 1.0)[:, None]
+    mask, denom = _receiver_mask(recv, n)
+    mask = mask[:, None]
     for _ in range(params.iterations):
         rel = ad.sub(ad.gather(x, recv), ad.gather(x, send))
         d2 = ad.sum_(ad.mul(rel, rel), axis=-1, keepdims=True)
@@ -167,11 +163,8 @@ def egnn_forward(
             tape=tape,
         )
         coord_w = mlp_forward(params.phi_x, msg, tape=tape)
-        agg_geo = ad.segment_sum(ad.mul(rel, coord_w), recv, n)
-        agg_msg = ad.segment_sum(msg, recv, n)
-        if params.aggregate == "mean":
-            agg_geo = ad.div(agg_geo, denom)
-            agg_msg = ad.div(agg_msg, denom)
+        agg_geo = _aggregate(ad.mul(rel, coord_w), recv, n, denom, params.aggregate)
+        agg_msg = _aggregate(msg, recv, n, denom, params.aggregate)
         v_new = ad.add(ad.mul(mlp_forward(params.phi_v, h, tape=tape), v), agg_geo)
         if params.subequivariant:
             g_term = ad.mul(mlp_forward(params.phi_g, h, tape=tape), gravity.direction[None, :])
@@ -187,28 +180,6 @@ def egnn_forward(
 
 # ----------------------------------------------------------------- GMN-style
 
-@dataclass
-class GMNParams:
-    sigma_msg: MLP | object
-    sigma_upd: MLP | object
-    eta_msg: MLP | object
-    eta_upd: MLP | object
-    iterations: int = 10
-    msg_channels: int = 2
-    msg_extra: int = 16
-    n_scalar: int = 1
-    subequivariant: bool = False
-    normalize: bool = True
-    aggregate: str = "sum"
-
-    def mlps(self) -> list[MLP]:
-        out = []
-        for m in (self.sigma_msg, self.sigma_upd, self.eta_msg, self.eta_upd):
-            if isinstance(m, MLP):
-                out.append(m)
-        return out
-
-
 def make_gmn_params(
     rng: np.random.Generator,
     n_scalar: int,
@@ -223,7 +194,9 @@ def make_gmn_params(
     eta_hidden: int = 16,
     eta_init: float = 0.05,
     normalize: bool = True,
-) -> GMNParams:
+) -> SompParams:
+    """Multichannel layer on the pairwise stack [x_i - x_j, v_i, v_j]; the
+    gravity gates are live only with ``subequivariant``."""
     aug = 1 if subequivariant else 0
     sigma_msg = mlp_init(
         rng,
@@ -242,72 +215,12 @@ def make_gmn_params(
                        zero_last=True)
     eta_msg.biases[-1][:] = eta_init
     eta_upd.biases[-1][:] = eta_init
-    return GMNParams(
-        sigma_msg=sigma_msg, sigma_upd=sigma_upd, eta_msg=eta_msg, eta_upd=eta_upd,
+    return SompParams(
+        phi_sigma=sigma_msg, phi_eta=eta_msg, psi_sigma=sigma_upd, psi_eta=eta_upd,
         iterations=iterations, msg_channels=msg_channels, msg_extra=msg_extra,
-        n_scalar=n_scalar, subequivariant=subequivariant, normalize=normalize,
+        n_scalar=n_scalar, use_objects=False, own_velocity=True, normalize=normalize,
+        equivariant_only=not subequivariant,
     )
-
-
-def _gmn_block(params: GMNParams, sigma, eta, stack, scalars, out_channels, extra, gravity, tape):
-    if params.subequivariant:
-        return scalarize_subequivariant(
-            stack, scalars, gravity, sigma, eta,
-            out_channels=out_channels, extra_channels=extra,
-            normalize=params.normalize, tape=tape,
-        )
-    return scalarize_equivariant(
-        stack, scalars, sigma,
-        out_channels=out_channels, extra_channels=extra,
-        normalize=params.normalize, tape=tape,
-    )
-
-
-def gmn_forward(
-    params: GMNParams,
-    z,
-    h,
-    edges: np.ndarray,
-    gravity: Gravity | None = None,
-    tape: ad.Tape | None = None,
-):
-    """Multichannel scalarization on the pairwise stack [x_i - x_j, v_i, v_j];
-    the update recombines aggregated messages with the node's own velocity
-    channel.  ``z`` is the (N, 3, 2) stack of [position, velocity]."""
-    zv = ad.value_of(z)
-    n = zv.shape[0]
-    if zv.ndim != 3 or zv.shape[1:] != (3, 2):
-        raise ShapeError(f"node stack must be (N, 3, 2), got {zv.shape}")
-    if edges.shape[0] == 0:
-        return z, h
-    if params.subequivariant and gravity is None:
-        raise ShapeError("gravity required for the subequivariant variant")
-    recv, send = edges[:, 0], edges[:, 1]
-    mask = _edge_mask(edges, n)
-    mask2 = mask[:, None]
-    mask3 = mask[:, None, None]
-    denom = np.maximum(np.bincount(recv, minlength=n), 1.0)
-    for _ in range(params.iterations):
-        pair = ominus(ad.gather(z, recv), ad.gather(z, send))
-        h_edge = ad.concat([ad.gather(h, recv), ad.gather(h, send)], axis=-1)
-        msg_geo, msg_sca = _gmn_block(
-            params, params.sigma_msg, params.eta_msg, pair, h_edge,
-            params.msg_channels, params.msg_extra, gravity, tape,
-        )
-        agg_geo = ad.segment_sum(msg_geo, recv, n)
-        agg_sca = ad.segment_sum(msg_sca, recv, n)
-        if params.aggregate == "mean":
-            agg_geo = ad.div(agg_geo, denom[:, None, None])
-            agg_sca = ad.div(agg_sca, denom[:, None])
-        upd_stack = ad.concat([agg_geo, ad.narrow(z, -1, 1, 1)], axis=-1)
-        upd_scalars = ad.concat([agg_sca, h], axis=-1)
-        dz, dh = _gmn_block(
-            params, params.sigma_upd, params.eta_upd, upd_stack, upd_scalars,
-            2, params.n_scalar, gravity, tape,
-        )
-        z = ad.add(z, ad.mul(dz, mask3))
-        h = ad.add(h, ad.mul(dh, mask2))
-    return z, h
 
 
 # ----------------------------------------------------------- model wrappers
@@ -320,7 +233,7 @@ class BaselineModel:
     """A baseline layer stack plus scene-facing plumbing."""
 
     variant: str
-    params: GNSParams | EGNNParams | GMNParams
+    params: GNSParams | EGNNParams | SompParams
     gravity: Gravity = field(default_factory=Gravity)
     cutoff: float = 0.08
     velocity_scale: float = 1.0
@@ -350,7 +263,7 @@ class BaselineModel:
             z = np.stack([system.positions, vel], axis=-1)
             if tape is not None:
                 z = tape.var(z)
-            z2, _ = gmn_forward(self.params, z, h, merged, gravity=self.gravity, tape=tape)
+            z2, _ = somp_forward(self.params, z, h, merged, gravity=self.gravity, tape=tape)
             pos = ad.narrow(z2, -1, 0, 1)
             n = system.n_particles
             return ad.reshape(pos, (n, 3)) if isinstance(pos, ad.Var) else ad.value_of(pos).reshape(n, 3)

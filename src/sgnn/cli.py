@@ -12,9 +12,7 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -43,21 +41,6 @@ def _echo_config(command: str, values: dict) -> None:
     print(f"config {command} " + json.dumps(values, sort_keys=True, default=str), flush=True)
 
 
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("SGNN_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items):
-    workers = _workers()
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def cmd_generate(args) -> int:
     cfg = parse_scene_config(Path(args.config).read_text()) if args.config else SceneConfig()
     if args.seed is not None:
@@ -68,14 +51,11 @@ def cmd_generate(args) -> int:
                               "count": args.count, "out": str(out)})
     cfg_hash = hashlib.sha256(format_scene_config(cfg).encode()).hexdigest()
 
-    def one(k: int) -> str:
-        scene_cfg = SceneConfig(**{**cfg.__dict__, "seed": cfg.seed + k})
-        traj = generate_scene(scene_cfg)
-        name = f"traj_{k:05d}.sgtj"
-        save_trajectory(traj, out / name)
-        return name
-
-    names = _map_ordered(one, list(range(args.count)))
+    names = []
+    for k in range(args.count):
+        traj = generate_scene(SceneConfig(**{**cfg.__dict__, "seed": cfg.seed + k}))
+        names.append(f"traj_{k:05d}.sgtj")
+        save_trajectory(traj, out / names[-1])
     manifest = out / "manifest.txt"
     with open(manifest, "w") as f:
         f.write(f"config_sha256={cfg_hash}\n")

@@ -103,96 +103,51 @@ def normalized_gram(z, normalize: bool = True):
     return ad.div(gram, denom)
 
 
-def _scalarize(z, h, sigma, out_channels, extra_channels, normalize, tape, batched):
-    m = _channels(z)
-    zb = z if batched else ad.reshape(z, (1, 3, m)) if isinstance(z, ad.Var) else ad.value_of(z)[None]
-    hv = ad.value_of(h)
-    hb = h
-    if not batched:
-        hb = ad.reshape(h, (1, hv.shape[-1])) if isinstance(h, ad.Var) else hv.reshape(1, -1)
-    B = ad.value_of(zb).shape[0]
-    gram = normalized_gram(zb, normalize=normalize)
-    gram_flat = ad.reshape(gram, (B, m * m))
-    feats = ad.concat([gram_flat, hb], axis=-1)
+def scalarize_subequivariant(
+    z,
+    h,
+    sigma,
+    eta=None,
+    gravity: Gravity | None = None,
+    *,
+    out_channels: int = 1,
+    extra_channels: int = 0,
+    normalize: bool = True,
+    tape: ad.Tape | None = None,
+):
+    """Batched scalarization Z V with V = sigma(gram(Z), h), returning the
+    (geometric, extras) pair for ``z`` of shape (B, 3, m) and ``h`` (B, n).
+
+    With ``eta`` the gravity direction is appended as channel m with scale
+    eta(h), so the output can leave the span of Z along the vertical axis
+    while staying equivariant to rotations/reflections about it.  With
+    ``eta=None`` no column is added and the map is fully O(3)-equivariant.
+    The Gram features are invariant, so the extras (width
+    ``extra_channels``, possibly 0) are too.
+    """
+    zv = ad.value_of(z)
+    if zv.ndim != 3 or zv.shape[1] != 3:
+        raise ShapeError(f"geometric batch must have shape (B, 3, m), got {zv.shape}")
+    B, _, m = zv.shape
+    if eta is not None:
+        if gravity is None:
+            raise ContractError("a gravity gate needs the gravity direction")
+        scale = _apply_sigma(eta, h, tape)
+        if ad.value_of(scale).shape[-1] != 1:
+            raise ShapeError("eta must map the scalar features to one real")
+        g_col = ad.mul(ad.reshape(scale, (B, 1, 1)), gravity.direction.reshape(3, 1))
+        z = ad.concat([z, g_col], axis=-1) if m else g_col
+        m += 1
+    gram = normalized_gram(z, normalize=normalize)
+    feats = ad.concat([ad.reshape(gram, (B, m * m)), h], axis=-1)
     out = _apply_sigma(sigma, feats, tape)
     width = ad.value_of(out).shape[-1]
-    need = m * out_channels + extra_channels
-    if width != need:
+    if width != m * out_channels + extra_channels:
         raise ShapeError(
             f"sigma output width {width} != channels {m}*{out_channels} + extra {extra_channels}"
         )
     v = ad.reshape(ad.narrow(out, -1, 0, m * out_channels), (B, m, out_channels))
-    y = ad.matmul(zb, v)
-    ex = ad.narrow(out, -1, m * out_channels, extra_channels) if extra_channels else None
-    if not batched:
-        y = ad.reshape(y, (3, out_channels)) if isinstance(y, ad.Var) else ad.value_of(y)[0]
-        if ex is not None:
-            ex = ad.reshape(ex, (extra_channels,)) if isinstance(ex, ad.Var) else ad.value_of(ex)[0]
-    return y, ex
-
-
-def scalarize_equivariant(
-    z,
-    h,
-    sigma,
-    out_channels: int = 1,
-    extra_channels: int = 0,
-    normalize: bool = True,
-    tape: ad.Tape | None = None,
-):
-    """Orthogonally equivariant map Z V with V = sigma(gram(Z), h).
-
-    The Gram features are invariant under any orthogonal transform of the
-    columns' ambient space, so the output rotates with Z and the extra
-    channels (if requested) are invariant.  Returns the geometric output, or
-    a (geometric, extras) pair when ``extra_channels > 0``.
-    """
-    batched = ad.value_of(z).ndim == 3
-    y, ex = _scalarize(z, h, sigma, out_channels, extra_channels, normalize, tape, batched)
-    return (y, ex) if extra_channels else y
-
-
-def scalarize_subequivariant(
-    z,
-    h,
-    gravity: Gravity,
-    sigma,
-    eta,
-    out_channels: int = 1,
-    extra_channels: int = 0,
-    normalize: bool = True,
-    tape: ad.Tape | None = None,
-):
-    """Scalarization of the stack augmented with a learned-scale gravity column.
-
-    The gravity direction is appended as channel m with scale eta(h), so the
-    output can leave the span of Z along the vertical axis while staying
-    equivariant to rotations/reflections about it.
-    """
-    if abs(np.linalg.norm(gravity.direction) - 1.0) > 1e-12:
-        raise ContractError("gravity direction must be a unit vector")
-    batched = ad.value_of(z).ndim == 3
-    m = _channels(z)
-    zb = z if batched else ad.reshape(z, (1, 3, m)) if isinstance(z, ad.Var) else ad.value_of(z)[None]
-    hv = ad.value_of(h)
-    hb = h
-    if not batched:
-        hb = ad.reshape(h, (1, hv.shape[-1])) if isinstance(h, ad.Var) else hv.reshape(1, -1)
-    B = ad.value_of(zb).shape[0]
-    scale = _apply_sigma(eta, hb, tape)
-    if ad.value_of(scale).shape[-1] != 1:
-        raise ShapeError("eta must map the scalar features to one real")
-    g_col = ad.mul(ad.reshape(scale, (B, 1, 1)), gravity.direction.reshape(3, 1))
-    if m:
-        z_aug = ad.concat([zb, g_col], axis=-1)
-    else:
-        z_aug = g_col
-    y, ex = _scalarize(z_aug, hb, sigma, out_channels, extra_channels, normalize, tape, True)
-    if not batched:
-        y = ad.reshape(y, (3, out_channels)) if isinstance(y, ad.Var) else ad.value_of(y)[0]
-        if ex is not None:
-            ex = ad.reshape(ex, (extra_channels,)) if isinstance(ex, ad.Var) else ad.value_of(ex)[0]
-    return (y, ex) if extra_channels else y
+    return ad.matmul(z, v), ad.narrow(out, -1, m * out_channels, extra_channels)
 
 
 # ----------------------------------------------------------------- transforms

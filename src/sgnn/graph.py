@@ -77,6 +77,21 @@ class EdgeSets:
     inter_to_obj: np.ndarray = field(default_factory=lambda: np.zeros((0,), dtype=np.int64))
 
 
+def _receiver_mask(recv: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """(mask, denom): 1.0 for nodes that receive an edge, else 0.0; and the
+    in-degree floored at 1, the divisor of mean aggregation."""
+    counts = np.bincount(recv, minlength=n_nodes).astype(np.float64)
+    return (counts > 0).astype(np.float64), np.maximum(counts, 1.0)
+
+
+def _aggregate(values, recv: np.ndarray, n_nodes: int, denom: np.ndarray, mode: str):
+    """Sum (or, with ``mode`` "mean", average) per-edge values onto receivers."""
+    agg = ad.segment_sum(values, recv, n_nodes)
+    if mode == "mean":
+        agg = ad.div(agg, denom.reshape((n_nodes,) + (1,) * (ad.value_of(agg).ndim - 1)))
+    return agg
+
+
 def _empty_edges() -> np.ndarray:
     return np.zeros((0, 2), dtype=np.int64)
 

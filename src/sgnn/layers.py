@@ -17,19 +17,19 @@ import numpy as np
 
 from . import ad
 from .errors import ContractError, ShapeError
-from .geometry import (
-    Gravity,
-    ominus,
-    scalarize_equivariant,
-    scalarize_subequivariant,
-)
-from .graph import ObjectFeatures
+from .geometry import Gravity, ominus, scalarize_subequivariant
+from .graph import ObjectFeatures, _aggregate, _receiver_mask
 from .mlp import MLP, mlp_forward, mlp_init
 
 
 @dataclass
 class SompParams:
-    """Message function, update function and their gravity gates."""
+    """Message function, update function and their gravity gates.
+
+    ``equivariant_only`` drops the gates (full O(3) symmetry).  Without
+    objects, ``own_velocity`` appends the node's velocity channel to the
+    update stack, which is the multichannel (GMN-style) layer.
+    """
 
     phi_sigma: MLP | object
     phi_eta: MLP | object
@@ -44,6 +44,7 @@ class SompParams:
     aggregate: str = "sum"
     normalize: bool = True
     equivariant_only: bool = False
+    own_velocity: bool = False
 
     def mlps(self) -> list[MLP]:
         out = []
@@ -124,20 +125,6 @@ def make_somp_params(
     )
 
 
-def _block(params: SompParams, sigma, eta, stack, scalars, out_channels, extra, gravity, tape):
-    if params.equivariant_only:
-        return scalarize_equivariant(
-            stack, scalars, sigma,
-            out_channels=out_channels, extra_channels=extra,
-            normalize=params.normalize, tape=tape,
-        )
-    return scalarize_subequivariant(
-        stack, scalars, gravity, sigma, eta,
-        out_channels=out_channels, extra_channels=extra,
-        normalize=params.normalize, tape=tape,
-    )
-
-
 def somp_forward(
     params: SompParams,
     z,
@@ -173,11 +160,11 @@ def somp_forward(
 
     recv = edges[:, 0]
     send = edges[:, 1]
-    counts = np.bincount(recv, minlength=n_nodes).astype(np.float64)
-    mask = (counts > 0).astype(np.float64)
+    mask, denom = _receiver_mask(recv, n_nodes)
     mask2 = mask[:, None]
     mask3 = mask[:, None, None]
-    denom = np.maximum(counts, 1.0)
+    phi_eta = None if params.equivariant_only else params.phi_eta
+    psi_eta = None if params.equivariant_only else params.psi_eta
 
     if objects is not None:
         C, c = (objects.C, objects.c) if isinstance(objects, ObjectFeatures) else objects
@@ -204,26 +191,27 @@ def somp_forward(
                 z_edge = pair
                 h_edge = ad.concat([hi, hj], axis=-1)
 
-        msg_geo, msg_sca = _block(
-            params, params.phi_sigma, params.phi_eta, z_edge, h_edge,
-            params.msg_channels, params.msg_extra, gravity, tape,
+        msg_geo, msg_sca = scalarize_subequivariant(
+            z_edge, h_edge, params.phi_sigma, phi_eta, gravity,
+            out_channels=params.msg_channels, extra_channels=params.msg_extra,
+            normalize=params.normalize, tape=tape,
         )
-        agg_geo = ad.segment_sum(msg_geo, recv, n_nodes)
-        agg_sca = ad.segment_sum(msg_sca, recv, n_nodes)
-        if params.aggregate == "mean":
-            agg_geo = ad.div(agg_geo, denom[:, None, None])
-            agg_sca = ad.div(agg_sca, denom[:, None])
+        agg_geo = _aggregate(msg_geo, recv, n_nodes, denom, params.aggregate)
+        agg_sca = _aggregate(msg_sca, recv, n_nodes, denom, params.aggregate)
 
         if params.use_objects:
             upd_stack = ad.concat([agg_geo, ominus(z, C_of)], axis=-1)
             upd_scalars = ad.concat([agg_sca, h, c_of], axis=-1)
         else:
             upd_stack = agg_geo
+            if params.own_velocity:
+                upd_stack = ad.concat([agg_geo, ad.narrow(z, -1, 1, 1)], axis=-1)
             upd_scalars = ad.concat([agg_sca, h], axis=-1)
 
-        dz, dh = _block(
-            params, params.psi_sigma, params.psi_eta, upd_stack, upd_scalars,
-            params.node_channels, params.n_scalar, gravity, tape,
+        dz, dh = scalarize_subequivariant(
+            upd_stack, upd_scalars, params.psi_sigma, psi_eta, gravity,
+            out_channels=params.node_channels, extra_channels=params.n_scalar,
+            normalize=params.normalize, tape=tape,
         )
         z = ad.add(z, ad.mul(dz, mask3))
         h = ad.add(h, ad.mul(dh, mask2))

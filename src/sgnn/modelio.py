@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from .baselines import BaselineModel, EGNNParams, GMNParams, GNSParams
+from .baselines import BaselineModel, EGNNParams, GNSParams
 from .checkpoint import read_tensors, write_tensors
 from .errors import CheckpointFormatError
 from .geometry import Gravity
@@ -60,6 +60,9 @@ def _somp_meta(params: SompParams) -> dict:
 
 
 _SOMP_MLPS = ("phi_sigma", "phi_eta", "psi_sigma", "psi_eta")
+# the multichannel (GMN) baseline keeps its format-v1 tensor names
+_GMN_MLPS = {"sigma_msg": "phi_sigma", "sigma_upd": "psi_sigma",
+             "eta_msg": "phi_eta", "eta_upd": "psi_eta"}
 
 
 def _collect(model) -> tuple[dict, list[tuple[str, np.ndarray]]]:
@@ -104,14 +107,14 @@ def _collect(model) -> tuple[dict, list[tuple[str, np.ndarray]]]:
                           "n_scalar": params.n_scalar, "subequivariant": params.subequivariant}
         for name in ("phi_m", "phi_x", "phi_v", "phi_h", "phi_g"):
             add_mlp(name, getattr(params, name))
-    elif isinstance(params, GMNParams):
+    elif isinstance(params, SompParams):
         meta["params"] = {
             "iterations": params.iterations, "msg_channels": params.msg_channels,
             "msg_extra": params.msg_extra, "n_scalar": params.n_scalar,
-            "subequivariant": params.subequivariant, "normalize": params.normalize,
+            "subequivariant": not params.equivariant_only, "normalize": params.normalize,
         }
-        for name in ("sigma_msg", "sigma_upd", "eta_msg", "eta_upd"):
-            add_mlp(name, getattr(params, name))
+        for name, attr in _GMN_MLPS.items():
+            add_mlp(name, getattr(params, attr))
     else:
         raise CheckpointFormatError(f"cannot serialize params of type {type(params)}")
     return meta, tensors
@@ -128,11 +131,38 @@ def save_model(path, model) -> None:
     write_tensors(path, records)
 
 
-def load_model(path):
-    tensors = read_tensors(path)
+def _read_header(path, tensors: dict) -> dict:
     if _HEADER_KEY not in tensors or _GRAVITY_KEY not in tensors:
         raise CheckpointFormatError(f"{path}: missing header section")
-    meta = json.loads(bytes(tensors[_HEADER_KEY].reshape(-1).astype(np.uint8)))
+    raw = tensors[_HEADER_KEY].reshape(-1)
+    if not np.array_equal(raw, np.clip(np.round(raw), 0, 255)):
+        raise CheckpointFormatError(f"{path}: header holds values that are not bytes")
+    try:
+        meta = json.loads(bytes(raw.astype(np.uint8)))
+    except ValueError as err:  # JSONDecodeError and UnicodeDecodeError
+        raise CheckpointFormatError(f"{path}: header is not JSON ({err})") from None
+    if not isinstance(meta, dict):
+        raise CheckpointFormatError(f"{path}: header is not a JSON object")
+    return meta
+
+
+def _check_aggregate(path, cfg: dict) -> None:
+    if cfg.get("aggregate", "sum") not in ("sum", "mean"):
+        raise CheckpointFormatError(f"{path}: unknown aggregate {cfg['aggregate']!r}")
+
+
+def load_model(path):
+    tensors = read_tensors(path)
+    meta = _read_header(path, tensors)
+    try:
+        return _build_model(path, meta, tensors)
+    except KeyError as err:
+        raise CheckpointFormatError(f"{path}: header lacks {err}") from None
+    except TypeError as err:
+        raise CheckpointFormatError(f"{path}: malformed header ({err})") from None
+
+
+def _build_model(path, meta: dict, tensors: dict):
     gravity = Gravity(
         direction=tensors[_GRAVITY_KEY].reshape(3), magnitude=meta["gravity_mag"]
     )
@@ -142,6 +172,7 @@ def load_model(path):
     if variant == "sgnn":
         stages = {}
         for sname, smeta in meta["stages"].items():
+            _check_aggregate(path, smeta)
             nets = {
                 mname: _mlp_from_tensors(f"{sname}/{mname}", tensors, acts[f"{sname}/{mname}"])
                 for mname in _SOMP_MLPS
@@ -160,7 +191,8 @@ def load_model(path):
             velocity_scale=meta["velocity_scale"],
         )
 
-    p = meta["params"]
+    p = dict(meta["params"])
+    _check_aggregate(path, p)
     if variant == "gns":
         params = GNSParams(
             phi=_mlp_from_tensors("phi", tensors, acts["phi"]),
@@ -174,9 +206,9 @@ def load_model(path):
             **p,
         )
     elif variant in ("gmn", "gmn_s"):
-        params = GMNParams(
-            **{n: _mlp_from_tensors(n, tensors, acts[n])
-               for n in ("sigma_msg", "sigma_upd", "eta_msg", "eta_upd")},
+        params = SompParams(
+            **{attr: _mlp_from_tensors(n, tensors, acts[n]) for n, attr in _GMN_MLPS.items()},
+            equivariant_only=not p.pop("subequivariant"), use_objects=False, own_velocity=True,
             **p,
         )
     else:

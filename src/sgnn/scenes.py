@@ -14,7 +14,7 @@ ground truth for the rotation-generalization experiments.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np

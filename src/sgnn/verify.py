@@ -14,17 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ad
-from .baselines import (
-    BaselineModel,
-    GMNParams,
-    egnn_forward,
-    gmn_forward,
-    gns_forward,
-    make_baseline,
-    make_egnn_params,
-    make_gmn_params,
-    make_gns_params,
-)
+from .baselines import egnn_forward, make_baseline, make_egnn_params, make_gmn_params
 from .errors import ContractError, GramMismatchError
 from .geometry import (
     Gravity,
@@ -35,7 +25,7 @@ from .geometry import (
     scalarize_subequivariant,
 )
 from .graph import ParticleSystem, build_edges, merged_particle_edges, pool_objects
-from .layers import make_somp_params, masked_sigma, somp_forward
+from .layers import SompParams, make_somp_params, masked_sigma, somp_forward
 from .mlp import MLP, adam_step, mlp_forward, mlp_grads, mlp_init
 from .model import make_sgnn_model, predict_step
 
@@ -116,7 +106,9 @@ def equivariance_suite(trials: int = 200, seed: int = 0) -> list[PropertyResult]
     h0 = rng.normal(size=2)
 
     def scal_fn(geo, sca):
-        return [scalarize_subequivariant(geo[0], sca[0], GRAVITY, sigma, eta, out_channels=2)], []
+        y, _ = scalarize_subequivariant(geo[0][None], sca[0][None], sigma, eta, GRAVITY,
+                                        out_channels=2)
+        return [y[0]], []
 
     dev = check_equivariance(
         scal_fn, ([z0], [h0]), group="og3", trials=trials, seed=seed + 1,
@@ -374,13 +366,13 @@ def lemma5_suite(trials: int = 1000, seed: int = 0) -> list[PropertyResult]:
 
 # -------------------------------------------------------------- reductions
 
-def build_masked_somp_from_gmn(gmn: GMNParams, n_scalar: int, rng):
+def build_masked_somp_from_gmn(gmn: SompParams, n_scalar: int, rng):
     """Object-aware layer whose mixing networks are masked wrappers of a
     plain multichannel layer: gravity and object channels are zeroed, so the
     forward collapses onto the smaller model exactly."""
     mc, w, n = gmn.msg_channels, gmn.msg_extra, n_scalar
     phi = masked_sigma(
-        gmn.sigma_msg,
+        gmn.phi_sigma,
         keep_stack=[6, 7, 8],  # the pairwise block of the 9+1 channel stack
         full_channels=10,
         keep_scalars=list(range(n)) + list(range(2 * n, 3 * n)),
@@ -388,15 +380,13 @@ def build_masked_somp_from_gmn(gmn: GMNParams, n_scalar: int, rng):
         extra_channels=w,
     )
     psi = masked_sigma(
-        gmn.sigma_upd,
+        gmn.psi_sigma,
         keep_stack=list(range(mc)) + [mc + 1],  # messages plus own velocity
         full_channels=mc + 4,
         keep_scalars=list(range(w + n)),
         out_channels=2,
         extra_channels=n,
     )
-    from .layers import SompParams
-
     return SompParams(
         phi_sigma=phi,
         phi_eta=mlp_init(rng, [4 * n, 4, 1]),
@@ -412,7 +402,7 @@ def build_masked_somp_from_gmn(gmn: GMNParams, n_scalar: int, rng):
     )
 
 
-def build_masked_gmn_from_egnn(egnn_params, n_scalar: int) -> GMNParams:
+def build_masked_gmn_from_egnn(egnn_params, n_scalar: int) -> SompParams:
     """Multichannel layer reproducing the distance-scalarized layer: only the
     squared-distance Gram entry is read, the coordinate weight fills the
     pairwise-offset row, and the update recombines the aggregated message
@@ -441,17 +431,19 @@ def build_masked_gmn_from_egnn(egnn_params, n_scalar: int) -> GMNParams:
         # V rows (message, velocity) x columns (position, velocity residual)
         return np.concatenate([ones, ones, phiv, phiv - 1.0, dh], axis=-1)
 
-    return GMNParams(
-        sigma_msg=sigma_msg,
-        sigma_upd=sigma_upd,
-        eta_msg=None,
-        eta_upd=None,
+    return SompParams(
+        phi_sigma=sigma_msg,
+        phi_eta=None,
+        psi_sigma=sigma_upd,
+        psi_eta=None,
         iterations=egnn_params.iterations,
         msg_channels=1,
         msg_extra=w,
         n_scalar=n,
-        subequivariant=False,
+        use_objects=False,
+        own_velocity=True,
         normalize=False,
+        equivariant_only=True,
     )
 
 
@@ -467,7 +459,7 @@ def reduction_suite(instances: int = 50, seed: int = 0) -> list[PropertyResult]:
 
         gmn = make_gmn_params(case_rng, 2, hidden=8, iterations=2,
                               zero_init_update=False, normalize=False)
-        z_g, h_g = gmn_forward(gmn, sys_.geometric_stack(), sys_.attrs, edges, gravity=GRAVITY)
+        z_g, h_g = somp_forward(gmn, sys_.geometric_stack(), sys_.attrs, edges, gravity=GRAVITY)
         somp = build_masked_somp_from_gmn(gmn, 2, case_rng)
         z_s, h_s = somp_forward(
             somp, sys_.geometric_stack(), sys_.attrs, edges,
@@ -484,7 +476,7 @@ def reduction_suite(instances: int = 50, seed: int = 0) -> list[PropertyResult]:
             egnn, sys_.positions, sys_.velocities, sys_.attrs, edges, gravity=GRAVITY
         )
         gmn_e = build_masked_gmn_from_egnn(egnn, 2)
-        z_m, h_m = gmn_forward(gmn_e, sys_.geometric_stack(), sys_.attrs, edges, gravity=GRAVITY)
+        z_m, h_m = somp_forward(gmn_e, sys_.geometric_stack(), sys_.attrs, edges, gravity=GRAVITY)
         worst_egnn = max(
             worst_egnn,
             float(np.max(np.abs(z_m[:, :, 0] - x_e))),
@@ -528,8 +520,8 @@ def expressivity_separation(
         if step == (3 * steps) // 4:
             lr = 1e-4
         tape = ad.Tape()
-        out = scalarize_subequivariant(
-            tape.var(zs), tape.var(hs), GRAVITY, sigma, eta, out_channels=1, tape=tape
+        out, _ = scalarize_subequivariant(
+            tape.var(zs), tape.var(hs), sigma, eta, GRAVITY, out_channels=1, tape=tape
         )
         diff = ad.sub(out, target)
         loss = ad.div(ad.sum_(ad.mul(diff, diff)), float(target.size))

@@ -6,7 +6,6 @@ import pytest
 from sgnn.baselines import (
     egnn_forward,
     gns_forward,
-    gmn_forward,
     make_baseline,
     make_egnn_params,
     make_gmn_params,
@@ -14,6 +13,7 @@ from sgnn.baselines import (
 )
 from sgnn.geometry import Gravity, check_equivariance, random_subgroup_transform
 from sgnn.graph import ParticleSystem, build_edges, merged_particle_edges
+from sgnn.layers import somp_forward
 from sgnn.mlp import mlp_forward
 from sgnn.verify import reduction_suite
 
@@ -128,7 +128,7 @@ def test_gmn_zero_init_identity():
     params = make_gmn_params(rng, 2, hidden=8, iterations=2, zero_init_update=True)
     sys_ = random_system(rng)
     edges = merged_particle_edges(build_edges(sys_, 0.8))
-    z, h = gmn_forward(params, sys_.geometric_stack(), sys_.attrs, edges, gravity=GRAVITY)
+    z, h = somp_forward(params, sys_.geometric_stack(), sys_.attrs, edges, gravity=GRAVITY)
     np.testing.assert_array_equal(z, sys_.geometric_stack())
     np.testing.assert_array_equal(h, sys_.attrs)
 

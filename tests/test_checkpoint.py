@@ -1,10 +1,13 @@
 """Binary tensor container and model checkpoint round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
 from sgnn.baselines import make_baseline
 from sgnn.checkpoint import read_tensors, write_tensors
+from sgnn.cli import main
 from sgnn.errors import CheckpointFormatError
 from sgnn.graph import ParticleSystem
 from sgnn.model import make_sgnn_model
@@ -75,3 +78,66 @@ def test_baseline_round_trip(tmp_path, variant):
     back = load_model(path)
     np.testing.assert_array_equal(back.predict(sys_), want)
     assert back.variant == variant
+
+
+def test_gmn_checkpoint_keeps_v1_layout(tmp_path):
+    rng = np.random.default_rng(3)
+    model = make_baseline("gmn_s", rng, 2, hidden=8, iterations=2, cutoff=0.1)
+    path = tmp_path / "gmn_s.sgnn"
+    save_model(path, model)
+    tensors = read_tensors(path)
+    nets = {name.split("/")[0] for name in tensors if not name.startswith("header/")}
+    assert nets == {"sigma_msg", "sigma_upd", "eta_msg", "eta_upd"}
+    meta = json.loads(bytes(tensors["header/config_utf8"].reshape(-1).astype(np.uint8)))
+    assert meta["params"]["subequivariant"] is True
+
+
+def _small_sgnn():
+    return make_sgnn_model(np.random.default_rng(4), 2, hidden=8, iterations=1)
+
+
+def _header_meta(tmp_path) -> dict:
+    path = tmp_path / "source.sgnn"
+    save_model(path, _small_sgnn())
+    raw = read_tensors(path)["header/config_utf8"].reshape(-1)
+    return json.loads(bytes(raw.astype(np.uint8)))
+
+
+def _with_header(tmp_path, header: np.ndarray):
+    """A valid sgnn checkpoint whose header tensor is replaced by ``header``."""
+    path = tmp_path / "model.sgnn"
+    save_model(path, _small_sgnn())
+    tensors = read_tensors(path)
+    tensors["header/config_utf8"] = header.reshape(1, -1)
+    write_tensors(path, list(tensors.items()))
+    return path
+
+
+@pytest.mark.parametrize("case", ["not_json", "not_utf8", "not_bytes", "gravity_mag",
+                                  "variant", "stages", "params", "aggregate"])
+def test_malformed_header_raises_typed_error(tmp_path, case):
+    if case == "not_json":
+        header = np.frombuffer(b"{not json", dtype=np.uint8).astype(np.float64)
+    elif case == "not_utf8":
+        header = np.array([255.0, 254.0, 123.0])
+    elif case == "not_bytes":
+        header = np.array([123.5, 300.0, -1.0])
+    else:
+        meta = _header_meta(tmp_path)
+        if case == "params":
+            meta["variant"] = "gns"
+        elif case == "aggregate":
+            meta["stages"]["stage1"]["aggregate"] = "median"
+        else:
+            del meta[case]
+        header = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8).astype(np.float64)
+    path = _with_header(tmp_path, header)
+    with pytest.raises(CheckpointFormatError):
+        load_model(path)
+
+
+def test_eval_exits_1_on_malformed_header(tmp_path, capsys):
+    path = _with_header(tmp_path, np.array([255.0, 254.0]))
+    rc = main(["eval", str(path), "--data", str(tmp_path), "--out", str(tmp_path / "e")])
+    assert rc == 1
+    assert "header is not JSON" in capsys.readouterr().err

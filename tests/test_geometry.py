@@ -15,7 +15,6 @@ from sgnn.geometry import (
     random_orthogonal,
     random_subgroup_transform,
     sample_subgroup_transform,
-    scalarize_equivariant,
     scalarize_subequivariant,
 )
 from sgnn.mlp import mlp_init
@@ -32,6 +31,12 @@ def constant_sigma(matrix: np.ndarray):
         return np.tile(flat, (xv.shape[0], 1))
 
     return f
+
+
+def scalarize_one(z, h, sigma, eta=None, **kwargs):
+    """One (3, m) stack through the batched scalarization."""
+    y, _ = scalarize_subequivariant(z[None], h[None], sigma, eta, GRAVITY, **kwargs)
+    return y[0]
 
 
 def constant_eta(value: float):
@@ -86,14 +91,14 @@ def test_equivariant_identity_selector():
     rng = np.random.default_rng(2)
     z = rng.normal(size=(3, 2))
     sigma = constant_sigma(np.array([[1.0], [0.0]]))
-    out = scalarize_equivariant(z, np.zeros(0), sigma, out_channels=1)
+    out = scalarize_one(z, np.zeros(0), sigma, out_channels=1)
     np.testing.assert_allclose(out[:, 0], z[:, 0], atol=1e-14)
 
 
 def test_equivariant_zero_stack_gives_zero():
     sigma_rng = np.random.default_rng(3)
     net = mlp_init(sigma_rng, [2 * 2 + 1, 8, 2 * 1])
-    out = scalarize_equivariant(np.zeros((3, 2)), np.ones(1), net)
+    out = scalarize_one(np.zeros((3, 2)), np.ones(1), net)
     np.testing.assert_array_equal(out, np.zeros((3, 1)))
 
 
@@ -104,7 +109,7 @@ def test_equivariant_commutes_with_full_orthogonal_group():
     h0 = rng.normal(size=2)
 
     def fn(geo, sca):
-        y = scalarize_equivariant(geo[0], sca[0], net, out_channels=2)
+        y = scalarize_one(geo[0], sca[0], net, out_channels=2)
         return [y], []
 
     dev = check_equivariance(fn, ([z0], [h0]), group="o3", trials=100, seed=5,
@@ -115,7 +120,7 @@ def test_equivariant_commutes_with_full_orthogonal_group():
 def test_subequivariant_pure_gravity_with_empty_stack():
     sigma = constant_sigma(np.array([[1.0]]))
     eta = constant_eta(0.7)
-    out = scalarize_subequivariant(np.zeros((3, 0)), np.ones(2), GRAVITY, sigma, eta)
+    out = scalarize_one(np.zeros((3, 0)), np.ones(2), sigma, eta)
     np.testing.assert_allclose(out[:, 0], 0.7 * GRAVITY.direction, atol=1e-14)
 
 
@@ -123,7 +128,7 @@ def test_subequivariant_channel_selector():
     sigma = constant_sigma(np.array([[1.0], [0.0]]))  # keep channel 0, drop gravity
     eta = constant_eta(1.0)
     z = np.array([[1.0], [0.0], [0.0]])
-    out = scalarize_subequivariant(z, np.zeros(1), GRAVITY, sigma, eta)
+    out = scalarize_one(z, np.zeros(1), sigma, eta)
     np.testing.assert_allclose(out, z, atol=1e-14)
 
 
@@ -140,7 +145,7 @@ def test_subequivariant_commutes_with_axis_subgroup():
     h0 = rng.normal(size=2)
 
     def fn(geo, sca):
-        y = scalarize_subequivariant(geo[0], sca[0], GRAVITY, sigma, eta)
+        y = scalarize_one(geo[0], sca[0], sigma, eta)
         return [y], []
 
     dev = check_equivariance(fn, ([z0], [h0]), group="og3", trials=200, seed=7,
@@ -156,8 +161,8 @@ def test_subequivariant_breaks_under_horizontal_rotation():
         z = rng.normal(size=(3, 2))
         h = rng.normal(size=2)
         O = horizontal_axis_rotation(rng)
-        y0 = scalarize_subequivariant(z, h, GRAVITY, sigma, eta)
-        y1 = scalarize_subequivariant(O @ z, h, GRAVITY, sigma, eta)
+        y0 = scalarize_one(z, h, sigma, eta)
+        y1 = scalarize_one(O @ z, h, sigma, eta)
         worst = max(worst, float(np.max(np.abs(y1 - O @ y0))))
     assert worst > 1e-3
 
@@ -305,8 +310,8 @@ def test_zero_stack_gradients_stay_finite():
     rng = np.random.default_rng(18)
     net = mlp_init(rng, [2 * 2 + 1, 8, 2 * 1])
     tape = ad.Tape()
-    z = tape.var(np.zeros((3, 2)))
-    out = scalarize_equivariant(z, np.ones(1), net, tape=tape)
+    z = tape.var(np.zeros((1, 3, 2)))
+    out, _ = scalarize_subequivariant(z, np.ones((1, 1)), net, tape=tape)
     loss = ad.sum_(ad.mul(out, out))
     grads = tape.backward(loss, np.array(1.0))
     assert np.isfinite(grads.of(z)).all()
