@@ -266,12 +266,12 @@ def sqrt(a):
 
 
 def _sigmoid(x: Array) -> Array:
-    out = np.empty_like(x)
+    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, both computed
+    # densely: the exponent is never positive, so exp cannot overflow.
+    # -np.abs(x) would set the sign bit of a NaN; this keeps NaN bits too.
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.where(pos, -x, x))
+    return np.where(pos, 1.0, e) / (1.0 + e)
 
 
 def silu(a):
@@ -354,6 +354,22 @@ def narrow(a, axis: int, start: int, length: int):
     return _unary(a, fwd, bwd)
 
 
+def scatter_add(index: np.ndarray, values: Array, rows: int) -> Array:
+    """``out[index[k]] += values[k]`` into ``rows`` zero rows, as ``np.add.at``.
+
+    One ``np.bincount`` over the flattened (row, column) bucket of every
+    entry.  bincount adds each bucket's weights in input order, so the sums
+    round exactly as the sequential ``np.add.at`` does.  Indices must lie in
+    ``[0, rows)``.
+    """
+    tail = values.shape[1:]
+    width = int(np.prod(tail, dtype=np.int64))
+    buckets = index[:, None] * width + np.arange(width)
+    out = np.bincount(buckets.reshape(-1), weights=values.reshape(-1), minlength=rows * width)
+    # bincount of an empty input is int64 even with weights
+    return out.astype(np.float64, copy=False).reshape((rows,) + tail)
+
+
 def gather(a, index: np.ndarray, axis: int = 0):
     """Fancy-index rows along ``axis`` (index is a constant int array)."""
     index = np.asarray(index, dtype=np.int64)
@@ -364,9 +380,7 @@ def gather(a, index: np.ndarray, axis: int = 0):
         return av[index]
 
     def bwd(g, av, ov):
-        out = np.zeros_like(av)
-        np.add.at(out, index, g)
-        return (out,)
+        return (scatter_add(index, g, av.shape[0]),)
 
     return _unary(a, fwd, bwd)
 
@@ -376,9 +390,7 @@ def segment_sum(a, segments: np.ndarray, num_segments: int):
     segments = np.asarray(segments, dtype=np.int64)
 
     def fwd(av):
-        out = np.zeros((num_segments,) + av.shape[1:], dtype=av.dtype)
-        np.add.at(out, segments, av)
-        return out
+        return scatter_add(segments, av, num_segments)
 
     def bwd(g, av, ov):
         return (g[segments],)

@@ -49,7 +49,12 @@ def read_tensors(path) -> dict[str, np.ndarray]:
         offset += 4
         if offset + name_len + 8 > len(data):
             raise CheckpointFormatError(f"{path}: truncated record at {offset}")
-        name = data[offset : offset + name_len].decode("utf-8")
+        try:
+            name = data[offset : offset + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointFormatError(
+                f"{path}: tensor name at {offset} is not UTF-8"
+            ) from None
         offset += name_len
         rows, cols = struct.unpack_from("<II", data, offset)
         offset += 8

@@ -16,6 +16,12 @@ def _check_object_of(object_of: np.ndarray) -> None:
     if object_of.size:
         if object_of.min() < 0:
             raise ContractError("negative object index")
+        # checked before the bincount, which would allocate max + 1 bins for
+        # a corrupt index: with every object owning a particle, max < size
+        if object_of.max() >= object_of.size:
+            raise ContractError(
+                f"object index {int(object_of.max())} exceeds the particle count {object_of.size}"
+            )
         if (np.bincount(object_of) == 0).any():
             raise ContractError("every object must own at least one particle")
 
@@ -206,12 +212,9 @@ def pool_objects(system: ParticleSystem) -> ObjectFeatures:
     counts = np.bincount(system.object_of, minlength=m).astype(np.float64)
     if (counts == 0).any():
         raise ContractError("every object must own at least one particle")
-    stack = system.geometric_stack()
-    C = np.zeros((m, 3, 2))
-    np.add.at(C, system.object_of, stack)
+    C = ad.scatter_add(system.object_of, system.geometric_stack(), m)
     C /= counts[:, None, None]
-    c = np.zeros((m, system.attrs.shape[1]))
-    np.add.at(c, system.object_of, system.attrs)
+    c = ad.scatter_add(system.object_of, system.attrs, m)
     return ObjectFeatures(C=C, c=c)
 
 

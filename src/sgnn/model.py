@@ -179,22 +179,32 @@ class RigidFit:
     inlier_mask: np.ndarray | None = None
 
 
-def _kabsch(reference: np.ndarray, predicted: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    ref_c = reference.mean(axis=0)
-    pred_c = predicted.mean(axis=0)
-    a = reference - ref_c
-    b = predicted - pred_c
+def _kabsch(reference: np.ndarray, predicted: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least-squares proper rigid motions of a batch of (H, k, 3) point sets.
+
+    Returns rotations (H, 3, 3), translations (H, 3) and a (H,) flag for
+    collinear references, whose rotation is underdetermined: those get the
+    identity and the centroid shift.  LAPACK runs once per matrix, so every
+    fit rounds exactly as it would alone.
+    """
+    ref_c = reference.mean(axis=1)
+    pred_c = predicted.mean(axis=1)
+    a = reference - ref_c[:, None]
+    b = predicted - pred_c[:, None]
     svals = np.linalg.svd(a, compute_uv=False)
-    if svals[1] <= 1e-9 * max(svals[0], 1e-12):
-        # collinear reference: rotation is underdetermined
-        return np.eye(3), pred_c - ref_c, True
-    H = a.T @ b
-    u, _, vt = np.linalg.svd(H)
-    v = vt.T
-    d = np.sign(np.linalg.det(v @ u.T))
-    R = v @ np.diag([1.0, 1.0, d]) @ u.T
-    t = pred_c - R @ ref_c
-    return R, t, False
+    degenerate = svals[:, 1] <= 1e-9 * np.maximum(svals[:, 0], 1e-12)
+    R = np.tile(np.eye(3), (a.shape[0], 1, 1))
+    t = pred_c - ref_c
+    ok = ~degenerate
+    if ok.any():
+        u, _, vt = np.linalg.svd(np.swapaxes(a[ok], 1, 2) @ b[ok])
+        v = np.swapaxes(vt, 1, 2)
+        ut = np.swapaxes(u, 1, 2)
+        flip = np.tile(np.eye(3), (v.shape[0], 1, 1))
+        flip[:, 2, 2] = np.sign(np.linalg.det(v @ ut))
+        R[ok] = v @ flip @ ut
+        t[ok] = pred_c[ok] - (R[ok] @ ref_c[ok][:, :, None])[:, :, 0]
+    return R, t, degenerate
 
 
 def rigid_project(
@@ -210,7 +220,9 @@ def rigid_project(
     Proper rotations only (the smallest singular direction is flipped when
     the determinant is negative).  With ``ransac`` the fit is repeated on
     random 4-point subsets and refit on the best inlier set, which discards
-    grossly displaced particles.  Collinear references fall back to a
+    grossly displaced particles.  All subsets are fitted and scored as one
+    batch; the best is the first with the most inliers, and subsets with a
+    collinear reference are skipped.  Collinear references fall back to a
     translation-only fit, flagged on the result.
     """
     predicted = np.asarray(predicted, dtype=np.float64)
@@ -218,35 +230,27 @@ def rigid_project(
     if predicted.shape != reference.shape or predicted.shape[0] < 3:
         raise ContractError("need matching point sets with at least 3 points")
     n = predicted.shape[0]
-    if not ransac:
-        R, t, degenerate = _kabsch(reference, predicted)
-        return RigidFit(
-            positions=reference @ R.T + t,
-            rotation=R,
-            translation=t,
-            translation_only=degenerate,
-        )
-
-    rng = np.random.default_rng(seed)
     best_mask = None
-    subset_size = min(4, n)
-    for _ in range(ransac_iterations):
-        idx = rng.choice(n, size=subset_size, replace=False)
+    if ransac and ransac_iterations > 0:
+        rng = np.random.default_rng(seed)
+        idx = np.stack([
+            rng.choice(n, size=min(4, n), replace=False) for _ in range(ransac_iterations)
+        ])
         R, t, degenerate = _kabsch(reference[idx], predicted[idx])
-        if degenerate:
-            continue
-        residual = np.linalg.norm(reference @ R.T + t - predicted, axis=1)
-        mask = residual < inlier_threshold
-        if best_mask is None or mask.sum() > best_mask.sum():
-            best_mask = mask
-    if best_mask is None or best_mask.sum() < 3:
+        moved = reference @ np.swapaxes(R, 1, 2) + t[:, None]
+        masks = np.linalg.norm(moved - predicted, axis=2) < inlier_threshold
+        if not degenerate.all():
+            # argmax takes the first maximum, as a loop keeping only strict gains
+            best_mask = masks[np.argmax(np.where(degenerate, -1, masks.sum(axis=1)))]
+    if ransac and (best_mask is None or best_mask.sum() < 3):
         best_mask = np.ones(n, dtype=bool)
-    R, t, degenerate = _kabsch(reference[best_mask], predicted[best_mask])
+    keep = slice(None) if best_mask is None else best_mask
+    R, t, degenerate = _kabsch(reference[None, keep], predicted[None, keep])
     return RigidFit(
-        positions=reference @ R.T + t,
-        rotation=R,
-        translation=t,
-        translation_only=degenerate,
+        positions=reference @ R[0].T + t[0],
+        rotation=R[0],
+        translation=t[0],
+        translation_only=bool(degenerate[0]),
         inlier_mask=best_mask,
     )
 

@@ -9,6 +9,7 @@ from sgnn.errors import ContractError
 from sgnn.geometry import Gravity
 from sgnn.graph import EdgeSets, ParticleSystem
 from sgnn.mlp import MLP, mlp_forward, mlp_grads
+from sgnn.model import RigidFit
 
 GRAVITY = Gravity()
 
@@ -89,6 +90,69 @@ def loop_build_edges(system: ParticleSystem, r: float) -> EdgeSets:
         obj = empty
         inter_to_obj = np.zeros((0,), dtype=np.int64)
     return EdgeSets(inter=inter, inner=inner, obj=obj, inter_to_obj=inter_to_obj.reshape(-1))
+
+
+def masked_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Boolean-mask sigmoid: the reference for ``ad._sigmoid``."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def add_at_scatter(index: np.ndarray, values: np.ndarray, rows: int) -> np.ndarray:
+    """``np.add.at`` into zeros: the reference for ``ad.scatter_add``."""
+    out = np.zeros((rows,) + values.shape[1:])
+    np.add.at(out, index, values)
+    return out
+
+
+def _single_kabsch(reference: np.ndarray, predicted: np.ndarray):
+    ref_c = reference.mean(axis=0)
+    pred_c = predicted.mean(axis=0)
+    a = reference - ref_c
+    b = predicted - pred_c
+    svals = np.linalg.svd(a, compute_uv=False)
+    if svals[1] <= 1e-9 * max(svals[0], 1e-12):
+        return np.eye(3), pred_c - ref_c, True
+    H = a.T @ b
+    u, _, vt = np.linalg.svd(H)
+    v = vt.T
+    d = np.sign(np.linalg.det(v @ u.T))
+    R = v @ np.diag([1.0, 1.0, d]) @ u.T
+    t = pred_c - R @ ref_c
+    return R, t, False
+
+
+def loop_rigid_project(predicted, reference, ransac=False, seed=0,
+                       inlier_threshold=0.01, ransac_iterations=20) -> RigidFit:
+    """One Kabsch fit per RANSAC hypothesis in a loop: the reference for
+    ``model.rigid_project``."""
+    predicted = np.asarray(predicted, dtype=np.float64)
+    reference = np.asarray(reference, dtype=np.float64)
+    n = predicted.shape[0]
+    if not ransac:
+        R, t, degenerate = _single_kabsch(reference, predicted)
+        return RigidFit(positions=reference @ R.T + t, rotation=R, translation=t,
+                        translation_only=degenerate)
+    rng = np.random.default_rng(seed)
+    best_mask = None
+    for _ in range(ransac_iterations):
+        idx = rng.choice(n, size=min(4, n), replace=False)
+        R, t, degenerate = _single_kabsch(reference[idx], predicted[idx])
+        if degenerate:
+            continue
+        residual = np.linalg.norm(reference @ R.T + t - predicted, axis=1)
+        mask = residual < inlier_threshold
+        if best_mask is None or mask.sum() > best_mask.sum():
+            best_mask = mask
+    if best_mask is None or best_mask.sum() < 3:
+        best_mask = np.ones(n, dtype=bool)
+    R, t, degenerate = _single_kabsch(reference[best_mask], predicted[best_mask])
+    return RigidFit(positions=reference @ R.T + t, rotation=R, translation=t,
+                    translation_only=degenerate, inlier_mask=best_mask)
 
 
 def naive_ominus(zi: np.ndarray, zj: np.ndarray) -> np.ndarray:

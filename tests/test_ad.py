@@ -6,7 +6,7 @@ import pytest
 from sgnn import ad
 from sgnn.errors import ShapeError, TapeError
 
-from helpers import fd_grad, rel_err
+from helpers import add_at_scatter, fd_grad, masked_sigmoid, rel_err
 
 
 def test_eager_path_returns_plain_arrays():
@@ -150,3 +150,69 @@ def test_determinism_same_seed_same_bits():
     v2, g2 = run()
     assert np.array_equal(v1, v2)
     assert np.array_equal(g1, g2)
+
+
+# ------------------------------------------------ bit parity with the old kernels
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0, -745.0,
+                    746.0, -746.0, 1e-300, -1e-300])
+
+
+def _sigmoid_inputs(rng):
+    return [
+        np.concatenate([rng.normal(scale=s, size=200) for s in (1.0, 30.0, 800.0)] + [SPECIAL]),
+        rng.normal(size=(2082, 32)),
+        rng.normal(size=(4, 3, 5)),
+        np.zeros((0, 7)),
+    ]
+
+
+def test_sigmoid_matches_masked_form_bit_for_bit():
+    for x in _sigmoid_inputs(np.random.default_rng(40)):
+        assert _same_bits(ad._sigmoid(x), masked_sigmoid(x))
+
+
+def test_silu_forward_and_backward_match_masked_form_bit_for_bit():
+    rng = np.random.default_rng(41)
+    with np.errstate(invalid="ignore"):
+        for x in _sigmoid_inputs(rng):
+            g = rng.normal(size=x.shape)
+            tape = ad.Tape()
+            v = tape.var(x)
+            y = ad.silu(v)
+            s = masked_sigmoid(x)
+            assert _same_bits(y.value, x * s)
+            grad = tape.backward(y, g).of(v)
+            assert _same_bits(grad, g * (s * (1.0 + x * (1.0 - s))))
+
+
+@pytest.mark.parametrize("tail", [(), (3, 2), (3, 0)], ids=["scalar", "3x2", "3x0"])
+@pytest.mark.parametrize("kind", ["empty", "repeated", "unsorted"])
+def test_scatter_add_matches_add_at_bit_for_bit(tail, kind):
+    rng = np.random.default_rng(42)
+    rows = 9
+    index = {
+        "empty": np.zeros(0, dtype=np.int64),
+        "repeated": np.array([4, 4, 4, 0, 0, 8, 4, 4], dtype=np.int64),
+        "unsorted": rng.integers(0, rows, size=300),
+    }[kind]
+    # mixed magnitudes make the rounding depend on the order of the sums
+    values = rng.normal(size=(index.size,) + tail) * 10.0 ** rng.integers(-8, 9, size=(index.size,) + tail)
+    assert _same_bits(ad.scatter_add(index, values, rows), add_at_scatter(index, values, rows))
+
+
+def test_gather_and_segment_sum_match_add_at_bit_for_bit():
+    rng = np.random.default_rng(43)
+    index = rng.integers(0, 81, size=2082)
+    x = rng.normal(size=(81, 3, 2))
+    g = rng.normal(size=(2082, 3, 2)) * 10.0 ** rng.integers(-8, 9, size=(2082, 3, 2))
+    tape = ad.Tape()
+    v = tape.var(x)
+    y = ad.gather(v, index)
+    assert _same_bits(tape.backward(y, g).of(v), add_at_scatter(index, g, 81))
+    assert _same_bits(ad.segment_sum(g, index, 81), add_at_scatter(index, g, 81))

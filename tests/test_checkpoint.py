@@ -42,6 +42,19 @@ def test_container_magic_and_truncation(tmp_path):
         read_tensors(good)
 
 
+def test_non_utf8_tensor_name_raises_typed_error(tmp_path):
+    path = tmp_path / "params.sgnn"
+    write_tensors(path, [("ok", np.ones((1, 1))), ("name", np.ones((2, 2)))])
+    data = bytearray(path.read_bytes())
+    second_name = 8 + 4 + 2 + 8 + 8 + 4  # header, first record, second name length
+    data[second_name] = 0xFF
+    path.write_bytes(bytes(data))
+    with pytest.raises(CheckpointFormatError, match=f"at {second_name} is not UTF-8"):
+        read_tensors(path)
+    with pytest.raises(CheckpointFormatError):
+        load_model(path)
+
+
 def _system(rng, n=10):
     return ParticleSystem(
         positions=rng.uniform(-0.05, 0.05, size=(n, 3)),

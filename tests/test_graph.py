@@ -253,6 +253,12 @@ def test_empty_object_rejected():
         make_system([[0, 0, 0], [1, 1, 1]], [0, 2])
 
 
+def test_huge_object_index_rejected_before_counting():
+    """A corrupt index fails on its bound, not on a bincount of 2**40 bins."""
+    with pytest.raises(ContractError, match="exceeds"):
+        make_system([[0, 0, 0], [1, 1, 1]], [0, 2**40])
+
+
 def test_object_ominus_single_edge():
     sys_ = make_system([[0, 0, 0], [0.2, 0, 0]], [0, 1])
     edges = build_edges(sys_, 0.5)

@@ -9,7 +9,7 @@ from sgnn.graph import ObjectFeatures, ParticleSystem, build_edges, pool_objects
 from sgnn.layers import somp_forward
 from sgnn.model import make_sgnn_model, predict_step, rigid_project, rollout
 
-from helpers import naive_ominus, naive_somp
+from helpers import loop_rigid_project, naive_ominus, naive_somp
 
 GRAVITY = Gravity()
 
@@ -278,6 +278,80 @@ def test_rigid_project_preserves_shape_exactly():
 def test_rigid_project_requires_three_points():
     with pytest.raises(ContractError):
         rigid_project(np.zeros((2, 3)), np.zeros((2, 3)))
+
+
+def _same_fit(a, b):
+    for name in ("positions", "rotation", "translation", "inlier_mask"):
+        x, y = getattr(a, name), getattr(b, name)
+        if x is None or y is None:
+            assert x is None and y is None, name
+        else:
+            assert x.shape == y.shape and x.dtype == y.dtype, name
+            assert x.tobytes() == y.tobytes(), name
+    assert a.translation_only == b.translation_only
+
+
+def _rigid_cases(rng):
+    def moved(ref, noise):
+        return ref @ _proper_rotation(rng).T + rng.normal(size=3) + noise * rng.normal(size=ref.shape)
+
+    ref = rng.normal(scale=0.05, size=(27, 3))
+    outliers = moved(ref, 1e-3)
+    outliers[[2, 11, 20]] += 0.1
+    line = np.outer(np.linspace(-1.0, 1.0, 6), rng.normal(size=3))
+    tri = rng.normal(size=(3, 3))
+    return {
+        "noisy": (moved(ref, 3e-3), ref),
+        "outliers": (outliers, ref),
+        "collinear": (line + rng.normal(scale=1e-3, size=line.shape), line),
+        "three-points": (moved(tri, 1e-3), tri),
+        "tied": _two_motions(rng),
+    }
+
+
+def _two_motions(rng):
+    """Particles 0-3 and 4-7 moved by two different rigid motions: a subset
+    from either half has exactly that half as inliers, so the two tie."""
+    ref = rng.normal(size=(8, 3))
+    pred = np.concatenate([
+        ref[:4] @ _proper_rotation(rng).T,
+        ref[4:] @ _proper_rotation(rng).T + 5.0,
+    ])
+    return pred, ref
+
+
+@pytest.mark.parametrize("case", ["noisy", "outliers", "collinear", "three-points", "tied"])
+@pytest.mark.parametrize("iterations", [200, 20, 1, 0])
+def test_rigid_project_matches_loop_bit_for_bit(case, iterations):
+    """Batched RANSAC gives the positions, pose and inlier mask of the
+    one-hypothesis-at-a-time loop, bit for bit."""
+    rng = np.random.default_rng(17)
+    pred, ref = _rigid_cases(rng)[case]
+    for seed in range(5):
+        for ransac in (True, False):
+            kwargs = dict(ransac=ransac, seed=seed, ransac_iterations=iterations)
+            _same_fit(rigid_project(pred, ref, **kwargs), loop_rigid_project(pred, ref, **kwargs))
+
+
+def test_rigid_project_ties_pick_first_best_hypothesis():
+    pred, ref = _two_motions(np.random.default_rng(17))
+    halves = {(0, 1, 2, 3): np.arange(8) < 4, (4, 5, 6, 7): np.arange(8) >= 4}
+    for seed in range(10):
+        # replay the draws: the first subset lying in one half sets the mask
+        rng = np.random.default_rng(seed)
+        draws = [tuple(sorted(rng.choice(8, size=4, replace=False))) for _ in range(200)]
+        pure = [d for d in draws if d in halves]
+        assert set(pure) == set(halves)
+        fit = rigid_project(pred, ref, ransac=True, seed=seed, ransac_iterations=200)
+        assert fit.inlier_mask.tolist() == halves[pure[0]].tolist()
+
+
+def test_rigid_project_all_hypotheses_degenerate():
+    line = np.outer(np.arange(5.0), [1.0, 2.0, 0.5])
+    fit = rigid_project(line + 0.25, line, ransac=True, seed=3)
+    assert fit.translation_only
+    assert fit.inlier_mask.all()
+    np.testing.assert_allclose(fit.positions, line + 0.25, atol=1e-12)
 
 
 def test_rollout_frozen_edges_option():

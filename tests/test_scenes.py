@@ -275,7 +275,8 @@ def test_trajectory_rejects_malformed_fields(field, value, error):
 @pytest.mark.parametrize("offset,payload", [
     (24, np.array([0, 0, 2, 2], dtype="<u4").tobytes()),  # object table
     (-8, np.array([np.nan]).tobytes()),  # last frame coordinate
-], ids=["object-gap", "nan-frame"])
+    (24, np.array([0xFFFFFFFF], dtype="<u4").tobytes()),  # first object index
+], ids=["object-gap", "nan-frame", "object-index-overflow"])
 def test_load_trajectory_rejects_invalid_contents(tmp_path, offset, payload):
     path = tmp_path / "bad.sgtj"
     save_trajectory(Trajectory(**trajectory_fields()), path)
