@@ -39,33 +39,6 @@ class Var:
     def shape(self):
         return self.value.shape
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
     def __repr__(self):
         return f"Var(shape={self.value.shape}, vid={self._vid})"
 
@@ -370,11 +343,9 @@ def scatter_add(index: np.ndarray, values: Array, rows: int) -> Array:
     return out.astype(np.float64, copy=False).reshape((rows,) + tail)
 
 
-def gather(a, index: np.ndarray, axis: int = 0):
-    """Fancy-index rows along ``axis`` (index is a constant int array)."""
+def gather(a, index: np.ndarray):
+    """Fancy-index rows (index is a constant int array)."""
     index = np.asarray(index, dtype=np.int64)
-    if axis != 0:
-        raise ShapeError("gather supports axis=0 only")
 
     def fwd(av):
         return av[index]

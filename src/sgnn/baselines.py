@@ -19,7 +19,7 @@ from . import ad
 from .errors import ShapeError
 from .geometry import Gravity
 from .graph import ParticleSystem, _aggregate, _receiver_mask, build_edges, merged_particle_edges
-from .layers import SompParams, somp_forward
+from .layers import ETA_HIDDEN, ETA_INIT, SompParams, somp_forward
 from .mlp import MLP, mlp_forward, mlp_init
 
 
@@ -191,8 +191,6 @@ def make_gmn_params(
     activation: str = "silu",
     subequivariant: bool = False,
     zero_init_update: bool = True,
-    eta_hidden: int = 16,
-    eta_init: float = 0.05,
     normalize: bool = True,
 ) -> SompParams:
     """Multichannel layer on the pairwise stack [x_i - x_j, v_i, v_j]; the
@@ -210,11 +208,11 @@ def make_gmn_params(
         activation=activation,
         zero_last=zero_init_update,
     )
-    eta_msg = mlp_init(rng, [2 * n_scalar, eta_hidden, 1], activation=activation, zero_last=True)
-    eta_upd = mlp_init(rng, [msg_extra + n_scalar, eta_hidden, 1], activation=activation,
+    eta_msg = mlp_init(rng, [2 * n_scalar, ETA_HIDDEN, 1], activation=activation, zero_last=True)
+    eta_upd = mlp_init(rng, [msg_extra + n_scalar, ETA_HIDDEN, 1], activation=activation,
                        zero_last=True)
-    eta_msg.biases[-1][:] = eta_init
-    eta_upd.biases[-1][:] = eta_init
+    eta_msg.biases[-1][:] = ETA_INIT
+    eta_upd.biases[-1][:] = ETA_INIT
     return SompParams(
         phi_sigma=sigma_msg, phi_eta=eta_msg, psi_sigma=sigma_upd, psi_eta=eta_upd,
         iterations=iterations, msg_channels=msg_channels, msg_extra=msg_extra,
@@ -264,9 +262,7 @@ class BaselineModel:
             if tape is not None:
                 z = tape.var(z)
             z2, _ = somp_forward(self.params, z, h, merged, gravity=self.gravity, tape=tape)
-            pos = ad.narrow(z2, -1, 0, 1)
-            n = system.n_particles
-            return ad.reshape(pos, (n, 3)) if isinstance(pos, ad.Var) else ad.value_of(pos).reshape(n, 3)
+            return ad.reshape(ad.narrow(z2, -1, 0, 1), (system.n_particles, 3))
         raise ShapeError(f"unknown baseline variant {self.variant!r}")
 
 

@@ -2,7 +2,8 @@
 
 Layout: magic ``SGNN``, format version (u32 LE), then repeated records until
 EOF, each record being name length (u32), UTF-8 name, rows (u32), cols (u32)
-and a row-major little-endian float64 payload.
+and a row-major little-endian float64 payload.  Every payload value must be
+finite.
 """
 
 from __future__ import annotations
@@ -66,5 +67,7 @@ def read_tensors(path) -> dict[str, np.ndarray]:
             .reshape(rows, cols)
             .astype(np.float64)
         )
+        if not np.isfinite(out[name]).all():
+            raise CheckpointFormatError(f"{path}: tensor {name!r} holds non-finite values")
         offset += nbytes
     return out

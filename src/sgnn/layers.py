@@ -21,6 +21,11 @@ from .geometry import Gravity, ominus, scalarize_subequivariant
 from .graph import ObjectFeatures, _aggregate, _receiver_mask
 from .mlp import MLP, mlp_forward, mlp_init
 
+# Gravity gates are small MLPs whose output bias starts at ETA_INIT: starting
+# near the geometric feature scale keeps the augmented Gram well conditioned.
+ETA_HIDDEN = 16
+ETA_INIT = 0.05
+
 
 @dataclass
 class SompParams:
@@ -74,32 +79,20 @@ def make_somp_params(
     activation: str = "silu",
     equivariant_only: bool = False,
     zero_init_update: bool = True,
-    eta_hidden: int = 16,
-    eta_init: float = 0.05,
-    edge_stack_channels: int | None = None,
-    edge_scalar_dim: int | None = None,
 ) -> SompParams:
-    """Allocate MLPs with dimensions matching the layer's channel arithmetic.
-
-    ``eta_init`` pins the initial output of the gravity gates; starting near
-    the geometric feature scale keeps the augmented Gram well conditioned.
-    """
+    """Allocate MLPs with dimensions matching the layer's channel arithmetic."""
     if n_scalar < 1:
         raise ContractError("need at least one scalar feature channel")
-    m_edge = edge_stack_channels if edge_stack_channels is not None else edge_stack_width(
-        node_channels, use_objects
-    )
-    h_edge = edge_scalar_dim if edge_scalar_dim is not None else (
-        (4 if use_objects else 2) * n_scalar
-    )
+    m_edge = edge_stack_width(node_channels, use_objects)
+    h_edge = (4 if use_objects else 2) * n_scalar
     aug = 0 if equivariant_only else 1
     phi_sigma = mlp_init(
         rng,
         [(m_edge + aug) ** 2 + h_edge, hidden, hidden, (m_edge + aug) * msg_channels + msg_extra],
         activation=activation,
     )
-    phi_eta = mlp_init(rng, [h_edge, eta_hidden, 1], activation=activation, zero_last=True)
-    phi_eta.biases[-1][:] = eta_init
+    phi_eta = mlp_init(rng, [h_edge, ETA_HIDDEN, 1], activation=activation, zero_last=True)
+    phi_eta.biases[-1][:] = ETA_INIT
     m_upd = msg_channels + (node_channels + 1 if use_objects else 0)
     s_upd = msg_extra + n_scalar + (n_scalar if use_objects else 0)
     psi_sigma = mlp_init(
@@ -108,8 +101,8 @@ def make_somp_params(
         activation=activation,
         zero_last=zero_init_update,
     )
-    psi_eta = mlp_init(rng, [s_upd, eta_hidden, 1], activation=activation, zero_last=True)
-    psi_eta.biases[-1][:] = eta_init
+    psi_eta = mlp_init(rng, [s_upd, ETA_HIDDEN, 1], activation=activation, zero_last=True)
+    psi_eta.biases[-1][:] = ETA_INIT
     return SompParams(
         phi_sigma=phi_sigma,
         phi_eta=phi_eta,
@@ -227,7 +220,6 @@ def masked_sigma(
     keep_scalars: list[int],
     out_channels: int,
     extra_channels: int,
-    renormalize: bool = False,
 ):
     """Wrap a smaller layer's sigma so a wider layer reproduces it exactly.
 
@@ -235,8 +227,7 @@ def masked_sigma(
     kept scalar entries, applies ``inner``, and embeds the resulting mixing
     weights back into the full stack with zero rows elsewhere: the dropped
     channels (gravity column, object offsets) contribute nothing to the
-    output.  With ``renormalize`` the sub-block is rescaled to unit Frobenius
-    norm, matching the smaller layer's own normalization.  Inference-only.
+    output.  Inference-only.
     """
     keep_stack = list(keep_stack)
     keep_scalars = list(keep_scalars)
@@ -247,9 +238,6 @@ def masked_sigma(
         B = xv.shape[0]
         gram = xv[:, : full_channels * full_channels].reshape(B, full_channels, full_channels)
         sub = gram[:, keep_stack][:, :, keep_stack]
-        if renormalize:
-            nrm = np.sqrt((sub * sub).sum(axis=(-2, -1), keepdims=True))
-            sub = sub / np.where(nrm >= 1e-12, nrm, 1.0)
         scal = xv[:, full_channels * full_channels :][:, keep_scalars]
         inner_in = np.concatenate([sub.reshape(B, -1), scal], axis=-1)
         out = ad.value_of(mlp_forward(inner, inner_in)) if isinstance(inner, MLP) else ad.value_of(inner(inner_in))

@@ -29,10 +29,9 @@ from .scenes import Trajectory
 
 @dataclass
 class SGNNModel:
-    """Parameter bundle for the three stages plus wiring flags.
+    """Parameter bundle for the three stages plus ablation flags.
 
-    ``stage3_from_stage1`` feeds the first stage's particle outputs into the
-    third stage instead of the frame's original states.  The ablation flags
+    The third stage reads the frame's original states.  The ablation flags
     turn off the hierarchy (single stage over all edges), zero the pooled
     object features, or run every stage over the shared full edge set.
     """
@@ -42,7 +41,6 @@ class SGNNModel:
     stage3: SompParams | None
     gravity: Gravity = field(default_factory=Gravity)
     cutoff: float = 0.08
-    stage3_from_stage1: bool = False
     no_hierarchy: bool = False
     zero_object_features: bool = False
     shared_edges: bool = False
@@ -75,7 +73,6 @@ def make_sgnn_model(
     activation: str = "silu",
     equivariant_only: bool = False,
     zero_init_update: bool = True,
-    stage3_from_stage1: bool = False,
     no_hierarchy: bool = False,
     zero_object_features: bool = False,
     shared_edges: bool = False,
@@ -92,15 +89,11 @@ def make_sgnn_model(
     stage1 = make_somp_params(rng, n_scalar, use_objects=True, **common)
     stage2 = stage3 = None
     if not no_hierarchy:
-        stage2 = make_somp_params(
-            rng, n_scalar, use_objects=False,
-            edge_stack_channels=3, edge_scalar_dim=2 * n_scalar, **common,
-        )
+        stage2 = make_somp_params(rng, n_scalar, use_objects=False, **common)
         stage3 = make_somp_params(rng, n_scalar, use_objects=True, **common)
     return SGNNModel(
         stage1=stage1, stage2=stage2, stage3=stage3,
         gravity=gravity or Gravity(), cutoff=cutoff,
-        stage3_from_stage1=stage3_from_stage1,
         no_hierarchy=no_hierarchy,
         zero_object_features=zero_object_features,
         shared_edges=shared_edges,
@@ -136,8 +129,7 @@ def predict_step(model: SGNNModel, system: ParticleSystem, edges: EdgeSets,
             model.stage1, z, h, merged, objects=feats, object_of=object_of,
             gravity=model.gravity, tape=tape,
         )
-        pos = ad.narrow(z1, -1, 0, 1)
-        return ad.reshape(pos, (n, 3)) if isinstance(pos, ad.Var) else ad.value_of(pos).reshape(n, 3)
+        return ad.reshape(ad.narrow(z1, -1, 0, 1), (n, 3))
 
     e1 = merged if model.shared_edges else edges.inter
     z1, h1 = somp_forward(
@@ -156,13 +148,11 @@ def predict_step(model: SGNNModel, system: ParticleSystem, edges: EdgeSets,
         )
 
     e3 = merged if model.shared_edges else edges.inner
-    z3_in, h3_in = (z1, h1) if model.stage3_from_stage1 else (z, h)
     z3, _ = somp_forward(
-        model.stage3, z3_in, h3_in, e3, objects=(C2, c2), object_of=object_of,
+        model.stage3, z, h, e3, objects=(C2, c2), object_of=object_of,
         gravity=model.gravity, tape=tape,
     )
-    pos = ad.narrow(z3, -1, 0, 1)
-    return ad.reshape(pos, (n, 3)) if isinstance(pos, ad.Var) else ad.value_of(pos).reshape(n, 3)
+    return ad.reshape(ad.narrow(z3, -1, 0, 1), (n, 3))
 
 
 # ------------------------------------------------------------------ rollout
@@ -264,16 +254,14 @@ def rollout(
     rigid_objects: np.ndarray | None = None,
     dt: float = 1.0,
     seed: int = 0,
-    ransac: bool = True,
-    rebuild_edges: bool = True,
 ) -> Trajectory:
     """Autoregressive prediction for ``steps`` frames from ``initial``.
 
-    Edges are rebuilt every step by default (``rebuild_edges=False`` freezes
-    the initial graph); next-frame velocities are the one-frame position
-    differences.  With ``rigid``, each tagged object's predicted cloud is
-    replaced by the best rigid motion of its layout in ``initial`` before
-    the next step.  Raises ``RolloutError`` on non-finite states.
+    Edges are rebuilt every step; next-frame velocities are the one-frame
+    position differences.  With ``rigid``, each tagged object's predicted
+    cloud is replaced by the RANSAC rigid motion of its layout in
+    ``initial`` before the next step.  Raises ``RolloutError`` on non-finite
+    states.
     """
     if steps < 1:
         raise ContractError("steps must be >= 1")
@@ -287,9 +275,8 @@ def rollout(
     frames = np.zeros((steps + 1, initial.n_particles, 3))
     frames[0] = initial.positions
     system = initial
-    frozen = None if rebuild_edges else build_edges(initial, model.cutoff)
     for step in range(steps):
-        edges = frozen if frozen is not None else build_edges(system, model.cutoff)
+        edges = build_edges(system, model.cutoff)
         nxt = np.array(ad.value_of(model.predict(system, edges)))
         if not np.isfinite(nxt).all():
             raise RolloutError(step)
@@ -299,7 +286,7 @@ def rollout(
                     continue
                 members = system.object_of == k
                 fit = rigid_project(
-                    nxt[members], references[k], ransac=ransac,
+                    nxt[members], references[k], ransac=True,
                     seed=seed * 100003 + step * 31 + k,
                 )
                 nxt[members] = fit.positions

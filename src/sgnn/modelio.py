@@ -81,7 +81,7 @@ def _collect(model) -> tuple[dict, list[tuple[str, np.ndarray]]]:
 
     if isinstance(model, SGNNModel):
         meta.update(
-            stage3_from_stage1=model.stage3_from_stage1,
+            stage3_from_stage1=False,  # format v1 key; the third stage reads the frame's states
             no_hierarchy=model.no_hierarchy,
             zero_object_features=model.zero_object_features,
             shared_edges=model.shared_edges,
@@ -170,6 +170,8 @@ def _build_model(path, meta: dict, tensors: dict):
     variant = meta["variant"]
 
     if variant == "sgnn":
+        if meta["stage3_from_stage1"] is not False:
+            raise CheckpointFormatError(f"{path}: stage3_from_stage1 must be false")
         stages = {}
         for sname, smeta in meta["stages"].items():
             _check_aggregate(path, smeta)
@@ -184,7 +186,6 @@ def _build_model(path, meta: dict, tensors: dict):
             stage3=stages.get("stage3"),
             gravity=gravity,
             cutoff=meta["cutoff"],
-            stage3_from_stage1=meta["stage3_from_stage1"],
             no_hierarchy=meta["no_hierarchy"],
             zero_object_features=meta["zero_object_features"],
             shared_edges=meta["shared_edges"],

@@ -70,19 +70,7 @@ def _nonzero_sgnn(rng, n_scalar=2, hidden=16, iterations=2, cutoff=0.5):
     return model
 
 
-def _system_fn_sgnn(model, object_of):
-    def fn(geo, sca):
-        z = geo[0]
-        system = ParticleSystem(
-            positions=z[:, :, 0], velocities=z[:, :, 1], attrs=sca[0], object_of=object_of
-        )
-        edges = build_edges(system, model.cutoff)
-        return [predict_step(model, system, edges)[:, :, None]], []
-
-    return fn
-
-
-def _system_fn_baseline(model, object_of):
+def _system_fn(model, object_of):
     def fn(geo, sca):
         z = geo[0]
         system = ParticleSystem(
@@ -91,6 +79,22 @@ def _system_fn_baseline(model, object_of):
         return [model.predict(system)[:, :, None]], []
 
     return fn
+
+
+def _witness(model, system: ParticleSystem, sample_O, seed: int) -> float:
+    """Largest deviation of ``model.predict`` from commuting with 20 maps
+    drawn by ``sample_O``; a clearly nonzero value breaks that symmetry."""
+    rng = np.random.default_rng(seed)
+    base = model.predict(system)
+    worst = 0.0
+    for _ in range(20):
+        O = sample_O(rng)
+        moved = ParticleSystem(
+            positions=system.positions @ O.T, velocities=system.velocities @ O.T,
+            attrs=system.attrs, object_of=system.object_of,
+        )
+        worst = max(worst, float(np.max(np.abs(model.predict(moved) - base @ O.T))))
+    return worst
 
 
 # ----------------------------------------------------------- equivariance
@@ -110,10 +114,7 @@ def equivariance_suite(trials: int = 200, seed: int = 0) -> list[PropertyResult]
                                         out_channels=2)
         return [y[0]], []
 
-    dev = check_equivariance(
-        scal_fn, ([z0], [h0]), group="og3", trials=trials, seed=seed + 1,
-        position_channels=[None], output_position_channels=[None],
-    )
+    dev = check_equivariance(scal_fn, ([z0], [h0]), group="og3", trials=trials, seed=seed + 1)
     results.append(PropertyResult("scalarization axis equivariance", dev, 1e-9, "max"))
 
     # one message-passing layer, axis subgroup plus translations
@@ -136,7 +137,6 @@ def equivariance_suite(trials: int = 200, seed: int = 0) -> list[PropertyResult]
     dev = check_equivariance(
         layer_fn, ([sys0.geometric_stack()], [sys0.attrs]), group="og3",
         trials=trials, seed=seed + 2, translate=True,
-        position_channels=[0], output_position_channels=[0],
     )
     results.append(PropertyResult("message passing axis equivariance", dev, 1e-9, "max"))
 
@@ -147,26 +147,15 @@ def equivariance_suite(trials: int = 200, seed: int = 0) -> list[PropertyResult]
     )
     sys1 = _random_system(rng, n=12, objects=3)
     dev = check_equivariance(
-        _system_fn_sgnn(model, sys1.object_of),
+        _system_fn(model, sys1.object_of),
         ([sys1.geometric_stack()], [sys1.attrs]), group="og3",
         trials=trials, seed=seed + 3, translate=True,
-        position_channels=[0], output_position_channels=[0],
     )
     results.append(PropertyResult("full model axis equivariance", dev, 1e-9, "max"))
 
     # strictness: a horizontal-axis rotation must break the full model
     witness_model = _nonzero_sgnn(np.random.default_rng(seed + 40))
-    witness = 0.0
-    wrng = np.random.default_rng(seed + 4)
-    base = predict_step(witness_model, sys1, build_edges(sys1, witness_model.cutoff))
-    for _ in range(20):
-        O = horizontal_axis_rotation(wrng, GRAVITY)
-        moved = ParticleSystem(
-            positions=sys1.positions @ O.T, velocities=sys1.velocities @ O.T,
-            attrs=sys1.attrs, object_of=sys1.object_of,
-        )
-        got = predict_step(witness_model, moved, build_edges(moved, witness_model.cutoff))
-        witness = max(witness, float(np.max(np.abs(got - base @ O.T))))
+    witness = _witness(witness_model, sys1, horizontal_axis_rotation, seed + 4)
     results.append(PropertyResult("full orthogonal symmetry broken (witness)", witness, 1e-3, "min"))
 
     # fully equivariant baselines pass the whole orthogonal group
@@ -177,10 +166,9 @@ def equivariance_suite(trials: int = 200, seed: int = 0) -> list[PropertyResult]
         )
         sys2 = _random_system(np.random.default_rng(seed + 6), n=8, objects=2)
         dev = check_equivariance(
-            _system_fn_baseline(b, sys2.object_of),
+            _system_fn(b, sys2.object_of),
             ([sys2.geometric_stack()], [sys2.attrs]), group="o3",
             trials=min(trials, 100), seed=seed + 7, translate=True,
-            position_channels=[0], output_position_channels=[0],
         )
         results.append(PropertyResult(f"{variant} full orthogonal equivariance", dev, 1e-9, "max"))
 
@@ -192,22 +180,12 @@ def equivariance_suite(trials: int = 200, seed: int = 0) -> list[PropertyResult]
         )
         sys3 = _random_system(np.random.default_rng(seed + 9), n=8, objects=2)
         dev = check_equivariance(
-            _system_fn_baseline(b, sys3.object_of),
+            _system_fn(b, sys3.object_of),
             ([sys3.geometric_stack()], [sys3.attrs]), group="og3",
             trials=min(trials, 100), seed=seed + 10, translate=True,
-            position_channels=[0], output_position_channels=[0],
         )
         results.append(PropertyResult(f"{variant} axis equivariance", dev, 1e-9, "max"))
-        witness = 0.0
-        wrng = np.random.default_rng(seed + 11)
-        base = b.predict(sys3)
-        for _ in range(20):
-            O = horizontal_axis_rotation(wrng, GRAVITY)
-            moved = ParticleSystem(
-                positions=sys3.positions @ O.T, velocities=sys3.velocities @ O.T,
-                attrs=sys3.attrs, object_of=sys3.object_of,
-            )
-            witness = max(witness, float(np.max(np.abs(b.predict(moved) - base @ O.T))))
+        witness = _witness(b, sys3, horizontal_axis_rotation, seed + 11)
         results.append(
             PropertyResult(f"{variant} full orthogonal broken (witness)", witness, 1e-3, "min")
         )
@@ -218,16 +196,7 @@ def equivariance_suite(trials: int = 200, seed: int = 0) -> list[PropertyResult]
     for m in gns.mlps():
         m.weights[-1] *= 3.0
     sys4 = _random_system(np.random.default_rng(seed + 13), n=8, objects=2)
-    witness = 0.0
-    wrng = np.random.default_rng(seed + 14)
-    base = gns.predict(sys4)
-    for _ in range(20):
-        O = random_subgroup_transform(wrng, GRAVITY).O
-        moved = ParticleSystem(
-            positions=sys4.positions @ O.T, velocities=sys4.velocities @ O.T,
-            attrs=sys4.attrs, object_of=sys4.object_of,
-        )
-        witness = max(witness, float(np.max(np.abs(gns.predict(moved) - base @ O.T))))
+    witness = _witness(gns, sys4, lambda rng: random_subgroup_transform(rng).O, seed + 14)
     results.append(PropertyResult("gns axis symmetry broken (witness)", witness, 1e-3, "min"))
     return results
 

@@ -118,7 +118,6 @@ def test_baseline_equivariance_classes(variant, group):
     dev = check_equivariance(
         fn, ([sys_.geometric_stack()], [sys_.attrs]), group=group,
         trials=60, seed=5, translate=True,
-        position_channels=[0], output_position_channels=[0],
     )
     assert dev < 1e-9
 

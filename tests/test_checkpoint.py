@@ -55,6 +55,20 @@ def test_non_utf8_tensor_name_raises_typed_error(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_payload_raises_typed_error(tmp_path, bad):
+    path = tmp_path / "model.sgnn"
+    save_model(path, make_sgnn_model(np.random.default_rng(5), 2, hidden=8, iterations=1))
+    last = list(read_tensors(path))[-1]
+    data = bytearray(path.read_bytes())
+    data[-8:] = np.array([bad], dtype="<f8").tobytes()
+    path.write_bytes(bytes(data))
+    with pytest.raises(CheckpointFormatError, match=f"tensor {last!r} holds non-finite"):
+        read_tensors(path)
+    with pytest.raises(CheckpointFormatError):
+        load_model(path)
+
+
 def _system(rng, n=10):
     return ParticleSystem(
         positions=rng.uniform(-0.05, 0.05, size=(n, 3)),
@@ -127,7 +141,8 @@ def _with_header(tmp_path, header: np.ndarray):
 
 
 @pytest.mark.parametrize("case", ["not_json", "not_utf8", "not_bytes", "gravity_mag",
-                                  "variant", "stages", "params", "aggregate"])
+                                  "variant", "stages", "params", "aggregate",
+                                  "stage3_from_stage1"])
 def test_malformed_header_raises_typed_error(tmp_path, case):
     if case == "not_json":
         header = np.frombuffer(b"{not json", dtype=np.uint8).astype(np.float64)
@@ -141,6 +156,8 @@ def test_malformed_header_raises_typed_error(tmp_path, case):
             meta["variant"] = "gns"
         elif case == "aggregate":
             meta["stages"]["stage1"]["aggregate"] = "median"
+        elif case == "stage3_from_stage1":
+            meta[case] = True
         else:
             del meta[case]
         header = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8).astype(np.float64)

@@ -154,17 +154,6 @@ def test_verify_zero_trials_usage_error():
     assert main(["verify", "--trials", "0"]) == 2
 
 
-def test_generate_honors_worker_env(tmp_path, monkeypatch):
-    cfg = write_scene_config(tmp_path / "scene.cfg")
-    out1, out2 = tmp_path / "seq", tmp_path / "par"
-    assert main(["generate", "--config", str(cfg), "--count", "3", "--out", str(out1)]) == 0
-    monkeypatch.setenv("SGNN_THREADS", "3")
-    assert main(["generate", "--config", str(cfg), "--count", "3", "--out", str(out2)]) == 0
-    for k in range(3):
-        name = f"traj_{k:05d}.sgtj"
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
-
 @pytest.mark.acceptance
 def test_generate_200_default_scenes_round_trip(tmp_path):
     out = tmp_path / "bulk"

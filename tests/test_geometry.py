@@ -112,8 +112,7 @@ def test_equivariant_commutes_with_full_orthogonal_group():
         y = scalarize_one(geo[0], sca[0], net, out_channels=2)
         return [y], []
 
-    dev = check_equivariance(fn, ([z0], [h0]), group="o3", trials=100, seed=5,
-                             position_channels=[None], output_position_channels=[None])
+    dev = check_equivariance(fn, ([z0], [h0]), group="o3", trials=100, seed=5)
     assert dev < 1e-9
 
 
@@ -148,8 +147,7 @@ def test_subequivariant_commutes_with_axis_subgroup():
         y = scalarize_one(geo[0], sca[0], sigma, eta)
         return [y], []
 
-    dev = check_equivariance(fn, ([z0], [h0]), group="og3", trials=200, seed=7,
-                             position_channels=[None], output_position_channels=[None])
+    dev = check_equivariance(fn, ([z0], [h0]), group="og3", trials=200, seed=7)
     assert dev < 1e-9
 
 
@@ -284,8 +282,7 @@ def test_check_equivariance_identity_zero_deviation():
     def fn(geo, sca):
         return [geo[0]], []
 
-    dev = check_equivariance(fn, ([z0], []), group="og3", trials=50, seed=16,
-                             position_channels=[None], output_position_channels=[None])
+    dev = check_equivariance(fn, ([z0], []), group="og3", trials=50, seed=16)
     assert dev == 0.0
 
 

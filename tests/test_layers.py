@@ -118,7 +118,6 @@ def test_axis_equivariance_with_translation():
     dev = check_equivariance(
         fn, ([sys_.geometric_stack()], [sys_.attrs]), group="og3",
         trials=100, seed=6, translate=True,
-        position_channels=[0], output_position_channels=[0],
     )
     assert dev < 1e-9
 

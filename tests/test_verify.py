@@ -32,15 +32,15 @@ def test_gradient_suite_passes():
         assert r.passed, r.line()
 
 
-def test_gradient_suite_output_independent_of_hash_seed():
+def test_verify_all_output_independent_of_hash_seed():
     src = str(Path(sgnn.__file__).resolve().parents[1])
     outputs = []
     for hash_seed in ("1", "2"):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
-            [sys.executable, "-m", "sgnn.cli", "verify", "--suite", "gradients",
-             "--trials", "1", "--seed", "3"],
+            [sys.executable, "-m", "sgnn.cli", "verify", "--suite", "all",
+             "--trials", "2", "--seed", "3"],
             capture_output=True, env=env, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
