@@ -6,8 +6,9 @@ this module accepts either plain ``numpy`` arrays or ``Var`` handles.  With
 plain arrays the computation runs eagerly and nothing is recorded, so layer
 code is written once and works for both inference and training.
 
-All values are float64.  Replaying a tape re-executes the recorded forward
-callables in order and reproduces every intermediate bit-exactly.
+All values are float64.  A tape is swept once: ``backward`` drops its
+records, so the intermediates are freed as soon as the caller lets go of the
+tape, without waiting for the cyclic garbage collector.
 """
 
 from __future__ import annotations
@@ -44,12 +45,11 @@ class Var:
 
 
 class _Record:
-    __slots__ = ("out", "inputs", "fwd", "bwd")
+    __slots__ = ("out", "inputs", "bwd")
 
-    def __init__(self, out, inputs, fwd, bwd):
+    def __init__(self, out, inputs, bwd):
         self.out = out
         self.inputs = inputs
-        self.fwd = fwd
         self.bwd = bwd
 
 
@@ -70,8 +70,10 @@ class Tape:
     """Wengert list of primitive ops with per-call state."""
 
     def __init__(self):
-        self._records: list[_Record] = []
-        self._param_cache: dict[int, Var] = {}
+        self._records: list[_Record] | None = []  # None once swept
+        # id(array) -> (vid, value), not a Var, which would point back to the
+        # tape; the value keeps the id from being reused while the tape lives
+        self._params: dict[int, tuple[int, Array]] = {}
         self._next_vid = 0
 
     def _new_var(self, value: Array) -> Var:
@@ -85,21 +87,25 @@ class Tape:
 
     def param(self, array: Array) -> Var:
         """Wrap a parameter array, cached by identity so every use of the
-        same array shares one Var and adjoints accumulate."""
-        key = id(array)
-        v = self._param_cache.get(key)
-        if v is None:
-            v = self._new_var(_as_f64(array))
-            self._param_cache[key] = v
+        same array shares one vid and adjoints accumulate."""
+        hit = self._params.get(id(array))
+        if hit is not None:
+            return Var(hit[1], self, hit[0])
+        v = self._new_var(_as_f64(array))
+        self._params[id(array)] = (v._vid, v.value)
         return v
 
-    def record(self, out_value: Array, inputs: Sequence[Var], fwd: Callable, bwd: Callable) -> Var:
+    def record(self, out_value: Array, inputs: Sequence[Var], bwd: Callable) -> Var:
+        """Append a record; ``bwd(g, *inputs, out)`` gives a partial or None per input."""
         out = self._new_var(out_value)
-        self._records.append(_Record(out, tuple(inputs), fwd, bwd))
+        self._records.append(_Record(out, tuple(inputs), bwd))
         return out
 
     def backward(self, output: Var, output_grad) -> Grads:
-        """Reverse sweep from ``output`` seeded with ``output_grad``."""
+        """Reverse sweep from ``output`` seeded with ``output_grad``.  The
+        sweep consumes the records: a tape has one backward."""
+        if self._records is None:
+            raise TapeError("backward called on a tape that was already swept")
         if not self._records:
             raise TapeError("backward called before any forward was recorded")
         if output.tape is not self:
@@ -121,19 +127,8 @@ class Tape:
                     continue
                 acc = table.get(var._vid)
                 table[var._vid] = pg if acc is None else acc + pg
+        self._records = None
         return Grads(table)
-
-    def replay(self) -> list[Array]:
-        """Re-execute every recorded forward in order; returns the recomputed
-        output of each record.  Used to assert bit-exact reproducibility."""
-        values: dict[int, Array] = {}
-        outs = []
-        for rec in self._records:
-            ins = [values.get(v._vid, v.value) for v in rec.inputs]
-            out = rec.fwd(*ins)
-            values[rec.out._vid] = out
-            outs.append(out)
-        return outs
 
 
 def _tape_of(*args) -> Tape | None:
@@ -171,7 +166,7 @@ def _binary(a, b, fwd, bwd):
     if tape is None:
         return out
     va, vb = _wrap(a, tape), _wrap(b, tape)
-    return tape.record(out, (va, vb), fwd, bwd)
+    return tape.record(out, (va, vb), bwd)
 
 
 def _unary(a, fwd, bwd):
@@ -180,7 +175,7 @@ def _unary(a, fwd, bwd):
     out = fwd(av)
     if tape is None:
         return out
-    return tape.record(out, (_wrap(a, tape),), fwd, bwd)
+    return tape.record(out, (_wrap(a, tape),), bwd)
 
 
 # ---------------------------------------------------------------- arithmetic
@@ -265,6 +260,46 @@ def relu(a):
     return _unary(a, lambda av: np.maximum(av, 0.0), bwd)
 
 
+def dense(x, w, b, act: str):
+    """``act(x @ w + b)`` for a 2-D ``w`` and ``act`` in silu, relu, linear.
+
+    One record that runs the numpy operations of the matmul, add and
+    activation records in their order, forward and backward, so values and
+    adjoints match that chain bit for bit.  A 1-D ``x`` runs as one row.  The
+    SiLU keeps its forward sigmoid for the backward pass.
+    """
+    xv, wv, bv = _value(x), _value(w), _value(b)
+    x2 = xv.reshape(1, -1) if xv.ndim == 1 else xv
+    if x2.shape[-1] != wv.shape[0]:
+        raise ShapeError(f"matmul inner dims differ: {x2.shape} @ {wv.shape}")
+    pre = np.add(np.matmul(x2, wv), bv)
+    tape = _tape_of(x, w, b)
+    if act == "silu" and tape is None:
+        out = pre * _sigmoid(pre)  # numpy reuses the sigmoid temporary; a tape keeps it
+    elif act == "silu":
+        s = _sigmoid(pre)
+        out = pre * s
+    elif act == "relu":
+        out = np.maximum(pre, 0.0)
+    else:
+        out = pre
+    out = out.reshape(-1) if xv.ndim == 1 else out
+    if tape is None:
+        return out
+
+    def bwd(g, *_):
+        g = g.reshape(pre.shape)
+        if act == "silu":
+            g = g * (s * (1.0 + pre * (1.0 - s)))
+        elif act == "relu":
+            g = g * (pre > 0.0)
+        gx = _unbroadcast(g @ np.swapaxes(wv, -1, -2), x2.shape).reshape(xv.shape)
+        gw = _unbroadcast(np.swapaxes(x2, -1, -2) @ g, wv.shape)
+        return gx, gw, _unbroadcast(g, bv.shape)
+
+    return tape.record(out, (_wrap(x, tape), _wrap(w, tape), _wrap(b, tape)), bwd)
+
+
 # ------------------------------------------------------------- shape plumbing
 
 def reshape(a, shape):
@@ -288,10 +323,7 @@ def concat(parts: Sequence, axis: int):
     values = [_value(p) for p in parts]
     sizes = [v.shape[axis] for v in values]
 
-    def fwd(*vals):
-        return np.concatenate(vals, axis=axis)
-
-    out = fwd(*values)
+    out = np.concatenate(values, axis=axis)
     if tape is None:
         return out
 
@@ -305,7 +337,7 @@ def concat(parts: Sequence, axis: int):
             grads.append(g[tuple(sl)])
         return tuple(grads)
 
-    return tape.record(out, [_wrap(p, tape) for p in parts], fwd, bwd)
+    return tape.record(out, [_wrap(p, tape) for p in parts], bwd)
 
 
 def narrow(a, axis: int, start: int, length: int):

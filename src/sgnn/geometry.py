@@ -89,18 +89,35 @@ def normalized_gram(z, normalize: bool = True):
     """Gram matrix of the column stack, scaled to unit Frobenius norm.
 
     Scaling is skipped (divide by 1) whenever the norm falls below 1e-12 so
-    all-zero stacks stay finite.  Accepts (3, m) or (B, 3, m).
+    all-zero stacks stay finite.  Accepts (3, m) or (B, 3, m).  One tape record,
+    whose backward runs the primitive chain's operations in order, bit for bit.
     """
-    gram = ad.matmul(ad.swap_last2(z), z)
-    if not normalize:
-        return gram
-    sq = ad.sum_(ad.mul(gram, gram), axis=(-2, -1), keepdims=True)
-    mask = (ad.value_of(sq) >= GRAM_NORM_EPS**2).astype(np.float64)
-    # feed sqrt a masked-off 1 instead of 0 so its adjoint stays finite on
-    # the all-zero stacks where normalization is skipped
-    norm = ad.sqrt(ad.add(ad.mul(sq, mask), 1.0 - mask))
-    denom = ad.add(ad.mul(norm, mask), 1.0 - mask)
-    return ad.div(gram, denom)
+    zv = ad.value_of(z)
+    gram = np.matmul(np.swapaxes(zv, -1, -2), zv)
+    out = gram
+    if normalize:
+        sq = (gram * gram).sum(axis=(-2, -1), keepdims=True)
+        mask = (sq >= GRAM_NORM_EPS**2).astype(np.float64)
+        # feed sqrt a masked-off 1 instead of 0 so its adjoint stays finite on
+        # the all-zero stacks where normalization is skipped
+        norm = np.sqrt(sq * mask + (1.0 - mask))
+        denom = norm * mask + (1.0 - mask)
+        out = gram / denom
+    if not isinstance(z, ad.Var):
+        return out
+
+    def bwd(g, *_):
+        if normalize:
+            g_denom = ad._unbroadcast(-g * gram / (denom * denom), denom.shape)
+            g_sq = g_denom * mask * (0.5 / norm) * mask
+            # gram * gram passes the same partial t to both of its operands
+            t = np.broadcast_to(g_sq, gram.shape) * gram
+            g = (g / denom + t) + t
+        # z enters twice, as the matmul's right operand and through the
+        # transpose, and takes its partials in that order
+        return zv @ g, np.swapaxes(g @ np.swapaxes(zv, -1, -2), -1, -2)
+
+    return z.tape.record(out, (z, z), bwd)
 
 
 def scalarize_subequivariant(

@@ -243,18 +243,3 @@ def pooled_object_edge_features(z, h, edges: EdgeSets):
     zmean = ad.div(zsum, counts[:, None, None])
     hmean = ad.div(hsum, counts[:, None])
     return zmean, hmean
-
-
-def object_level_ominus(z: np.ndarray, edges: EdgeSets, k: int, l: int) -> np.ndarray:
-    """Mean of particle-level (-) stacks over the inter edges from object k
-    to object l.  ``z`` holds the updated per-particle stacks (N, 3, m)."""
-    rows = np.nonzero(
-        (edges.obj[:, 0] == k) & (edges.obj[:, 1] == l)
-    )[0]
-    if rows.size == 0:
-        raise ContractError(f"objects ({k}, {l}) share no inter edges")
-    mask = edges.inter_to_obj == rows[0]
-    src = edges.inter[mask, 0]
-    dst = edges.inter[mask, 1]
-    stacks = [ominus(z[i], z[j]) for i, j in zip(src, dst)]
-    return np.mean(np.stack(stacks, axis=0), axis=0)

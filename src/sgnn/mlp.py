@@ -106,33 +106,19 @@ def mlp_forward(params: MLP, x, tape: ad.Tape | None = None):
     if tape is None and isinstance(x, ad.Var):
         tape = x.tape
     xv = ad.value_of(x)
-    squeeze = xv.ndim == 1
     if xv.shape[-1] != params.in_dim:
         raise ShapeError(f"input dim {xv.shape[-1]} != first layer in dim {params.in_dim}")
-    h = x
-    if squeeze:
-        h = ad.reshape(h, (1, params.in_dim)) if isinstance(h, ad.Var) else xv.reshape(1, -1)
     for w, b, act in zip(params.weights, params.biases, params.activations):
-        wv = tape.param(w) if tape is not None else w
-        bv = tape.param(b) if tape is not None else b
-        h = ad.add(ad.matmul(h, wv), bv)
-        if act == "silu":
-            h = ad.silu(h)
-        elif act == "relu":
-            h = ad.relu(h)
-    if squeeze:
-        h = ad.reshape(h, (params.out_dim,)) if isinstance(h, ad.Var) else ad.value_of(h).reshape(-1)
-    return h
+        if tape is not None:
+            w, b = tape.param(w), tape.param(b)
+        x = ad.dense(x, w, b, act)
+    return x
 
 
 def mlp_grads(tape: ad.Tape, grads: ad.Grads, params: MLP) -> list[np.ndarray]:
     """Collect adjoints for every parameter of ``params`` (zeros if unused),
-    ordered like ``params.parameters()``."""
-    out = []
-    for arr in params.parameters():
-        var = tape._param_cache.get(id(arr))
-        out.append(grads.of(var) if var is not None else np.zeros_like(arr))
-    return out
+    ordered like ``params.parameters()``.  Works on a swept tape."""
+    return [grads.of(tape.param(arr)) for arr in params.parameters()]
 
 
 def adam_step(

@@ -6,7 +6,7 @@ import numpy as np
 
 from sgnn import ad
 from sgnn.errors import ContractError
-from sgnn.geometry import Gravity
+from sgnn.geometry import GRAM_NORM_EPS, Gravity, ominus
 from sgnn.graph import EdgeSets, ParticleSystem
 from sgnn.mlp import MLP, mlp_forward, mlp_grads
 from sgnn.model import RigidFit
@@ -107,6 +107,67 @@ def add_at_scatter(index: np.ndarray, values: np.ndarray, rows: int) -> np.ndarr
     out = np.zeros((rows,) + values.shape[1:])
     np.add.at(out, index, values)
     return out
+
+
+def chain_dense(x, w, b, act):
+    """Matmul, bias-add and activation records, with a 1-D ``x`` reshaped to
+    one row and back: the reference for ``ad.dense``."""
+    squeeze = ad.value_of(x).ndim == 1
+    h = ad.reshape(x, (1, -1)) if squeeze else x
+    h = ad.add(ad.matmul(h, w), b)
+    if act == "silu":
+        h = ad.silu(h)
+    elif act == "relu":
+        h = ad.relu(h)
+    return ad.reshape(h, (-1,)) if squeeze else h
+
+
+def chain_normalized_gram(z, normalize=True):
+    """The ten-record Gram normalization: the reference for
+    ``geometry.normalized_gram``."""
+    gram = ad.matmul(ad.swap_last2(z), z)
+    if not normalize:
+        return gram
+    sq = ad.sum_(ad.mul(gram, gram), axis=(-2, -1), keepdims=True)
+    mask = (ad.value_of(sq) >= GRAM_NORM_EPS**2).astype(np.float64)
+    norm = ad.sqrt(ad.add(ad.mul(sq, mask), 1.0 - mask))
+    denom = ad.add(ad.mul(norm, mask), 1.0 - mask)
+    return ad.div(gram, denom)
+
+
+def value_and_adjoints(build, inputs, seed: int, reuse: bool):
+    """Output value of ``build(*vars)`` and every input's adjoint, on a fresh
+    tape seeded with mixed-magnitude normals.  With ``reuse`` each input is
+    also squared later on the tape, so it already holds an adjoint when the
+    partials of ``build``'s records arrive."""
+    rng = np.random.default_rng(seed)
+    tape = ad.Tape()
+    vs = [tape.var(a) for a in inputs]
+    y = build(*vs)
+    parts = [ad.reshape(y, (-1,))]
+    if reuse:
+        parts += [ad.reshape(ad.mul(v, v), (-1,)) for v in vs]
+    out = ad.concat(parts, axis=0)
+    g = rng.normal(size=out.shape) * 10.0 ** rng.integers(-4, 5, size=out.shape)
+    grads = tape.backward(out, g)
+    return [y.value] + [grads.of(v) for v in vs]
+
+
+def object_level_ominus(z: np.ndarray, edges: EdgeSets, k: int, l: int) -> np.ndarray:
+    """Mean of particle-level (-) stacks over the inter edges from object k
+    to object l, one edge at a time: the reference for
+    ``graph.pooled_object_edge_features``.  ``z`` holds the per-particle
+    stacks (N, 3, m)."""
+    rows = np.nonzero(
+        (edges.obj[:, 0] == k) & (edges.obj[:, 1] == l)
+    )[0]
+    if rows.size == 0:
+        raise ContractError(f"objects ({k}, {l}) share no inter edges")
+    mask = edges.inter_to_obj == rows[0]
+    src = edges.inter[mask, 0]
+    dst = edges.inter[mask, 1]
+    stacks = [ominus(z[i], z[j]) for i, j in zip(src, dst)]
+    return np.mean(np.stack(stacks, axis=0), axis=0)
 
 
 def _single_kabsch(reference: np.ndarray, predicted: np.ndarray):

@@ -1,4 +1,4 @@
-"""Tape engine: forward semantics, adjoints vs finite differences, replay."""
+"""Tape engine: forward semantics, adjoints vs finite differences, fused records."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,8 @@ import pytest
 from sgnn import ad
 from sgnn.errors import ShapeError, TapeError
 
-from helpers import add_at_scatter, fd_grad, masked_sigmoid, rel_err
+from helpers import (add_at_scatter, chain_dense, fd_grad, masked_sigmoid, rel_err,
+                     value_and_adjoints)
 
 
 def test_eager_path_returns_plain_arrays():
@@ -121,19 +122,13 @@ def test_same_var_used_twice_accumulates():
     np.testing.assert_allclose(grads.of(x), np.array([4.0]))
 
 
-def test_replay_reproduces_forward_bit_exactly():
-    rng = np.random.default_rng(3)
+def test_second_backward_raises_already_swept():
     tape = ad.Tape()
-    a = tape.var(rng.normal(size=(6, 4)))
-    b = tape.var(rng.normal(size=(4, 4)))
-    y = ad.silu(ad.matmul(a, b))
-    z = ad.sum_(ad.mul(y, y), axis=0)
-    originals = [rec.out.value for rec in tape._records]
-    replayed = tape.replay()
-    assert len(originals) == len(replayed)
-    for orig, re in zip(originals, replayed):
-        assert np.array_equal(orig, re)
-    assert np.array_equal(replayed[-1], ad.value_of(z))
+    x = tape.var(np.array([2.0]))
+    out = ad.mul(x, x)
+    tape.backward(out, np.ones(1))
+    with pytest.raises(TapeError, match="already swept"):
+        tape.backward(out, np.ones(1))
 
 
 def test_determinism_same_seed_same_bits():
@@ -216,3 +211,27 @@ def test_gather_and_segment_sum_match_add_at_bit_for_bit():
     y = ad.gather(v, index)
     assert _same_bits(tape.backward(y, g).of(v), add_at_scatter(index, g, 81))
     assert _same_bits(ad.segment_sum(g, index, 81), add_at_scatter(index, g, 81))
+
+
+@pytest.mark.parametrize("reuse", [False, True], ids=["fresh", "reused"])
+@pytest.mark.parametrize("act", ["silu", "relu", "linear"])
+@pytest.mark.parametrize("lead", [(), (7,), (3, 6)], ids=["1d", "2d", "3d"])
+def test_dense_matches_matmul_add_activation_chain_bit_for_bit(lead, act, reuse):
+    rng = np.random.default_rng(44)
+    x = rng.normal(size=lead + (5,)) * 10.0 ** rng.integers(-3, 4, size=lead + (5,))
+    w = rng.normal(size=(5, 4))
+    b = rng.normal(size=4)
+    if lead:  # a zero row meets the zero bias: a pre-activation of exactly 0
+        x.reshape(-1, 5)[0] = 0.0
+        b[1] = 0.0
+    fused = value_and_adjoints(lambda *v: ad.dense(*v, act), [x, w, b], 45, reuse)
+    chain = value_and_adjoints(lambda *v: chain_dense(*v, act), [x, w, b], 45, reuse)
+    for got, want in zip(fused, chain):
+        assert _same_bits(got, want)
+    assert _same_bits(ad.dense(x, w, b, act), chain[0])
+
+
+def test_dense_is_one_record():
+    tape = ad.Tape()
+    ad.dense(tape.var(np.ones((2, 3))), tape.var(np.ones((3, 4))), np.zeros(4), "silu")
+    assert len(tape._records) == 1

@@ -19,6 +19,8 @@ from sgnn.geometry import (
 )
 from sgnn.mlp import mlp_init
 
+from helpers import chain_normalized_gram, value_and_adjoints
+
 GRAVITY = Gravity()
 
 
@@ -199,6 +201,46 @@ def test_gram_normalization_skips_tiny_norm():
     z = np.zeros((3, 2))
     g = normalized_gram(z)
     np.testing.assert_array_equal(g, np.zeros((2, 2)))
+
+
+def _gram_stack(shape, zero_rows=()):
+    rng = np.random.default_rng(20)
+    z = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+    for r in zero_rows:
+        z[r] = 0.0
+    return z
+
+
+GRAM_CASES = {
+    "batched": ((6, 3, 4), (), True),
+    "unbatched": ((3, 4), (), True),
+    "batched_m1": ((6, 3, 1), (), True),
+    "unbatched_m1": ((3, 1), (), True),
+    "zero_rows": ((6, 3, 3), (1, 4), True),
+    "all_zero": ((3, 2), (slice(None),), True),
+    "unnormalized": ((6, 3, 3), (), False),
+}
+
+
+@pytest.mark.parametrize("reuse", [False, True], ids=["fresh", "reused"])
+@pytest.mark.parametrize("case", list(GRAM_CASES))
+def test_fused_gram_matches_ten_record_chain_bit_for_bit(case, reuse):
+    shape, zero_rows, normalize = GRAM_CASES[case]
+    z = _gram_stack(shape, zero_rows)
+    fused = value_and_adjoints(lambda v: normalized_gram(v, normalize), [z], 21, reuse)
+    chain = value_and_adjoints(lambda v: chain_normalized_gram(v, normalize), [z], 21, reuse)
+    for got, want in zip(fused, chain):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert np.isfinite(fused[1]).all()
+    eager = normalized_gram(z, normalize)
+    assert eager.tobytes() == chain[0].tobytes()
+
+
+def test_fused_gram_is_one_record():
+    tape = ad.Tape()
+    normalized_gram(tape.var(np.ones((2, 3, 2))))
+    assert len(tape._records) == 1
 
 
 # ------------------------------------------------------------- transforms

@@ -10,13 +10,12 @@ from sgnn.graph import (
     ParticleSystem,
     build_edges,
     merged_particle_edges,
-    object_level_ominus,
     pool_objects,
     pooled_object_edge_features,
 )
 from sgnn.scenes import SceneConfig, generate_scene
 
-from helpers import loop_build_edges
+from helpers import loop_build_edges, object_level_ominus
 
 
 def brute_force_edges(system: ParticleSystem, r: float) -> EdgeSets:

@@ -1,8 +1,12 @@
 """Training loop: loss semantics, scheduler, determinism, rotation robustness."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from sgnn import ad
 from sgnn.baselines import make_baseline
 from sgnn.errors import ContractError
 from sgnn.model import make_sgnn_model
@@ -40,6 +44,32 @@ def test_exact_model_has_vanishing_loss():
     model = small_model()
     loss = evaluate_single_step(model, trajs)
     assert loss < 1e-20
+
+
+@pytest.mark.parametrize("kind", ["sgnn", "gns"])
+def test_no_tape_survives_training_without_cyclic_gc(kind, monkeypatch):
+    # a swept tape must be freed by reference counting alone: with the cyclic
+    # collector off, a reference cycle would keep every sample's tape alive
+    trajs = falling_trajectories(2, frames=6)
+    model = small_model() if kind == "sgnn" else make_baseline(
+        "gns", np.random.default_rng(0), 2, hidden=12, iterations=1, cutoff=0.08)
+    tapes = []
+    init = ad.Tape.__init__
+
+    def tracked_init(self):
+        init(self)
+        tapes.append(weakref.ref(self))
+
+    monkeypatch.setattr(ad.Tape, "__init__", tracked_init)
+    gc.collect()
+    gc.disable()
+    try:
+        train(model, trajs, TrainConfig(lr=1e-4, max_epochs=1, seed=0, max_steps_per_epoch=4))
+        alive = sum(ref() is not None for ref in tapes)
+    finally:
+        gc.enable()
+    assert len(tapes) == 4
+    assert alive == 0
 
 
 def test_frozen_model_loss_equals_mean_rollout_mse():
