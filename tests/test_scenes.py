@@ -3,14 +3,21 @@
 import numpy as np
 import pytest
 
+from helpers import loop_step, quat_from_axis_angle, quat_multiply, quat_to_matrix
+from sgnn import scenes
 from sgnn.errors import ContractError, GenerationError, ShapeError, TrajectoryParseError
 from sgnn.geometry import SubgroupTransform
 from sgnn.scenes import (
     SceneConfig,
     Trajectory,
     _Body,
+    _cross,
     _cube_offsets,
     _make_bodies,
+    _quat_from_axis_angle,
+    _quat_multiply,
+    _rotations,
+    _row_norms,
     _step,
     contact_accuracy,
     format_scene_config,
@@ -139,6 +146,82 @@ def test_varying_gravity_sampling():
     t2 = generate_scene(cfg2)
     assert t1.attrs[0, 0] != t2.attrs[0, 0]
     assert 0.5 <= t1.attrs[0, 0] <= 1.5
+
+
+def test_batched_kernels_match_numpy_bit_for_bit():
+    rng = np.random.default_rng(11)
+    q = rng.normal(size=(64, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    R = _rotations(q)
+    assert all(R[k].tobytes() == quat_to_matrix(q[k]).tobytes() for k in range(64))
+    a, b = rng.normal(size=(5, 1, 3)), rng.normal(size=(5, 27, 3))
+    assert _cross(a, b).tobytes() == np.cross(a, b).tobytes()
+    v = rng.normal(size=(64, 4)) * 10.0 ** rng.integers(-8, 8, size=(64, 1))
+    assert _row_norms(v).tobytes() == np.array([np.linalg.norm(x) for x in v]).tobytes()
+    axis, angle = rng.normal(size=(64, 3)), rng.uniform(-1.0, 1.0, size=64)
+    axis[3] = 0.0
+    dq = _quat_from_axis_angle(axis, angle)
+    assert all(dq[k].tobytes() == quat_from_axis_angle(axis[k], angle[k]).tobytes()
+               for k in range(64))
+    prod = _quat_multiply(dq, q)
+    assert all(prod[k].tobytes() == quat_multiply(dq[k], q[k]).tobytes() for k in range(64))
+
+
+def oracle_outcome(monkeypatch, step, cfg, ic_transform=None):
+    """Frame bytes of ``generate_scene`` run with ``step`` as its substep, or
+    the GenerationError message and the substep that raised it."""
+    calls = []
+
+    def counted(bodies, cfg_, gravity_mag):
+        calls.append(None)
+        step(bodies, cfg_, gravity_mag)
+
+    monkeypatch.setattr(scenes, "_step", counted)
+    try:
+        return generate_scene(cfg, ic_transform=ic_transform).frames.tobytes()
+    except GenerationError as err:
+        return str(err), len(calls)
+
+
+ORACLE_GRID = [
+    dict(objects=objects, lattice=lattice, ground=ground)
+    for objects in (1, 3, 4) for lattice in (2, 3, 4) for ground in (True, False)
+] + [
+    dict(gravity_min=5.0, gravity_max=15.0),
+    dict(randomize_bias=True),
+    dict(restitution=0.5, contact_radius=0.03),
+    dict(ic_transform=0.9),
+    dict(objects=4, spread=0.035),  # a body touching two others at once
+]
+
+
+@pytest.mark.parametrize("knobs", ORACLE_GRID,
+                         ids=lambda k: ",".join(f"{a}={v}" for a, v in k.items()))
+def test_oracle_matches_per_body_loop(knobs, monkeypatch):
+    knobs = dict(knobs)
+    ic = None
+    if "ic_transform" in knobs:
+        ic = SubgroupTransform(O=vertical_rotation(knobs.pop("ic_transform")),
+                               t=np.array([0.3, -0.2, 0.0]))
+    cfg = SceneConfig(frames=21, push_speed=0.25, seed=5, **knobs)
+    fast = oracle_outcome(monkeypatch, _step, cfg, ic)
+    assert isinstance(fast, bytes)
+    assert fast == oracle_outcome(monkeypatch, loop_step, cfg, ic)
+
+
+@pytest.mark.parametrize("knobs, message, substep", [
+    (dict(objects=2, frames=30, seed=6, dt=0.05, record_every=2, drop_height=3.0),
+     "ground tunneling", 17),
+    # two cubes started at one centre, no ground: caught before any force
+    (dict(objects=2, ground=False, spread=0.0, drop_height=0.0), "interpenetration", 1),
+    # a cube dropped onto another with a coarse step, after contact forces
+    (dict(objects=2, spread=0.0, drop_height=1.0, dt=0.01, frames=60), "interpenetration", 46),
+])
+def test_oracle_errors_match_per_body_loop(knobs, message, substep, monkeypatch):
+    cfg = SceneConfig(**knobs)
+    fast = oracle_outcome(monkeypatch, _step, cfg)
+    assert message in fast[0] and fast[1] == substep
+    assert fast == oracle_outcome(monkeypatch, loop_step, cfg)
 
 
 # -------------------------------------------------------------------- metrics

@@ -72,6 +72,36 @@ def test_no_tape_survives_training_without_cyclic_gc(kind, monkeypatch):
     assert alive == 0
 
 
+
+def test_no_grads_survive_into_the_next_backward(monkeypatch):
+    # a sample's adjoint table must be freed once its gradients are added
+    # into the accumulator, not kept through the next sample's passes
+    trajs = falling_trajectories(2, frames=6)
+    grads = []
+    live_at_backward = []
+    init = ad.Grads.__init__
+    backward = ad.Tape.backward
+
+    def tracked_init(self, table):
+        init(self, table)
+        grads.append(weakref.ref(self))
+
+    def checked_backward(self, *args, **kwargs):
+        live_at_backward.append(sum(ref() is not None for ref in grads))
+        return backward(self, *args, **kwargs)
+
+    monkeypatch.setattr(ad.Grads, "__init__", tracked_init)
+    monkeypatch.setattr(ad.Tape, "backward", checked_backward)
+    gc.collect()
+    gc.disable()
+    try:
+        train(small_model(), trajs, TrainConfig(lr=1e-4, max_epochs=1, seed=0,
+                                                max_steps_per_epoch=2, batch_size=2))
+    finally:
+        gc.enable()
+    assert len(grads) == 4
+    assert live_at_backward == [0] * 4
+
 def test_frozen_model_loss_equals_mean_rollout_mse():
     trajs = falling_trajectories(2)
     model = small_model()
