@@ -259,8 +259,6 @@ class BaselineModel:
             return x
         if self.variant in ("gmn", "gmn_s"):
             z = np.stack([system.positions, vel], axis=-1)
-            if tape is not None:
-                z = tape.var(z)
             z2, _ = somp_forward(self.params, z, h, merged, gravity=self.gravity, tape=tape)
             return ad.reshape(ad.narrow(z2, -1, 0, 1), (system.n_particles, 3))
         raise ShapeError(f"unknown baseline variant {self.variant!r}")

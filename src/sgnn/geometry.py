@@ -36,9 +36,6 @@ class Gravity:
             raise ContractError("gravity direction must be a unit vector")
         object.__setattr__(self, "direction", d)
 
-    def vector(self) -> np.ndarray:
-        return self.direction * self.magnitude
-
 
 @dataclass(frozen=True)
 class SubgroupTransform:

@@ -198,7 +198,8 @@ def merged_particle_edges(edges: EdgeSets) -> np.ndarray:
 
 @dataclass
 class ObjectFeatures:
-    """Per-object pooled state: mean geometric stack, summed scalars."""
+    """Per-object pooled state: mean geometric stack, summed scalars.  Inside
+    the hierarchy the fields may be tape ``Var``s (the object stage's output)."""
 
     C: np.ndarray  # (M, 3, 2)
     c: np.ndarray  # (M, n)
@@ -209,9 +210,8 @@ def pool_objects(system: ParticleSystem) -> ObjectFeatures:
     m = system.n_objects
     if m == 0:
         raise ContractError("cannot pool an empty system")
+    # ParticleSystem leaves no object empty, so every count is at least 1
     counts = np.bincount(system.object_of, minlength=m).astype(np.float64)
-    if (counts == 0).any():
-        raise ContractError("every object must own at least one particle")
     C = ad.scatter_add(system.object_of, system.geometric_stack(), m)
     C /= counts[:, None, None]
     c = ad.scatter_add(system.object_of, system.attrs, m)
@@ -237,9 +237,6 @@ def pooled_object_edge_features(z, h, edges: EdgeSets):
     hi = ad.gather(h, src)
     hj = ad.gather(h, dst)
     per_edge_h = ad.concat([hi, hj], axis=-1)
-    counts = np.bincount(edges.inter_to_obj, minlength=n_obj_edges).astype(np.float64)
-    zsum = ad.segment_sum(per_edge, edges.inter_to_obj, n_obj_edges)
-    hsum = ad.segment_sum(per_edge_h, edges.inter_to_obj, n_obj_edges)
-    zmean = ad.div(zsum, counts[:, None, None])
-    hmean = ad.div(hsum, counts[:, None])
-    return zmean, hmean
+    _, denom = _receiver_mask(edges.inter_to_obj, n_obj_edges)
+    return (_aggregate(per_edge, edges.inter_to_obj, n_obj_edges, denom, "mean"),
+            _aggregate(per_edge_h, edges.inter_to_obj, n_obj_edges, denom, "mean"))

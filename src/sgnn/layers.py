@@ -123,7 +123,7 @@ def somp_forward(
     z,
     h,
     edges: np.ndarray,
-    objects: ObjectFeatures | tuple | None = None,
+    objects: ObjectFeatures | None = None,
     object_of: np.ndarray | None = None,
     *,
     gravity: Gravity,
@@ -137,7 +137,8 @@ def somp_forward(
     edge stacks include each endpoint's offset from its object's pooled
     feature; otherwise only the pairwise stack is used.  ``edge_features``
     overrides the per-edge inputs with fixed (stack, scalars), which is how
-    the object-level stage consumes features pooled from the particle stage.
+    the object-level stage consumes features pooled from the particle stage;
+    its messages are then computed once and reused by every iteration.
     Nodes with no incident edges are returned bit-identically.
     """
     zv = ad.value_of(z)
@@ -159,50 +160,46 @@ def somp_forward(
     phi_eta = None if params.equivariant_only else params.phi_eta
     psi_eta = None if params.equivariant_only else params.psi_eta
 
-    if objects is not None:
-        C, c = (objects.C, objects.c) if isinstance(objects, ObjectFeatures) else objects
-        c_of = ad.gather(c, object_of) if params.use_objects else None
-        C_of = ad.gather(C, object_of) if params.use_objects else None
-
-    for _ in range(params.iterations):
-        if edge_features is not None:
-            z_edge, h_edge = edge_features
-        else:
-            zi = ad.gather(z, recv)
-            zj = ad.gather(z, send)
-            hi = ad.gather(h, recv)
-            hj = ad.gather(h, send)
-            pair = ominus(zi, zj)
-            if params.use_objects:
-                Ci = ad.gather(C, object_of[recv])
-                Cj = ad.gather(C, object_of[send])
-                ci = ad.gather(c, object_of[recv])
-                cj = ad.gather(c, object_of[send])
-                z_edge = ad.concat([ominus(zi, Ci), ominus(zj, Cj), pair], axis=-1)
-                h_edge = ad.concat([hi, ci, hj, cj], axis=-1)
-            else:
-                z_edge = pair
-                h_edge = ad.concat([hi, hj], axis=-1)
-
+    def aggregated_messages(z_edge, h_edge):
         msg_geo, msg_sca = scalarize_subequivariant(
             z_edge, h_edge, params.phi_sigma, phi_eta, gravity,
             out_channels=params.msg_channels, extra_channels=params.msg_extra,
             normalize=params.normalize, tape=tape,
         )
-        agg_geo = _aggregate(msg_geo, recv, n_nodes, denom, params.aggregate)
-        agg_sca = _aggregate(msg_sca, recv, n_nodes, denom, params.aggregate)
+        return (_aggregate(msg_geo, recv, n_nodes, denom, params.aggregate),
+                _aggregate(msg_sca, recv, n_nodes, denom, params.aggregate))
+
+    if params.use_objects:
+        C_of = ad.gather(objects.C, object_of)
+        c_of = ad.gather(objects.c, object_of)
+    if edge_features is not None:
+        agg_geo, agg_sca = aggregated_messages(*edge_features)
+
+    for _ in range(params.iterations):
+        # node-level parts, built once and gathered onto both edge ends:
+        # the offset from the node's object and the scalars [h, c]
+        if params.use_objects:
+            offset = ominus(z, C_of)
+            hc = ad.concat([h, c_of], axis=-1)
+        else:
+            hc = h
+        if edge_features is None:
+            z_edge = ominus(ad.gather(z, recv), ad.gather(z, send))
+            if params.use_objects:
+                z_edge = ad.concat(
+                    [ad.gather(offset, recv), ad.gather(offset, send), z_edge], axis=-1
+                )
+            h_edge = ad.concat([ad.gather(hc, recv), ad.gather(hc, send)], axis=-1)
+            agg_geo, agg_sca = aggregated_messages(z_edge, h_edge)
 
         if params.use_objects:
-            upd_stack = ad.concat([agg_geo, ominus(z, C_of)], axis=-1)
-            upd_scalars = ad.concat([agg_sca, h, c_of], axis=-1)
+            upd_stack = ad.concat([agg_geo, offset], axis=-1)
+        elif params.own_velocity:
+            upd_stack = ad.concat([agg_geo, ad.narrow(z, -1, 1, 1)], axis=-1)
         else:
             upd_stack = agg_geo
-            if params.own_velocity:
-                upd_stack = ad.concat([agg_geo, ad.narrow(z, -1, 1, 1)], axis=-1)
-            upd_scalars = ad.concat([agg_sca, h], axis=-1)
-
         dz, dh = scalarize_subequivariant(
-            upd_stack, upd_scalars, params.psi_sigma, psi_eta, gravity,
+            upd_stack, ad.concat([agg_sca, hc], axis=-1), params.psi_sigma, psi_eta, gravity,
             out_channels=params.node_channels, extra_channels=params.n_scalar,
             normalize=params.normalize, tape=tape,
         )

@@ -51,10 +51,6 @@ class MLP:
     def in_dim(self) -> int:
         return self.weights[0].shape[0]
 
-    @property
-    def out_dim(self) -> int:
-        return self.weights[-1].shape[1]
-
     def parameters(self) -> list[np.ndarray]:
         """Flat parameter list in the same order as the Adam buffers."""
         return list(self.weights) + list(self.biases)

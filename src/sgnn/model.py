@@ -109,11 +109,9 @@ def predict_step(model: SGNNModel, system: ParticleSystem, edges: EdgeSets,
     so the scale is a pure input normalization.
     """
     vs = model.velocity_scale
+    # the frame's inputs stay off the tape: input-only work runs eagerly
     z = np.stack([system.positions, system.velocities / vs], axis=-1)
     h = system.attrs
-    if tape is not None:
-        z = tape.var(z)
-        h = tape.var(h)
     feats = pool_objects(system)
     feats = ObjectFeatures(
         C=np.stack([feats.C[:, :, 0], feats.C[:, :, 1] / vs], axis=-1), c=feats.c
@@ -137,25 +135,29 @@ def predict_step(model: SGNNModel, system: ParticleSystem, edges: EdgeSets,
         gravity=model.gravity, tape=tape,
     )
 
-    C2, c2 = feats.C, feats.c
     if edges.obj.shape[0]:
-        zpool, hpool = pooled_object_edge_features(z1, h1, edges)
         C2, c2 = somp_forward(
-            model.stage2, feats.C if tape is None else tape.var(feats.C),
-            feats.c if tape is None else tape.var(feats.c),
-            edges.obj, objects=None, object_of=None,
-            gravity=model.gravity, edge_features=(zpool, hpool), tape=tape,
+            model.stage2, feats.C, feats.c, edges.obj,
+            gravity=model.gravity, edge_features=pooled_object_edge_features(z1, h1, edges),
+            tape=tape,
         )
+        feats = ObjectFeatures(C=C2, c=c2)
 
     e3 = merged if model.shared_edges else edges.inner
     z3, _ = somp_forward(
-        model.stage3, z, h, e3, objects=(C2, c2), object_of=object_of,
+        model.stage3, z, h, e3, objects=feats, object_of=object_of,
         gravity=model.gravity, tape=tape,
     )
     return ad.reshape(ad.narrow(z3, -1, 0, 1), (n, 3))
 
 
 # ------------------------------------------------------------------ rollout
+
+# RANSAC hypotheses per rigid fit, and the distance (m) within which a
+# particle counts as an inlier of one
+RANSAC_ITERATIONS = 20
+INLIER_THRESHOLD = 0.01
+
 
 @dataclass
 class RigidFit:
@@ -202,18 +204,16 @@ def rigid_project(
     reference: np.ndarray,
     ransac: bool = False,
     seed: int = 0,
-    inlier_threshold: float = 0.01,
-    ransac_iterations: int = 20,
 ) -> RigidFit:
     """Least-squares rigid motion of ``reference`` matching ``predicted``.
 
     Proper rotations only (the smallest singular direction is flipped when
     the determinant is negative).  With ``ransac`` the fit is repeated on
-    random 4-point subsets and refit on the best inlier set, which discards
-    grossly displaced particles.  All subsets are fitted and scored as one
-    batch; the best is the first with the most inliers, and subsets with a
-    collinear reference are skipped.  Collinear references fall back to a
-    translation-only fit, flagged on the result.
+    ``RANSAC_ITERATIONS`` random 4-point subsets and refit on the best
+    inlier set, which discards grossly displaced particles.  All subsets are
+    fitted and scored as one batch; the best is the first with the most
+    inliers, and subsets with a collinear reference are skipped.  Collinear
+    references fall back to a translation-only fit, flagged on the result.
     """
     predicted = np.asarray(predicted, dtype=np.float64)
     reference = np.asarray(reference, dtype=np.float64)
@@ -221,14 +221,14 @@ def rigid_project(
         raise ContractError("need matching point sets with at least 3 points")
     n = predicted.shape[0]
     best_mask = None
-    if ransac and ransac_iterations > 0:
+    if ransac and RANSAC_ITERATIONS > 0:
         rng = np.random.default_rng(seed)
         idx = np.stack([
-            rng.choice(n, size=min(4, n), replace=False) for _ in range(ransac_iterations)
+            rng.choice(n, size=min(4, n), replace=False) for _ in range(RANSAC_ITERATIONS)
         ])
         R, t, degenerate = _kabsch(reference[idx], predicted[idx])
         moved = reference @ np.swapaxes(R, 1, 2) + t[:, None]
-        masks = np.linalg.norm(moved - predicted, axis=2) < inlier_threshold
+        masks = np.linalg.norm(moved - predicted, axis=2) < INLIER_THRESHOLD
         if not degenerate.all():
             # argmax takes the first maximum, as a loop keeping only strict gains
             best_mask = masks[np.argmax(np.where(degenerate, -1, masks.sum(axis=1)))]

@@ -58,9 +58,12 @@ class SceneConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.objects < 1 or self.lattice < 2 or self.frames < 1:
-            raise ContractError("need at least one object, 2^3 lattice, one frame")
-        for name in ("cube_side", "gravity", "stiffness", "damping", "particle_mass", "dt"):
+        if self.objects < 1 or self.lattice < 2 or self.frames < 1 or self.record_every < 1:
+            raise ContractError(
+                "need at least one object, 2^3 lattice, one frame, one substep per frame"
+            )
+        for name in ("cube_side", "gravity", "stiffness", "damping", "friction_smoothing",
+                     "particle_mass", "dt"):
             if getattr(self, name) <= 0:
                 raise ContractError(f"{name} must be positive")
         if not np.isfinite(self.dt * self.frames * self.record_every):

@@ -44,6 +44,14 @@ def test_unknown_variant_exits_two(tmp_path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("bad", [dict(friction_smoothing=0.0), dict(record_every=0)])
+def test_generate_rejects_invalid_config_values(tmp_path, bad):
+    cfg = write_scene_config(tmp_path / "scene.cfg", **bad)
+    out = tmp_path / "out"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert not list(out.glob("*.sgtj"))
+
+
 def test_generate_writes_files_and_manifest(tmp_path, capsys):
     cfg = write_scene_config(tmp_path / "scene.cfg")
     out = tmp_path / "data"

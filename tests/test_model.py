@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sgnn import model as model_module
 from sgnn.errors import ContractError, RolloutError
 from sgnn.geometry import Gravity, check_equivariance, random_subgroup_transform
 from sgnn.graph import ObjectFeatures, ParticleSystem, build_edges, pool_objects
@@ -309,18 +310,21 @@ def _two_motions(rng):
 
 @pytest.mark.parametrize("case", ["noisy", "outliers", "collinear", "three-points", "tied"])
 @pytest.mark.parametrize("iterations", [200, 20, 1, 0])
-def test_rigid_project_matches_loop_bit_for_bit(case, iterations):
+def test_rigid_project_matches_loop_bit_for_bit(case, iterations, monkeypatch):
     """Batched RANSAC gives the positions, pose and inlier mask of the
     one-hypothesis-at-a-time loop, bit for bit."""
+    monkeypatch.setattr(model_module, "RANSAC_ITERATIONS", iterations)
     rng = np.random.default_rng(17)
     pred, ref = _rigid_cases(rng)[case]
     for seed in range(5):
         for ransac in (True, False):
-            kwargs = dict(ransac=ransac, seed=seed, ransac_iterations=iterations)
-            _same_fit(rigid_project(pred, ref, **kwargs), loop_rigid_project(pred, ref, **kwargs))
+            _same_fit(rigid_project(pred, ref, ransac=ransac, seed=seed),
+                      loop_rigid_project(pred, ref, ransac=ransac, seed=seed,
+                                         ransac_iterations=iterations))
 
 
-def test_rigid_project_ties_pick_first_best_hypothesis():
+def test_rigid_project_ties_pick_first_best_hypothesis(monkeypatch):
+    monkeypatch.setattr(model_module, "RANSAC_ITERATIONS", 200)
     pred, ref = _two_motions(np.random.default_rng(17))
     halves = {(0, 1, 2, 3): np.arange(8) < 4, (4, 5, 6, 7): np.arange(8) >= 4}
     for seed in range(10):
@@ -329,7 +333,7 @@ def test_rigid_project_ties_pick_first_best_hypothesis():
         draws = [tuple(sorted(rng.choice(8, size=4, replace=False))) for _ in range(200)]
         pure = [d for d in draws if d in halves]
         assert set(pure) == set(halves)
-        fit = rigid_project(pred, ref, ransac=True, seed=seed, ransac_iterations=200)
+        fit = rigid_project(pred, ref, ransac=True, seed=seed)
         assert fit.inlier_mask.tolist() == halves[pure[0]].tolist()
 
 

@@ -53,6 +53,20 @@ def test_config_rejects_nonpositive():
         SceneConfig(dt=-0.1)
 
 
+@pytest.mark.parametrize("value", [0.0, -0.02])
+def test_config_rejects_nonpositive_friction_smoothing(value):
+    # zero smoothing divides 0/0 at a resting contact, late in the simulation
+    with pytest.raises(ContractError, match="friction_smoothing"):
+        SceneConfig(friction_smoothing=value)
+
+
+@pytest.mark.parametrize("value", [0, -1])
+def test_config_rejects_record_every_below_one(value):
+    # zero substeps per frame would record frame 0 over and over
+    with pytest.raises(ContractError, match="substep"):
+        SceneConfig(record_every=value)
+
+
 def test_resting_cube_is_static():
     cfg = SceneConfig(objects=1, frames=40, seed=1, drop_height=0.0)
     traj = generate_scene(cfg)

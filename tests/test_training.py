@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from sgnn import ad
-from sgnn.baselines import make_baseline
+from sgnn.baselines import BASELINE_VARIANTS, make_baseline
 from sgnn.errors import ContractError
+from sgnn.graph import build_edges
 from sgnn.model import make_sgnn_model
 from sgnn.scenes import SceneConfig, Trajectory, generate_scene, rollout_mse
 from sgnn.training import (
@@ -101,6 +102,45 @@ def test_no_grads_survive_into_the_next_backward(monkeypatch):
         gc.enable()
     assert len(grads) == 4
     assert live_at_backward == [0] * 4
+
+
+@pytest.mark.parametrize("variant", ("sgnn",) + BASELINE_VARIANTS)
+def test_training_without_edges_takes_zero_gradients(variant):
+    # a cutoff below the lattice spacing leaves every sample without edges:
+    # the loss reaches no parameter, so each Adam step leaves them unchanged
+    trajs = static_trajectories(2, frames=4)
+    rng = np.random.default_rng(0)
+    if variant == "sgnn":
+        model = make_sgnn_model(rng, 2, hidden=8, iterations=1, msg_extra=4, cutoff=0.001)
+    else:
+        model = make_baseline(variant, rng, 2, hidden=8, iterations=1, cutoff=0.001)
+    before = [p.copy() for net in model.mlps() for p in net.parameters()]
+    _, history = train(model, trajs, TrainConfig(max_epochs=1, max_steps_per_epoch=2))
+    assert np.isfinite(history[0].train_loss)
+    after = [p for net in model.mlps() for p in net.parameters()]
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+
+def test_sgnn_sample_tape_record_budget():
+    """One SGNN training sample at the criterion-8 model config records at
+    most 300 tape entries.  Before the frame's inputs were kept off the tape
+    and each node's object offset was built once per iteration, this sample
+    recorded 377."""
+    traj = generate_scene(SceneConfig(objects=3, frames=12, push_speed=0.25,
+                                      drop_height=0.12, seed=0))
+    model = make_sgnn_model(np.random.default_rng(0), traj.attrs.shape[1], hidden=32,
+                            iterations=2, msg_extra=8, cutoff=0.08)
+    for st in (model.stage1, model.stage2, model.stage3):
+        st.aggregate = "mean"
+    system = traj.system_at(10)
+    edges = build_edges(system, model.cutoff)
+    assert edges.obj.shape[0] > 0  # all three stages run
+    tape = ad.Tape()
+    pred = model.predict(system, edges, tape=tape)
+    diff = ad.sub(pred, traj.frames[11])
+    ad.div(ad.sum_(ad.mul(diff, diff)), float(system.n_particles))
+    assert len(tape._records) <= 300
+
 
 def test_frozen_model_loss_equals_mean_rollout_mse():
     trajs = falling_trajectories(2)
