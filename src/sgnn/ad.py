@@ -6,6 +6,12 @@ this module accepts either plain ``numpy`` arrays or ``Var`` handles.  With
 plain arrays the computation runs eagerly and nothing is recorded, so layer
 code is written once and works for both inference and training.
 
+Every primitive computes its output and passes it to ``record`` with its
+arguments and a closure ``bwd(g)`` that gives one partial, or None, per
+argument.  Constant arguments get no tape variable, and the sweep keeps no
+adjoint for them.  Closures capture arrays, shapes and flags, never a
+``Var``, which would point back to the tape.
+
 All values are float64.  A tape is swept once: ``backward`` drops its
 records, so the intermediates are freed as soon as the caller lets go of the
 tape, without waiting for the cyclic garbage collector.
@@ -44,15 +50,6 @@ class Var:
         return f"Var(shape={self.value.shape}, vid={self._vid})"
 
 
-class _Record:
-    __slots__ = ("out", "inputs", "bwd")
-
-    def __init__(self, out, inputs, bwd):
-        self.out = out
-        self.inputs = inputs
-        self.bwd = bwd
-
-
 class Grads:
     """Adjoints keyed by variable; zeros for variables the loss never saw."""
 
@@ -70,7 +67,8 @@ class Tape:
     """Wengert list of primitive ops with per-call state."""
 
     def __init__(self):
-        self._records: list[_Record] | None = []  # None once swept
+        # (out vid, input vids, bwd) per op; None once swept
+        self._records: list[tuple] | None = []
         # id(array) -> (vid, value), not a Var, which would point back to the
         # tape; the value keeps the id from being reused while the tape lives
         self._params: dict[int, tuple[int, Array]] = {}
@@ -95,10 +93,11 @@ class Tape:
         self._params[id(array)] = (v._vid, v.value)
         return v
 
-    def record(self, out_value: Array, inputs: Sequence[Var], bwd: Callable) -> Var:
-        """Append a record; ``bwd(g, *inputs, out)`` gives a partial or None per input."""
+    def record(self, out_value: Array, input_vids: Sequence[int | None], bwd: Callable) -> Var:
+        """Append a record; ``bwd(g)`` gives a partial or None per input, and
+        a constant input's vid is None."""
         out = self._new_var(out_value)
-        self._records.append(_Record(out, tuple(inputs), bwd))
+        self._records.append((out._vid, input_vids, bwd))
         return out
 
     def backward(self, output: Var, output_grad) -> Grads:
@@ -116,34 +115,33 @@ class Tape:
                 f"output grad shape {seed.shape} != value shape {output.value.shape}"
             )
         table: dict[int, Array] = {output._vid: seed}
-        for rec in reversed(self._records):
-            g = table.get(rec.out._vid)
+        for out_vid, vids, bwd in reversed(self._records):
+            g = table.get(out_vid)
             if g is None:
                 continue
-            input_values = [v.value for v in rec.inputs]
-            partials = rec.bwd(g, *input_values, rec.out.value)
-            for var, pg in zip(rec.inputs, partials):
-                if pg is None:
+            for vid, pg in zip(vids, bwd(g)):
+                if vid is None or pg is None:
                     continue
-                acc = table.get(var._vid)
-                table[var._vid] = pg if acc is None else acc + pg
+                acc = table.get(vid)
+                table[vid] = pg if acc is None else acc + pg
         self._records = None
         return Grads(table)
 
 
-def _tape_of(*args) -> Tape | None:
+def record(out: Array, args: Sequence, bwd: Callable):
+    """``out`` as is when no argument is a ``Var``; otherwise the ``Var`` of
+    a new record on their tape, where ``bwd(g)`` gives one partial or None
+    per argument."""
     for a in args:
         if isinstance(a, Var):
-            return a.tape
-    return None
+            vids = [v._vid if isinstance(v, Var) else None for v in args]
+            return a.tape.record(out, vids, bwd)
+    return out
 
 
-def _value(x) -> Array:
+def value_of(x) -> Array:
+    """Plain numpy view of a Var or array."""
     return x.value if isinstance(x, Var) else _as_f64(x)
-
-
-def _wrap(x, tape: Tape) -> Var:
-    return x if isinstance(x, Var) else tape.var(x)
 
 
 def _unbroadcast(grad: Array, shape: tuple) -> Array:
@@ -159,78 +157,60 @@ def _unbroadcast(grad: Array, shape: tuple) -> Array:
     return grad.reshape(shape)
 
 
-def _binary(a, b, fwd, bwd):
-    tape = _tape_of(a, b)
-    av, bv = _value(a), _value(b)
-    out = fwd(av, bv)
-    if tape is None:
-        return out
-    va, vb = _wrap(a, tape), _wrap(b, tape)
-    return tape.record(out, (va, vb), bwd)
-
-
-def _unary(a, fwd, bwd):
-    tape = _tape_of(a)
-    av = _value(a)
-    out = fwd(av)
-    if tape is None:
-        return out
-    return tape.record(out, (_wrap(a, tape),), bwd)
-
-
 # ---------------------------------------------------------------- arithmetic
 
 def add(a, b):
-    return _binary(
-        a, b, np.add,
-        lambda g, av, bv, ov: (_unbroadcast(g, av.shape), _unbroadcast(g, bv.shape)),
-    )
+    av, bv = value_of(a), value_of(b)
+    ta, tb = isinstance(a, Var), isinstance(b, Var)
+    return record(np.add(av, bv), (a, b), lambda g: (
+        _unbroadcast(g, av.shape) if ta else None,
+        _unbroadcast(g, bv.shape) if tb else None,
+    ))
 
 
 def sub(a, b):
-    return _binary(
-        a, b, np.subtract,
-        lambda g, av, bv, ov: (_unbroadcast(g, av.shape), _unbroadcast(-g, bv.shape)),
-    )
+    av, bv = value_of(a), value_of(b)
+    ta, tb = isinstance(a, Var), isinstance(b, Var)
+    return record(np.subtract(av, bv), (a, b), lambda g: (
+        _unbroadcast(g, av.shape) if ta else None,
+        _unbroadcast(-g, bv.shape) if tb else None,
+    ))
 
 
 def mul(a, b):
-    return _binary(
-        a, b, np.multiply,
-        lambda g, av, bv, ov: (_unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)),
-    )
+    av, bv = value_of(a), value_of(b)
+    ta, tb = isinstance(a, Var), isinstance(b, Var)
+    return record(np.multiply(av, bv), (a, b), lambda g: (
+        _unbroadcast(g * bv, av.shape) if ta else None,
+        _unbroadcast(g * av, bv.shape) if tb else None,
+    ))
 
 
 def div(a, b):
-    return _binary(
-        a, b, np.divide,
-        lambda g, av, bv, ov: (
-            _unbroadcast(g / bv, av.shape),
-            _unbroadcast(-g * av / (bv * bv), bv.shape),
-        ),
-    )
+    av, bv = value_of(a), value_of(b)
+    ta, tb = isinstance(a, Var), isinstance(b, Var)
+    return record(np.divide(av, bv), (a, b), lambda g: (
+        _unbroadcast(g / bv, av.shape) if ta else None,
+        _unbroadcast(-g * av / (bv * bv), bv.shape) if tb else None,
+    ))
 
 
 def matmul(a, b):
-    av, bv = _value(a), _value(b)
+    av, bv = value_of(a), value_of(b)
     if av.ndim < 2 or bv.ndim < 2:
         raise ShapeError("matmul operands must be at least 2-D")
     if av.shape[-1] != bv.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {av.shape} @ {bv.shape}")
-
-    def bwd(g, av, bv, ov):
-        ga = g @ np.swapaxes(bv, -1, -2)
-        gb = np.swapaxes(av, -1, -2) @ g
-        return _unbroadcast(ga, av.shape), _unbroadcast(gb, bv.shape)
-
-    return _binary(a, b, np.matmul, bwd)
+    ta, tb = isinstance(a, Var), isinstance(b, Var)
+    return record(np.matmul(av, bv), (a, b), lambda g: (
+        _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape) if ta else None,
+        _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape) if tb else None,
+    ))
 
 
 def sqrt(a):
-    def bwd(g, av, ov):
-        return (g * (0.5 / ov),)
-
-    return _unary(a, np.sqrt, bwd)
+    out = np.sqrt(value_of(a))
+    return record(out, (a,), lambda g: (g * (0.5 / out),))
 
 
 def _sigmoid(x: Array) -> Array:
@@ -243,21 +223,14 @@ def _sigmoid(x: Array) -> Array:
 
 
 def silu(a):
-    def fwd(av):
-        return av * _sigmoid(av)
-
-    def bwd(g, av, ov):
-        s = _sigmoid(av)
-        return (g * (s * (1.0 + av * (1.0 - s))),)
-
-    return _unary(a, fwd, bwd)
+    av = value_of(a)
+    s = _sigmoid(av)
+    return record(av * s, (a,), lambda g: (g * (s * (1.0 + av * (1.0 - s))),))
 
 
 def relu(a):
-    def bwd(g, av, ov):
-        return (g * (av > 0.0),)
-
-    return _unary(a, lambda av: np.maximum(av, 0.0), bwd)
+    av = value_of(a)
+    return record(np.maximum(av, 0.0), (a,), lambda g: (g * (av > 0.0),))
 
 
 def dense(x, w, b, act: str):
@@ -268,13 +241,13 @@ def dense(x, w, b, act: str):
     adjoints match that chain bit for bit.  A 1-D ``x`` runs as one row.  The
     SiLU keeps its forward sigmoid for the backward pass.
     """
-    xv, wv, bv = _value(x), _value(w), _value(b)
+    xv, wv, bv = value_of(x), value_of(w), value_of(b)
     x2 = xv.reshape(1, -1) if xv.ndim == 1 else xv
     if x2.shape[-1] != wv.shape[0]:
         raise ShapeError(f"matmul inner dims differ: {x2.shape} @ {wv.shape}")
     pre = np.add(np.matmul(x2, wv), bv)
-    tape = _tape_of(x, w, b)
-    if act == "silu" and tape is None:
+    tx, tw, tb = isinstance(x, Var), isinstance(w, Var), isinstance(b, Var)
+    if act == "silu" and not (tx or tw or tb):
         out = pre * _sigmoid(pre)  # numpy reuses the sigmoid temporary; a tape keeps it
     elif act == "silu":
         s = _sigmoid(pre)
@@ -284,79 +257,60 @@ def dense(x, w, b, act: str):
     else:
         out = pre
     out = out.reshape(-1) if xv.ndim == 1 else out
-    if tape is None:
-        return out
 
-    def bwd(g, *_):
+    def bwd(g):
         g = g.reshape(pre.shape)
         if act == "silu":
             g = g * (s * (1.0 + pre * (1.0 - s)))
         elif act == "relu":
             g = g * (pre > 0.0)
-        gx = _unbroadcast(g @ np.swapaxes(wv, -1, -2), x2.shape).reshape(xv.shape)
-        gw = _unbroadcast(np.swapaxes(x2, -1, -2) @ g, wv.shape)
-        return gx, gw, _unbroadcast(g, bv.shape)
+        gx = _unbroadcast(g @ np.swapaxes(wv, -1, -2), x2.shape).reshape(xv.shape) if tx else None
+        gw = _unbroadcast(np.swapaxes(x2, -1, -2) @ g, wv.shape) if tw else None
+        return gx, gw, _unbroadcast(g, bv.shape) if tb else None
 
-    return tape.record(out, (_wrap(x, tape), _wrap(w, tape), _wrap(b, tape)), bwd)
+    return record(out, (x, w, b), bwd)
 
 
 # ------------------------------------------------------------- shape plumbing
 
 def reshape(a, shape):
-    shape = tuple(shape)
-
-    def bwd(g, av, ov):
-        return (g.reshape(av.shape),)
-
-    return _unary(a, lambda av: av.reshape(shape), bwd)
+    av = value_of(a)
+    return record(av.reshape(tuple(shape)), (a,), lambda g: (g.reshape(av.shape),))
 
 
 def swap_last2(a):
-    def fwd(av):
-        return np.swapaxes(av, -1, -2)
-
-    return _unary(a, fwd, lambda g, av, ov: (np.swapaxes(g, -1, -2),))
+    return record(np.swapaxes(value_of(a), -1, -2), (a,), lambda g: (np.swapaxes(g, -1, -2),))
 
 
 def concat(parts: Sequence, axis: int):
-    tape = _tape_of(*parts)
-    values = [_value(p) for p in parts]
+    values = [value_of(p) for p in parts]
     sizes = [v.shape[axis] for v in values]
 
-    out = np.concatenate(values, axis=axis)
-    if tape is None:
-        return out
-
-    offsets = np.cumsum([0] + sizes)
-
-    def bwd(g, *rest):
+    def bwd(g):
+        offsets = np.cumsum([0] + sizes)
         grads = []
         for k in range(len(sizes)):
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(offsets[k], offsets[k + 1])
             grads.append(g[tuple(sl)])
-        return tuple(grads)
+        return grads
 
-    return tape.record(out, [_wrap(p, tape) for p in parts], bwd)
+    return record(np.concatenate(values, axis=axis), parts, bwd)
 
 
 def narrow(a, axis: int, start: int, length: int):
     """Contiguous slice along one axis."""
+    av = value_of(a)
+    sl = [slice(None)] * av.ndim
+    sl[axis] = slice(start, start + length)
+    sl = tuple(sl)
 
-    def make_slicer(ndim):
-        sl = [slice(None)] * ndim
-        sl[axis] = slice(start, start + length)
-        return tuple(sl)
-
-    def fwd(av):
-        return av[make_slicer(av.ndim)].copy()
-
-    def bwd(g, av, ov):
+    def bwd(g):
         out = np.zeros_like(av)
-        out[make_slicer(av.ndim)] = g
+        out[sl] = g
         return (out,)
 
-    return _unary(a, fwd, bwd)
+    return record(av[sl].copy(), (a,), bwd)
 
 
 def scatter_add(index: np.ndarray, values: Array, rows: int) -> Array:
@@ -378,47 +332,27 @@ def scatter_add(index: np.ndarray, values: Array, rows: int) -> Array:
 def gather(a, index: np.ndarray):
     """Fancy-index rows (index is a constant int array)."""
     index = np.asarray(index, dtype=np.int64)
-
-    def fwd(av):
-        return av[index]
-
-    def bwd(g, av, ov):
-        return (scatter_add(index, g, av.shape[0]),)
-
-    return _unary(a, fwd, bwd)
+    av = value_of(a)
+    rows = av.shape[0]
+    return record(av[index], (a,), lambda g: (scatter_add(index, g, rows),))
 
 
 def segment_sum(a, segments: np.ndarray, num_segments: int):
     """Sum rows of ``a`` into ``num_segments`` buckets given by ``segments``."""
     segments = np.asarray(segments, dtype=np.int64)
-
-    def fwd(av):
-        return scatter_add(segments, av, num_segments)
-
-    def bwd(g, av, ov):
-        return (g[segments],)
-
-    return _unary(a, fwd, bwd)
+    out = scatter_add(segments, value_of(a), num_segments)
+    return record(out, (a,), lambda g: (g[segments],))
 
 
 def sum_(a, axis=None, keepdims: bool = False):
     if axis is not None and not isinstance(axis, tuple):
         axis = (axis,)
+    av = value_of(a)
+    shape = av.shape
 
-    def fwd(av):
-        return av.sum(axis=axis, keepdims=keepdims)
+    def bwd(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, shape).copy(),)
 
-    def bwd(g, av, ov):
-        if axis is None:
-            return (np.broadcast_to(g, av.shape).copy(),)
-        gg = g
-        if not keepdims:
-            gg = np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, av.shape).copy(),)
-
-    return _unary(a, fwd, bwd)
-
-
-def value_of(x) -> Array:
-    """Plain numpy view of a Var or array."""
-    return _value(x)
+    return record(av.sum(axis=axis, keepdims=keepdims), (a,), bwd)

@@ -62,18 +62,19 @@ def ominus(zi, zj):
     """Translation-cancelling stack: [x_i - x_j, v-channels of i, v-channels of j].
 
     Channel 0 of each operand is position-like; the rest are carried over
-    unchanged.  Works on (3, m) tensors or (B, 3, m) batches.
+    unchanged.  Works on (3, m) tensors or (B, 3, m) batches of one shape.
+    One tape record, whose adjoints equal those of the narrow, sub and concat
+    chain, except that a -0.0 partial keeps its sign where the chain's zero
+    padding turns it into +0.0.
     """
     mi, mj = _channels(zi), _channels(zj)
     if mi == 0 or mj == 0:
         raise ShapeError("ominus operands need at least the position channel")
-    rel = ad.sub(ad.narrow(zi, -1, 0, 1), ad.narrow(zj, -1, 0, 1))
-    parts = [rel]
-    if mi > 1:
-        parts.append(ad.narrow(zi, -1, 1, mi - 1))
-    if mj > 1:
-        parts.append(ad.narrow(zj, -1, 1, mj - 1))
-    return ad.concat(parts, axis=-1) if len(parts) > 1 else rel
+    ziv, zjv = ad.value_of(zi), ad.value_of(zj)
+    out = np.concatenate([ziv[..., :1] - zjv[..., :1], ziv[..., 1:], zjv[..., 1:]], axis=-1)
+    return ad.record(out, (zi, zj), lambda g: (
+        g[..., :mi], np.concatenate([-g[..., :1], g[..., mi:]], axis=-1),
+    ))
 
 
 def _apply_sigma(sigma, x, tape):
@@ -100,10 +101,8 @@ def normalized_gram(z, normalize: bool = True):
         norm = np.sqrt(sq * mask + (1.0 - mask))
         denom = norm * mask + (1.0 - mask)
         out = gram / denom
-    if not isinstance(z, ad.Var):
-        return out
 
-    def bwd(g, *_):
+    def bwd(g):
         if normalize:
             g_denom = ad._unbroadcast(-g * gram / (denom * denom), denom.shape)
             g_sq = g_denom * mask * (0.5 / norm) * mask
@@ -114,7 +113,7 @@ def normalized_gram(z, normalize: bool = True):
         # transpose, and takes its partials in that order
         return zv @ g, np.swapaxes(g @ np.swapaxes(zv, -1, -2), -1, -2)
 
-    return z.tape.record(out, (z, z), bwd)
+    return ad.record(out, (z, z), bwd)
 
 
 def scalarize_subequivariant(

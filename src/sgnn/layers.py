@@ -25,6 +25,8 @@ from .mlp import MLP, mlp_forward, mlp_init
 # near the geometric feature scale keeps the augmented Gram well conditioned.
 ETA_HIDDEN = 16
 ETA_INIT = 0.05
+# node stacks are [x, v]
+NODE_CHANNELS = 2
 
 
 @dataclass
@@ -43,7 +45,7 @@ class SompParams:
     iterations: int = 4
     msg_channels: int = 2
     msg_extra: int = 16
-    node_channels: int = 2
+    node_channels: int = NODE_CHANNELS
     n_scalar: int = 1
     use_objects: bool = True
     aggregate: str = "sum"
@@ -59,49 +61,40 @@ class SompParams:
         return out
 
 
-def edge_stack_width(node_channels: int, use_objects: bool) -> int:
-    pair = 2 * node_channels - 1
-    if not use_objects:
-        return pair
-    return pair + 2 * (node_channels + 1)
-
-
 def make_somp_params(
     rng: np.random.Generator,
     n_scalar: int,
     *,
-    node_channels: int = 2,
     hidden: int = 64,
     msg_channels: int = 2,
     msg_extra: int = 16,
     iterations: int = 4,
     use_objects: bool = True,
-    activation: str = "silu",
     equivariant_only: bool = False,
     zero_init_update: bool = True,
 ) -> SompParams:
-    """Allocate MLPs with dimensions matching the layer's channel arithmetic."""
+    """Allocate SiLU MLPs with dimensions matching the layer's channel arithmetic."""
     if n_scalar < 1:
         raise ContractError("need at least one scalar feature channel")
-    m_edge = edge_stack_width(node_channels, use_objects)
+    pair = 2 * NODE_CHANNELS - 1  # z_i ominus z_j
+    offset = NODE_CHANNELS + 1  # a node's ominus from its object's pooled stack
+    m_edge = pair + 2 * offset if use_objects else pair
     h_edge = (4 if use_objects else 2) * n_scalar
     aug = 0 if equivariant_only else 1
     phi_sigma = mlp_init(
         rng,
         [(m_edge + aug) ** 2 + h_edge, hidden, hidden, (m_edge + aug) * msg_channels + msg_extra],
-        activation=activation,
     )
-    phi_eta = mlp_init(rng, [h_edge, ETA_HIDDEN, 1], activation=activation, zero_last=True)
+    phi_eta = mlp_init(rng, [h_edge, ETA_HIDDEN, 1], zero_last=True)
     phi_eta.biases[-1][:] = ETA_INIT
-    m_upd = msg_channels + (node_channels + 1 if use_objects else 0)
+    m_upd = msg_channels + (offset if use_objects else 0)
     s_upd = msg_extra + n_scalar + (n_scalar if use_objects else 0)
     psi_sigma = mlp_init(
         rng,
-        [(m_upd + aug) ** 2 + s_upd, hidden, hidden, (m_upd + aug) * node_channels + n_scalar],
-        activation=activation,
+        [(m_upd + aug) ** 2 + s_upd, hidden, hidden, (m_upd + aug) * NODE_CHANNELS + n_scalar],
         zero_last=zero_init_update,
     )
-    psi_eta = mlp_init(rng, [s_upd, ETA_HIDDEN, 1], activation=activation, zero_last=True)
+    psi_eta = mlp_init(rng, [s_upd, ETA_HIDDEN, 1], zero_last=True)
     psi_eta.biases[-1][:] = ETA_INIT
     return SompParams(
         phi_sigma=phi_sigma,
@@ -111,7 +104,6 @@ def make_somp_params(
         iterations=iterations,
         msg_channels=msg_channels,
         msg_extra=msg_extra,
-        node_channels=node_channels,
         n_scalar=n_scalar,
         use_objects=use_objects,
         equivariant_only=equivariant_only,

@@ -70,7 +70,6 @@ def make_sgnn_model(
     msg_channels: int = 2,
     msg_extra: int = 16,
     iterations: int = 4,
-    activation: str = "silu",
     equivariant_only: bool = False,
     zero_init_update: bool = True,
     no_hierarchy: bool = False,
@@ -82,7 +81,6 @@ def make_sgnn_model(
         msg_channels=msg_channels,
         msg_extra=msg_extra,
         iterations=iterations,
-        activation=activation,
         equivariant_only=equivariant_only,
         zero_init_update=zero_init_update,
     )

@@ -24,6 +24,9 @@ from .mlp import adam_step, mlp_grads
 from .model import rollout
 from .scenes import Trajectory, contact_accuracy, rollout_mse
 
+# the last tenth of the trajectories (at least one of two or more) validates
+VAL_FRACTION = 0.1
+
 
 @dataclass
 class TrainConfig:
@@ -36,7 +39,6 @@ class TrainConfig:
     batch_size: int = 1
     max_epochs: int = 20
     seed: int = 0
-    val_fraction: float = 0.1
     max_steps_per_epoch: int | None = None  # subsample for fixed budgets
     velocity_input_scale: float = 0.03  # velocity channels normalized to this RMS
 
@@ -102,7 +104,7 @@ def train(model, trajectories: list[Trajectory], cfg: TrainConfig):
         raise ContractError("need at least one trajectory with two frames")
     rng = np.random.default_rng(cfg.seed)
 
-    n_val = int(round(cfg.val_fraction * len(trajectories)))
+    n_val = int(round(VAL_FRACTION * len(trajectories)))
     if len(trajectories) >= 2:
         n_val = max(n_val, 1)
     train_trajs = trajectories[: len(trajectories) - n_val] if n_val else trajectories

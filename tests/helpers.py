@@ -136,6 +136,19 @@ def chain_normalized_gram(z, normalize=True):
     return ad.div(gram, denom)
 
 
+def chain_ominus(zi, zj):
+    """The six-record stack (four narrows, a sub and a concat): the
+    reference for ``geometry.ominus``."""
+    mi, mj = ad.value_of(zi).shape[-1], ad.value_of(zj).shape[-1]
+    rel = ad.sub(ad.narrow(zi, -1, 0, 1), ad.narrow(zj, -1, 0, 1))
+    parts = [rel]
+    if mi > 1:
+        parts.append(ad.narrow(zi, -1, 1, mi - 1))
+    if mj > 1:
+        parts.append(ad.narrow(zj, -1, 1, mj - 1))
+    return ad.concat(parts, axis=-1) if len(parts) > 1 else rel
+
+
 def value_and_adjoints(build, inputs, seed: int, reuse: bool):
     """Output value of ``build(*vars)`` and every input's adjoint, on a fresh
     tape seeded with mixed-magnitude normals.  With ``reuse`` each input is

@@ -235,3 +235,17 @@ def test_dense_is_one_record():
     tape = ad.Tape()
     ad.dense(tape.var(np.ones((2, 3))), tape.var(np.ones((3, 4))), np.zeros(4), "silu")
     assert len(tape._records) == 1
+
+
+@pytest.mark.parametrize("op", ["mul", "concat", "dense"])
+def test_constant_operands_get_no_tape_variable_and_no_adjoint(op):
+    tape = ad.Tape()
+    x = tape.var(np.ones((2, 3)))
+    y = {
+        "mul": lambda: ad.mul(x, np.full((2, 3), 2.0)),
+        "concat": lambda: ad.concat([np.zeros((2, 1)), x], axis=-1),
+        "dense": lambda: ad.dense(x, np.ones((3, 4)), np.zeros(4), "silu"),
+    }[op]()
+    assert (x._vid, y._vid, tape._next_vid) == (0, 1, 2)
+    grads = tape.backward(y, np.ones(y.shape))
+    assert sorted(grads._table) == [0, 1]

@@ -19,7 +19,7 @@ from sgnn.geometry import (
 )
 from sgnn.mlp import mlp_init
 
-from helpers import chain_normalized_gram, value_and_adjoints
+from helpers import chain_normalized_gram, chain_ominus, value_and_adjoints
 
 GRAVITY = Gravity()
 
@@ -85,6 +85,36 @@ def test_ominus_translation_invariance_exact():
 def test_ominus_zero_channel_error():
     with pytest.raises(ShapeError):
         ominus(np.zeros((3, 0)), np.zeros((3, 1)))
+
+
+@pytest.mark.parametrize("reuse", [False, True], ids=["fresh", "reused"])
+@pytest.mark.parametrize("const_zj", [False, True], ids=["taped_zj", "constant_zj"])
+@pytest.mark.parametrize("lead", [(), (5,)], ids=["unbatched", "batched"])
+@pytest.mark.parametrize("m", [1, 2, 3], ids=["m1", "m2", "m3"])
+def test_fused_ominus_matches_six_record_chain_bit_for_bit(m, lead, const_zj, reuse):
+    # zi has m channels and zj 4 - m, so a partial routed to the wrong
+    # operand's channels changes a shape or a value; the seeded adjoints hold
+    # no zeros, whose sign the chain's zero padding would change
+    rng = np.random.default_rng(22)
+    zi = rng.normal(size=lead + (3, m))
+    zj = rng.normal(size=lead + (3, 4 - m))
+
+    def run(op):
+        if const_zj:
+            return value_and_adjoints(lambda v: op(v, zj), [zi], 23, reuse)
+        return value_and_adjoints(op, [zi, zj], 23, reuse)
+
+    chain = run(chain_ominus)
+    for got, want in zip(run(ominus), chain):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert ominus(zi, zj).tobytes() == chain[0].tobytes()
+
+
+def test_ominus_is_one_record():
+    tape = ad.Tape()
+    ominus(tape.var(np.ones((4, 3, 2))), tape.var(np.zeros((4, 3, 2))))
+    assert len(tape._records) == 1
 
 
 # ------------------------------------------------------------- scalarization
