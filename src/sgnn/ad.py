@@ -337,11 +337,20 @@ def gather(a, index: np.ndarray):
     return record(av[index], (a,), lambda g: (scatter_add(index, g, rows),))
 
 
-def segment_sum(a, segments: np.ndarray, num_segments: int):
-    """Sum rows of ``a`` into ``num_segments`` buckets given by ``segments``."""
+def segment_sum(a, segments: np.ndarray, num_segments: int, divisor=None):
+    """Sum rows of ``a`` into ``num_segments`` buckets given by ``segments``,
+    then divide bucket k by ``divisor[k]`` when a divisor is given.
+
+    One record; with a divisor it runs the numpy operations of a
+    ``segment_sum`` record followed by a ``div`` record, so values and
+    adjoints match that pair bit for bit.
+    """
     segments = np.asarray(segments, dtype=np.int64)
     out = scatter_add(segments, value_of(a), num_segments)
-    return record(out, (a,), lambda g: (g[segments],))
+    if divisor is None:
+        return record(out, (a,), lambda g: (g[segments],))
+    d = divisor.reshape((num_segments,) + (1,) * (out.ndim - 1))
+    return record(out / d, (a,), lambda g: ((g / d)[segments],))
 
 
 def sum_(a, axis=None, keepdims: bool = False):

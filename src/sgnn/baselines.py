@@ -18,7 +18,7 @@ import numpy as np
 from . import ad
 from .errors import ShapeError
 from .geometry import Gravity
-from .graph import ParticleSystem, _aggregate, _receiver_mask, build_edges, merged_particle_edges
+from .graph import ParticleSystem, _receiver_mask, build_edges
 from .layers import ETA_HIDDEN, ETA_INIT, SompParams, somp_forward
 from .mlp import MLP, mlp_forward, mlp_init
 
@@ -65,7 +65,7 @@ def gns_forward(params: GNSParams, x, v, h, edges: np.ndarray, tape: ad.Tape | N
     if edges.shape[0] == 0:
         return x, v, h
     recv, send = edges[:, 0], edges[:, 1]
-    mask, denom = _receiver_mask(recv, n)
+    mask, divisor = _receiver_mask(recv, n, params.aggregate)
     mask = mask[:, None]
     for _ in range(params.iterations):
         rel = ad.sub(ad.gather(x, recv), ad.gather(x, send))
@@ -74,7 +74,7 @@ def gns_forward(params: GNSParams, x, v, h, edges: np.ndarray, tape: ad.Tape | N
             axis=-1,
         )
         msg = mlp_forward(params.phi, feats, tape=tape)
-        agg = _aggregate(msg, recv, n, denom, params.aggregate)
+        agg = ad.segment_sum(msg, recv, n, divisor)
         upd = mlp_forward(params.psi, ad.concat([agg, v, h], axis=-1), tape=tape)
         dx = ad.narrow(upd, -1, 0, 3)
         dv = ad.narrow(upd, -1, 3, 3)
@@ -152,7 +152,7 @@ def egnn_forward(
     if params.subequivariant and gravity is None:
         raise ShapeError("gravity required for the subequivariant variant")
     recv, send = edges[:, 0], edges[:, 1]
-    mask, denom = _receiver_mask(recv, n)
+    mask, divisor = _receiver_mask(recv, n, params.aggregate)
     mask = mask[:, None]
     for _ in range(params.iterations):
         rel = ad.sub(ad.gather(x, recv), ad.gather(x, send))
@@ -163,8 +163,8 @@ def egnn_forward(
             tape=tape,
         )
         coord_w = mlp_forward(params.phi_x, msg, tape=tape)
-        agg_geo = _aggregate(ad.mul(rel, coord_w), recv, n, denom, params.aggregate)
-        agg_msg = _aggregate(msg, recv, n, denom, params.aggregate)
+        agg_geo = ad.segment_sum(ad.mul(rel, coord_w), recv, n, divisor)
+        agg_msg = ad.segment_sum(msg, recv, n, divisor)
         v_new = ad.add(ad.mul(mlp_forward(params.phi_v, h, tape=tape), v), agg_geo)
         if params.subequivariant:
             g_term = ad.mul(mlp_forward(params.phi_g, h, tape=tape), gravity.direction[None, :])
@@ -243,7 +243,7 @@ class BaselineModel:
         """Next positions for one frame (uses the merged cutoff graph)."""
         if edges is None:
             edges = build_edges(system, self.cutoff)
-        merged = merged_particle_edges(edges)
+        merged = edges.merged
         h = system.attrs
         vel = system.velocities / self.velocity_scale
         if self.variant == "gns":

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,37 +69,29 @@ class ParticleSystem:
 
 @dataclass
 class EdgeSets:
-    """Cutoff graph split into cross-object, within-object and object edges.
+    """Cutoff graph: all particle edges, split into cross-object and
+    within-object edges, and the object edges.
 
     Particle edge lists are directed and symmetric ((i, j) implies (j, i)),
-    sorted lexicographically.  ``obj`` holds the object pairs bridged by at
-    least one inter edge; ``inter_to_obj`` maps each inter edge to its row in
-    ``obj``.
+    sorted lexicographically; ``inter`` and ``inner`` partition ``merged``.
+    ``obj`` holds the object pairs bridged by at least one inter edge;
+    ``inter_to_obj`` maps each inter edge to its row in ``obj``.
     """
 
+    merged: np.ndarray  # (Ei + Ew, 2) int
     inter: np.ndarray  # (Ei, 2) int
     inner: np.ndarray  # (Ew, 2) int
     obj: np.ndarray  # (K, 2) int
-    inter_to_obj: np.ndarray = field(default_factory=lambda: np.zeros((0,), dtype=np.int64))
+    inter_to_obj: np.ndarray  # (Ei,) int
 
 
-def _receiver_mask(recv: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """(mask, denom): 1.0 for nodes that receive an edge, else 0.0; and the
-    in-degree floored at 1, the divisor of mean aggregation."""
+def _receiver_mask(recv: np.ndarray, n_nodes: int, mode: str):
+    """(mask, divisor): 1.0 for nodes that receive an edge, else 0.0; and the
+    ``ad.segment_sum`` divisor of aggregation ``mode``: the in-degree floored
+    at 1 for "mean", None for "sum"."""
     counts = np.bincount(recv, minlength=n_nodes).astype(np.float64)
-    return (counts > 0).astype(np.float64), np.maximum(counts, 1.0)
-
-
-def _aggregate(values, recv: np.ndarray, n_nodes: int, denom: np.ndarray, mode: str):
-    """Sum (or, with ``mode`` "mean", average) per-edge values onto receivers."""
-    agg = ad.segment_sum(values, recv, n_nodes)
-    if mode == "mean":
-        agg = ad.div(agg, denom.reshape((n_nodes,) + (1,) * (ad.value_of(agg).ndim - 1)))
-    return agg
-
-
-def _empty_edges() -> np.ndarray:
-    return np.zeros((0, 2), dtype=np.int64)
+    divisor = np.maximum(counts, 1.0) if mode == "mean" else None
+    return (counts > 0).astype(np.float64), divisor
 
 
 # Cell keys are folded into one int64 code of 21 bits per axis.  Folding
@@ -164,36 +156,18 @@ def build_edges(system: ParticleSystem, r: float) -> EdgeSets:
     # batched (1, 3) @ (3, 1) runs the same dot kernel as d_row @ d_row;
     # (d * d).sum(1) or einsum would round differently
     close = (d[:, None, :] @ d[:, :, None])[:, 0, 0] < r * r
-    if not close.any():
-        return EdgeSets(inter=_empty_edges(), inner=_empty_edges(), obj=_empty_edges())
 
     pair_code = np.sort(i[close] * n + j[close])
-    edges = np.stack([pair_code // n, pair_code % n], axis=1)
-    obj_i = system.object_of[edges[:, 0]]
-    obj_j = system.object_of[edges[:, 1]]
+    merged = np.stack([pair_code // n, pair_code % n], axis=1)
+    obj_i = system.object_of[merged[:, 0]]
+    obj_j = system.object_of[merged[:, 1]]
     same = obj_i == obj_j
-    inner = edges[same]
-    inter = edges[~same]
-
-    if inter.shape[0]:
-        m = system.n_objects
-        obj_code, inter_to_obj = np.unique(obj_i[~same] * m + obj_j[~same], return_inverse=True)
-        obj = np.stack([obj_code // m, obj_code % m], axis=1)
-    else:
-        obj = _empty_edges()
-        inter_to_obj = np.zeros((0,), dtype=np.int64)
-    return EdgeSets(inter=inter, inner=inner, obj=obj, inter_to_obj=inter_to_obj)
-
-
-def merged_particle_edges(edges: EdgeSets) -> np.ndarray:
-    """All particle edges (inter plus inner) in lexicographic order."""
-    if edges.inter.shape[0] == 0:
-        return edges.inner
-    if edges.inner.shape[0] == 0:
-        return edges.inter
-    both = np.concatenate([edges.inter, edges.inner], axis=0)
-    order = np.lexsort((both[:, 1], both[:, 0]))
-    return both[order]
+    m = system.n_objects
+    obj_code, inter_to_obj = np.unique(obj_i[~same] * m + obj_j[~same], return_inverse=True)
+    return EdgeSets(
+        merged=merged, inter=merged[~same], inner=merged[same],
+        obj=np.stack([obj_code // m, obj_code % m], axis=1), inter_to_obj=inter_to_obj,
+    )
 
 
 @dataclass
@@ -237,6 +211,6 @@ def pooled_object_edge_features(z, h, edges: EdgeSets):
     hi = ad.gather(h, src)
     hj = ad.gather(h, dst)
     per_edge_h = ad.concat([hi, hj], axis=-1)
-    _, denom = _receiver_mask(edges.inter_to_obj, n_obj_edges)
-    return (_aggregate(per_edge, edges.inter_to_obj, n_obj_edges, denom, "mean"),
-            _aggregate(per_edge_h, edges.inter_to_obj, n_obj_edges, denom, "mean"))
+    _, divisor = _receiver_mask(edges.inter_to_obj, n_obj_edges, "mean")
+    return (ad.segment_sum(per_edge, edges.inter_to_obj, n_obj_edges, divisor),
+            ad.segment_sum(per_edge_h, edges.inter_to_obj, n_obj_edges, divisor))

@@ -18,7 +18,7 @@ import numpy as np
 from . import ad
 from .errors import ContractError, ShapeError
 from .geometry import Gravity, ominus, scalarize_subequivariant
-from .graph import ObjectFeatures, _aggregate, _receiver_mask
+from .graph import ObjectFeatures, _receiver_mask
 from .mlp import MLP, mlp_forward, mlp_init
 
 # Gravity gates are small MLPs whose output bias starts at ETA_INIT: starting
@@ -146,7 +146,7 @@ def somp_forward(
 
     recv = edges[:, 0]
     send = edges[:, 1]
-    mask, denom = _receiver_mask(recv, n_nodes)
+    mask, divisor = _receiver_mask(recv, n_nodes, params.aggregate)
     mask2 = mask[:, None]
     mask3 = mask[:, None, None]
     phi_eta = None if params.equivariant_only else params.phi_eta
@@ -158,8 +158,8 @@ def somp_forward(
             out_channels=params.msg_channels, extra_channels=params.msg_extra,
             normalize=params.normalize, tape=tape,
         )
-        return (_aggregate(msg_geo, recv, n_nodes, denom, params.aggregate),
-                _aggregate(msg_sca, recv, n_nodes, denom, params.aggregate))
+        return (ad.segment_sum(msg_geo, recv, n_nodes, divisor),
+                ad.segment_sum(msg_sca, recv, n_nodes, divisor))
 
     if params.use_objects:
         C_of = ad.gather(objects.C, object_of)

@@ -55,16 +55,6 @@ class MLP:
         """Flat parameter list in the same order as the Adam buffers."""
         return list(self.weights) + list(self.biases)
 
-    def copy(self) -> "MLP":
-        return MLP(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            activations=list(self.activations),
-            adam_m=[m.copy() for m in self.adam_m],
-            adam_v=[v.copy() for v in self.adam_v],
-            step=self.step,
-        )
-
 
 def mlp_init(
     rng: np.random.Generator,

@@ -18,7 +18,6 @@ from .graph import (
     ObjectFeatures,
     ParticleSystem,
     build_edges,
-    merged_particle_edges,
     pool_objects,
     pooled_object_edge_features,
 )
@@ -31,9 +30,10 @@ from .scenes import Trajectory
 class SGNNModel:
     """Parameter bundle for the three stages plus ablation flags.
 
-    The third stage reads the frame's original states.  The ablation flags
-    turn off the hierarchy (single stage over all edges), zero the pooled
-    object features, or run every stage over the shared full edge set.
+    The third stage reads the frame's original states.  Without stages 2 and
+    3 the model has no hierarchy: stage 1 alone runs over all edges.  The
+    ablation flags zero the pooled object features, or run every stage over
+    the shared full edge set.
     """
 
     stage1: SompParams
@@ -41,11 +41,14 @@ class SGNNModel:
     stage3: SompParams | None
     gravity: Gravity = field(default_factory=Gravity)
     cutoff: float = 0.08
-    no_hierarchy: bool = False
     zero_object_features: bool = False
     shared_edges: bool = False
     velocity_scale: float = 1.0  # input normalization for the velocity channel
     variant: str = "sgnn"
+
+    @property
+    def no_hierarchy(self) -> bool:
+        return self.stage2 is None
 
     def mlps(self) -> list[MLP]:
         out = list(self.stage1.mlps())
@@ -92,7 +95,6 @@ def make_sgnn_model(
     return SGNNModel(
         stage1=stage1, stage2=stage2, stage3=stage3,
         gravity=gravity or Gravity(), cutoff=cutoff,
-        no_hierarchy=no_hierarchy,
         zero_object_features=zero_object_features,
         shared_edges=shared_edges,
     )
@@ -100,7 +102,8 @@ def make_sgnn_model(
 
 def predict_step(model: SGNNModel, system: ParticleSystem, edges: EdgeSets,
                  tape: ad.Tape | None = None):
-    """One-frame position prediction via the three-stage hierarchy.
+    """One-frame position prediction via the three-stage hierarchy, or via
+    stage 1 alone over all edges for a model without one.
 
     Velocity channels (particle and pooled) are divided by the model's
     ``velocity_scale`` on the way in; only the position channel is read out,
@@ -118,20 +121,14 @@ def predict_step(model: SGNNModel, system: ParticleSystem, edges: EdgeSets,
         feats = ObjectFeatures(C=np.zeros_like(feats.C), c=np.zeros_like(feats.c))
     object_of = system.object_of
     n = system.n_particles
-    merged = merged_particle_edges(edges)
 
-    if model.no_hierarchy:
-        z1, _ = somp_forward(
-            model.stage1, z, h, merged, objects=feats, object_of=object_of,
-            gravity=model.gravity, tape=tape,
-        )
-        return ad.reshape(ad.narrow(z1, -1, 0, 1), (n, 3))
-
-    e1 = merged if model.shared_edges else edges.inter
+    e1 = edges.merged if model.no_hierarchy or model.shared_edges else edges.inter
     z1, h1 = somp_forward(
         model.stage1, z, h, e1, objects=feats, object_of=object_of,
         gravity=model.gravity, tape=tape,
     )
+    if model.no_hierarchy:
+        return ad.reshape(ad.narrow(z1, -1, 0, 1), (n, 3))
 
     if edges.obj.shape[0]:
         C2, c2 = somp_forward(
@@ -141,7 +138,7 @@ def predict_step(model: SGNNModel, system: ParticleSystem, edges: EdgeSets,
         )
         feats = ObjectFeatures(C=C2, c=c2)
 
-    e3 = merged if model.shared_edges else edges.inner
+    e3 = edges.merged if model.shared_edges else edges.inner
     z3, _ = somp_forward(
         model.stage3, z, h, e3, objects=feats, object_of=object_of,
         gravity=model.gravity, tape=tape,

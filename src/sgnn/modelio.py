@@ -180,13 +180,16 @@ def _build_model(path, meta: dict, tensors: dict):
                 for mname in _SOMP_MLPS
             }
             stages[sname] = SompParams(**nets, **smeta)
+        if set(stages) != ({"stage1"} if meta["no_hierarchy"] else {"stage1", "stage2", "stage3"}):
+            raise CheckpointFormatError(
+                f"{path}: no_hierarchy={meta['no_hierarchy']} disagrees with stages {sorted(stages)}"
+            )
         return SGNNModel(
             stage1=stages["stage1"],
             stage2=stages.get("stage2"),
             stage3=stages.get("stage3"),
             gravity=gravity,
             cutoff=meta["cutoff"],
-            no_hierarchy=meta["no_hierarchy"],
             zero_object_features=meta["zero_object_features"],
             shared_edges=meta["shared_edges"],
             velocity_scale=meta["velocity_scale"],

@@ -225,28 +225,25 @@ def _quat_from_axis_angle(axis: np.ndarray, angle: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class _Body:
-    com: np.ndarray
-    quat: np.ndarray
-    vel: np.ndarray
-    omega: np.ndarray  # world frame
-    offsets: np.ndarray  # body frame (P, 3)
+class _Bodies:
+    """State of all bodies, one row per body, and the shared body shape."""
+
+    com: np.ndarray  # (K, 3)
+    quat: np.ndarray  # (K, 4)
+    vel: np.ndarray  # (K, 3)
+    omega: np.ndarray  # (K, 3), world frame
+    offsets: np.ndarray  # (P, 3), body frame
     mass: float
     inertia_body: np.ndarray  # (3, 3)
 
-    def rotation(self) -> np.ndarray:
-        return _rotations(self.quat[None])[0]
+
+def _pose(bodies: _Bodies):
+    """Rotations (K, 3, 3) and world-frame particle offsets (K, P, 3)."""
+    R = _rotations(bodies.quat)
+    return R, bodies.offsets @ R.transpose(0, 2, 1)
 
 
-def _pose(bodies: list[_Body]):
-    """Centres (K, 3), rotations (K, 3, 3) and world-frame particle offsets
-    (K, P, 3) of all bodies."""
-    com = np.array([b.com for b in bodies])
-    R = _rotations(np.array([b.quat for b in bodies]))
-    return com, R, np.array([b.offsets for b in bodies]) @ R.transpose(0, 2, 1)
-
-
-def _make_bodies(cfg: SceneConfig, rng: np.random.Generator, gravity_mag: float) -> list[_Body]:
+def _make_bodies(cfg: SceneConfig, rng: np.random.Generator, gravity_mag: float) -> _Bodies:
     offsets = _cube_offsets(cfg)
     mass = cfg.particle_mass * offsets.shape[0]
     r2 = (offsets**2).sum(axis=1)
@@ -258,10 +255,10 @@ def _make_bodies(cfg: SceneConfig, rng: np.random.Generator, gravity_mag: float)
         bias = rng.uniform(0.0, 2.0 * np.pi)
     direction = np.array([np.cos(bias), np.sin(bias), 0.0])
     side = np.array([-np.sin(bias), np.cos(bias), 0.0])
-    bodies = []
+    com, quat, vel = [], [], []
     for k in range(cfg.objects):
         yaw = rng.uniform(0.0, 2.0 * np.pi)
-        quat = _quat_from_axis_angle(np.array([[0.0, 0.0, 1.0]]), np.array([yaw]))[0]
+        quat.append(_quat_from_axis_angle(np.array([[0.0, 0.0, 1.0]]), np.array([yaw]))[0])
         along = (k - (cfg.objects - 1) / 2.0) * cfg.spread
         lateral = rng.uniform(-0.25, 0.25) * cfg.spread
         if k == 0 and cfg.ground:
@@ -269,25 +266,15 @@ def _make_bodies(cfg: SceneConfig, rng: np.random.Generator, gravity_mag: float)
             n_bottom = cfg.lattice**2
             sink = mass * gravity_mag / (cfg.stiffness * n_bottom)
             com_z = cfg.ground_height + cfg.cube_side / 2.0 - sink
-            vel = np.zeros(3)
+            vel.append(np.zeros(3))
         else:
             com_z = cfg.ground_height + cfg.cube_side / 2.0 + cfg.drop_height * max(k, 1)
             com_z += rng.uniform(0.0, 0.02)
-            vel = cfg.push_speed * direction
-        com = direction * along + side * lateral
-        com = com + np.array([0.0, 0.0, com_z])
-        bodies.append(
-            _Body(
-                com=com,
-                quat=quat,
-                vel=vel.copy(),
-                omega=np.zeros(3),
-                offsets=offsets,
-                mass=mass,
-                inertia_body=inertia,
-            )
-        )
-    return bodies
+            vel.append(cfg.push_speed * direction)
+        com.append(direction * along + side * lateral + np.array([0.0, 0.0, com_z]))
+    return _Bodies(com=np.array(com), quat=np.array(quat), vel=np.array(vel),
+                   omega=np.zeros((cfg.objects, 3)), offsets=offsets, mass=mass,
+                   inertia_body=inertia)
 
 
 def _contact_force(penetration, normal, rel_vel, cfg: SceneConfig):
@@ -307,7 +294,7 @@ def _contact_force(penetration, normal, rel_vel, cfg: SceneConfig):
     return fn + ft
 
 
-def _step(bodies: list[_Body], cfg: SceneConfig, gravity_mag: float) -> None:
+def _step(bodies: _Bodies, cfg: SceneConfig, gravity_mag: float) -> None:
     """Advance every body by one substep of ``cfg.dt``, all bodies at once.
 
     Loops remain only where batching would change rounding: each body's
@@ -315,11 +302,9 @@ def _step(bodies: list[_Body], cfg: SceneConfig, gravity_mag: float) -> None:
     pairs a < b, each pair into a and then b).  Every float is rounded as in
     the per-body reference step ``loop_step`` in ``tests/helpers.py``.
     """
-    n_bodies = len(bodies)
-    com, R, world = _pose(bodies)
-    vel = np.array([b.vel for b in bodies])
-    omega = np.array([b.omega for b in bodies])
-    mass = np.array([b.mass for b in bodies])[:, None]
+    com, vel, omega, mass = bodies.com, bodies.vel, bodies.omega, bodies.mass
+    n_bodies = com.shape[0]
+    R, world = _pose(bodies)
     positions = com[:, None, :] + world
     velocities = vel[:, None, :] + _cross(omega[:, None, :], world)
     forces = np.zeros((n_bodies, 3)) + mass * np.array([0.0, 0.0, -gravity_mag])
@@ -360,24 +345,21 @@ def _step(bodies: list[_Body], cfg: SceneConfig, gravity_mag: float) -> None:
         forces[b] -= f.sum(axis=0)
         torques[b] += _cross(positions[b][ib] - com[b], -f).sum(axis=0)
 
-    inertia_world = R @ np.array([b.inertia_body for b in bodies]) @ R.transpose(0, 2, 1)
+    inertia_world = R @ bodies.inertia_body @ R.transpose(0, 2, 1)
     gyro = _cross(omega, (inertia_world @ omega[:, :, None])[:, :, 0])
     alpha = np.linalg.solve(inertia_world, (torques - gyro)[:, :, None])[:, :, 0]
-    vel = vel + cfg.dt * forces / mass
-    omega = omega + cfg.dt * alpha
-    com = com + cfg.dt * vel
-    quat = np.array([b.quat for b in bodies])
-    spin = _row_norms(omega)
+    bodies.vel = vel + cfg.dt * forces / mass
+    bodies.omega = omega + cfg.dt * alpha
+    bodies.com = com + cfg.dt * bodies.vel
+    spin = _row_norms(bodies.omega)
     turning = spin > 0.0
     w = spin[turning]
-    dq = _quat_from_axis_angle(omega[turning] / w[:, None], w * cfg.dt)
-    q = _quat_multiply(dq, quat[turning])
-    quat[turning] = q / _row_norms(q)[:, None]
-    for k, b in enumerate(bodies):
-        b.com, b.vel, b.omega, b.quat = com[k], vel[k], omega[k], quat[k]
+    dq = _quat_from_axis_angle(bodies.omega[turning] / w[:, None], w * cfg.dt)
+    q = _quat_multiply(dq, bodies.quat[turning])
+    bodies.quat[turning] = q / _row_norms(q)[:, None]
 
 
-def _transform_bodies(bodies: list[_Body], transform) -> None:
+def _transform_bodies(bodies: _Bodies, transform) -> None:
     """Rotate (properly, about the vertical axis) and translate initial body
     states in place.  Reflections cannot be folded into an orientation
     quaternion and are rejected."""
@@ -388,11 +370,11 @@ def _transform_bodies(bodies: list[_Body], transform) -> None:
         raise ContractError("initial-condition transform must be a proper rotation about the vertical axis")
     theta = float(np.arctan2(O[1, 0], O[0, 0]))
     q_rot = _quat_from_axis_angle(ez[None], np.array([theta]))[0]
-    for b in bodies:
-        b.com = O @ b.com + t
-        b.vel = O @ b.vel
-        b.omega = O @ b.omega
-        b.quat = _quat_multiply(q_rot, b.quat)
+    # one matrix-vector product per body: a batched ``com @ O.T`` rounds differently
+    bodies.com = np.array([O @ c + t for c in bodies.com])
+    bodies.vel = np.array([O @ v for v in bodies.vel])
+    bodies.omega = np.array([O @ w for w in bodies.omega])
+    bodies.quat = _quat_multiply(q_rot, bodies.quat)
 
 
 def generate_scene(cfg: SceneConfig, ic_transform=None) -> Trajectory:
@@ -414,9 +396,9 @@ def generate_scene(cfg: SceneConfig, ic_transform=None) -> Trajectory:
     bodies = _make_bodies(cfg, rng, gravity_mag)
     if ic_transform is not None:
         _transform_bodies(bodies, ic_transform)
-    n_per = bodies[0].offsets.shape[0]
-    n = n_per * len(bodies)
-    object_of = np.repeat(np.arange(len(bodies)), n_per)
+    n_per = bodies.offsets.shape[0]
+    n = n_per * cfg.objects
+    object_of = np.repeat(np.arange(cfg.objects), n_per)
     attrs = np.tile(np.array([gravity_mag / 10.0, 1.0]), (n, 1))
 
     frames = np.zeros((cfg.frames, n, 3))
@@ -424,8 +406,8 @@ def generate_scene(cfg: SceneConfig, ic_transform=None) -> Trajectory:
         if t:
             for _ in range(cfg.record_every):
                 _step(bodies, cfg, gravity_mag)
-        com, _, world = _pose(bodies)
-        frames[t] = (com[:, None, :] + world).reshape(n, 3)
+        _, world = _pose(bodies)
+        frames[t] = (bodies.com[:, None, :] + world).reshape(n, 3)
     return Trajectory(
         frames=frames,
         object_of=object_of,

@@ -24,7 +24,7 @@ from .geometry import (
     random_subgroup_transform,
     scalarize_subequivariant,
 )
-from .graph import ParticleSystem, build_edges, merged_particle_edges, pool_objects
+from .graph import ParticleSystem, build_edges, pool_objects
 from .layers import SompParams, make_somp_params, masked_sigma, somp_forward
 from .mlp import MLP, adam_step, mlp_forward, mlp_grads, mlp_init
 from .model import make_sgnn_model, predict_step
@@ -120,7 +120,7 @@ def equivariance_suite(trials: int = 200, seed: int = 0) -> list[PropertyResult]
     # one message-passing layer, axis subgroup plus translations
     params = make_somp_params(rng, 2, hidden=12, iterations=2, zero_init_update=False, msg_extra=4)
     sys0 = _random_system(rng)
-    edges = merged_particle_edges(build_edges(sys0, 0.7))
+    edges = build_edges(sys0, 0.7).merged
 
     def layer_fn(geo, sca):
         z = geo[0]
@@ -241,7 +241,7 @@ def gradient_suite(instances: int = 100, seed: int = 0) -> list[PropertyResult]:
                                   zero_init_update=False, msg_extra=4)
         sys_ = _random_system(case_rng, n=6, objects=2)
         feats = pool_objects(sys_)
-        edges = merged_particle_edges(build_edges(sys_, 0.9))
+        edges = build_edges(sys_, 0.9).merged
         proj = case_rng.normal(size=(3, 2))
 
         def make_loss(tape):
@@ -423,7 +423,7 @@ def reduction_suite(instances: int = 50, seed: int = 0) -> list[PropertyResult]:
     for k in range(instances):
         case_rng = np.random.default_rng(seed * 7919 + k)
         sys_ = _random_system(case_rng, n=8, objects=2)
-        edges = merged_particle_edges(build_edges(sys_, 0.9))
+        edges = build_edges(sys_, 0.9).merged
         feats = pool_objects(sys_)
 
         gmn = make_gmn_params(case_rng, 2, hidden=8, iterations=2,

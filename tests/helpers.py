@@ -10,7 +10,7 @@ from sgnn.geometry import GRAM_NORM_EPS, Gravity, ominus
 from sgnn.graph import EdgeSets, ParticleSystem
 from sgnn.mlp import MLP, mlp_forward, mlp_grads
 from sgnn.model import RigidFit
-from sgnn.scenes import _Body, _contact_force
+from sgnn.scenes import _Bodies, _contact_force
 
 GRAVITY = Gravity()
 
@@ -42,7 +42,8 @@ def loop_build_edges(system: ParticleSystem, r: float) -> EdgeSets:
 
     Buckets particles by clipped cell key in a dict, scans the 27 adjacent
     buckets of each particle, keeps pairs with ``d @ d < r * r``, then
-    lexsorts and partitions by object.
+    lexsorts them into the sorted union ``merged`` and partitions that by
+    object.
     """
     if r <= 0:
         raise ContractError("cutoff radius must be positive")
@@ -73,7 +74,8 @@ def loop_build_edges(system: ParticleSystem, r: float) -> EdgeSets:
                             receivers.append(j)
     empty = np.zeros((0, 2), dtype=np.int64)
     if not senders:
-        return EdgeSets(inter=empty, inner=empty, obj=empty)
+        return EdgeSets(merged=empty, inter=empty, inner=empty, obj=empty,
+                        inter_to_obj=np.zeros((0,), dtype=np.int64))
 
     edges = np.stack([np.asarray(senders), np.asarray(receivers)], axis=1)
     order = np.lexsort((edges[:, 1], edges[:, 0]))
@@ -90,7 +92,8 @@ def loop_build_edges(system: ParticleSystem, r: float) -> EdgeSets:
     else:
         obj = empty
         inter_to_obj = np.zeros((0,), dtype=np.int64)
-    return EdgeSets(inter=inter, inner=inner, obj=obj, inter_to_obj=inter_to_obj.reshape(-1))
+    return EdgeSets(merged=edges, inter=inter, inner=inner, obj=obj,
+                    inter_to_obj=inter_to_obj.reshape(-1))
 
 
 def masked_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -134,6 +137,14 @@ def chain_normalized_gram(z, normalize=True):
     norm = ad.sqrt(ad.add(ad.mul(sq, mask), 1.0 - mask))
     denom = ad.add(ad.mul(norm, mask), 1.0 - mask)
     return ad.div(gram, denom)
+
+
+def chain_segment_mean(a, segments, num_segments, divisor):
+    """A ``segment_sum`` record followed by a ``div`` by the divisor reshaped
+    to broadcast over the trailing axes: the reference for
+    ``ad.segment_sum`` with a divisor."""
+    agg = ad.segment_sum(a, segments, num_segments)
+    return ad.div(agg, divisor.reshape((num_segments,) + (1,) * (ad.value_of(agg).ndim - 1)))
 
 
 def chain_ominus(zi, zj):
@@ -267,22 +278,25 @@ def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
     return np.array([np.cos(half), axis[0] * s, axis[1] * s, axis[2] * s])
 
 
-def loop_step(bodies: list[_Body], cfg, gravity_mag: float) -> None:
+def loop_step(bodies: _Bodies, cfg, gravity_mag: float) -> None:
     """One substep body by body, with ``np.cross`` and a rotation matrix per
-    use: the reference for ``scenes._step``."""
+    use, reading and writing one row of the body state at a time: the
+    reference for ``scenes._step``."""
     g_vec = np.array([0.0, 0.0, -gravity_mag])
-    n_bodies = len(bodies)
+    com, quat, vel, omega = bodies.com, bodies.quat, bodies.vel, bodies.omega
+    offsets, mass = bodies.offsets, bodies.mass
+    n_bodies = com.shape[0]
     forces = [np.zeros(3) for _ in range(n_bodies)]
     torques = [np.zeros(3) for _ in range(n_bodies)]
-    positions = [b.com + b.offsets @ quat_to_matrix(b.quat).T for b in bodies]
-    velocities = [b.vel + np.cross(b.omega, b.offsets @ quat_to_matrix(b.quat).T)
-                  for b in bodies]
+    positions = [com[k] + offsets @ quat_to_matrix(quat[k]).T for k in range(n_bodies)]
+    velocities = [vel[k] + np.cross(omega[k], offsets @ quat_to_matrix(quat[k]).T)
+                  for k in range(n_bodies)]
 
-    for k, b in enumerate(bodies):
-        forces[k] += b.mass * g_vec
+    for k in range(n_bodies):
+        forces[k] += mass * g_vec
 
     if cfg.ground:
-        for k, b in enumerate(bodies):
+        for k in range(n_bodies):
             pen = cfg.ground_height - positions[k][:, 2]
             touching = pen > 0.0
             if not touching.any():
@@ -292,44 +306,45 @@ def loop_step(bodies: list[_Body], cfg, gravity_mag: float) -> None:
             normal = np.tile(np.array([0.0, 0.0, 1.0]), (int(touching.sum()), 1))
             f = _contact_force(pen[touching], normal, velocities[k][touching], cfg)
             forces[k] += f.sum(axis=0)
-            torques[k] += np.cross(positions[k][touching] - b.com, f).sum(axis=0)
+            torques[k] += np.cross(positions[k][touching] - com[k], f).sum(axis=0)
 
     rc = cfg.effective_contact_radius()
     for a in range(n_bodies):
-        for bdy in range(a + 1, n_bodies):
-            gap = np.linalg.norm(bodies[a].com - bodies[bdy].com)
+        for b in range(a + 1, n_bodies):
+            gap = np.linalg.norm(com[a] - com[b])
             if gap < 0.5 * cfg.cube_side:
                 raise GenerationError("object interpenetration deeper than the cube side; reduce dt")
             reach = np.sqrt(3.0) * cfg.cube_side + rc
             if gap > reach:
                 continue
-            diff = positions[a][:, None, :] - positions[bdy][None, :, :]
+            diff = positions[a][:, None, :] - positions[b][None, :, :]
             dist = np.linalg.norm(diff, axis=2)
             ia, ib = np.nonzero(dist < rc)
             if ia.size == 0:
                 continue
             d = dist[ia, ib]
             normal = diff[ia, ib] / np.maximum(d, 1e-12)[:, None]
-            rel = velocities[a][ia] - velocities[bdy][ib]
+            rel = velocities[a][ia] - velocities[b][ib]
             f = _contact_force(rc - d, normal, rel, cfg)
             forces[a] += f.sum(axis=0)
-            torques[a] += np.cross(positions[a][ia] - bodies[a].com, f).sum(axis=0)
-            forces[bdy] -= f.sum(axis=0)
-            torques[bdy] += np.cross(positions[bdy][ib] - bodies[bdy].com, -f).sum(axis=0)
+            torques[a] += np.cross(positions[a][ia] - com[a], f).sum(axis=0)
+            forces[b] -= f.sum(axis=0)
+            torques[b] += np.cross(positions[b][ib] - com[b], -f).sum(axis=0)
 
-    for k, b in enumerate(bodies):
-        R = quat_to_matrix(b.quat)
-        inertia_world = R @ b.inertia_body @ R.T
-        gyro = np.cross(b.omega, inertia_world @ b.omega)
+    for k in range(n_bodies):
+        R = quat_to_matrix(quat[k])
+        inertia_world = R @ bodies.inertia_body @ R.T
+        gyro = np.cross(omega[k], inertia_world @ omega[k])
         alpha = np.linalg.solve(inertia_world, torques[k] - gyro)
-        b.vel = b.vel + cfg.dt * forces[k] / b.mass
-        b.omega = b.omega + cfg.dt * alpha
-        b.com = b.com + cfg.dt * b.vel
-        w = np.linalg.norm(b.omega)
+        vel[k] = vel[k] + cfg.dt * forces[k] / mass
+        omega[k] = omega[k] + cfg.dt * alpha
+        com[k] = com[k] + cfg.dt * vel[k]
+        w = np.linalg.norm(omega[k])
         if w > 0.0:
-            dq = quat_from_axis_angle(b.omega / w, w * cfg.dt)
-            b.quat = quat_multiply(dq, b.quat)
-            b.quat = b.quat / np.linalg.norm(b.quat)
+            dq = quat_from_axis_angle(omega[k] / w, w * cfg.dt)
+            q = quat_multiply(dq, quat[k])
+            quat[k] = q / np.linalg.norm(q)
+
 
 def naive_ominus(zi: np.ndarray, zj: np.ndarray) -> np.ndarray:
     return np.concatenate([zi[:, :1] - zj[:, :1], zi[:, 1:], zj[:, 1:]], axis=1)

@@ -6,8 +6,8 @@ import pytest
 from sgnn import ad
 from sgnn.errors import ShapeError, TapeError
 
-from helpers import (add_at_scatter, chain_dense, fd_grad, masked_sigmoid, rel_err,
-                     value_and_adjoints)
+from helpers import (add_at_scatter, chain_dense, chain_segment_mean, fd_grad, masked_sigmoid,
+                     rel_err, value_and_adjoints)
 
 
 def test_eager_path_returns_plain_arrays():
@@ -214,6 +214,22 @@ def test_gather_and_segment_sum_match_add_at_bit_for_bit():
 
 
 @pytest.mark.parametrize("reuse", [False, True], ids=["fresh", "reused"])
+@pytest.mark.parametrize("tail", [(4,), (3, 2)], ids=["2d", "3d"])
+def test_segment_mean_matches_segment_sum_div_chain_bit_for_bit(tail, reuse):
+    rng = np.random.default_rng(46)
+    segments = rng.integers(0, 7, size=40)
+    segments[segments == 3] = 5  # segment 3 receives no rows
+    x = rng.normal(size=(40,) + tail) * 10.0 ** rng.integers(-8, 9, size=(40,) + tail)
+    divisor = np.maximum(np.bincount(segments, minlength=7).astype(np.float64), 1.0)
+    fused = value_and_adjoints(lambda v: ad.segment_sum(v, segments, 7, divisor), [x], 47, reuse)
+    chain = value_and_adjoints(lambda v: chain_segment_mean(v, segments, 7, divisor), [x], 47, reuse)
+    assert fused[0].shape == (7,) + tail and not fused[0][3].any()
+    for got, want in zip(fused, chain):
+        assert _same_bits(got, want)
+    assert _same_bits(ad.segment_sum(x, segments, 7, divisor), chain[0])
+
+
+@pytest.mark.parametrize("reuse", [False, True], ids=["fresh", "reused"])
 @pytest.mark.parametrize("act", ["silu", "relu", "linear"])
 @pytest.mark.parametrize("lead", [(), (7,), (3, 6)], ids=["1d", "2d", "3d"])
 def test_dense_matches_matmul_add_activation_chain_bit_for_bit(lead, act, reuse):
@@ -234,6 +250,12 @@ def test_dense_matches_matmul_add_activation_chain_bit_for_bit(lead, act, reuse)
 def test_dense_is_one_record():
     tape = ad.Tape()
     ad.dense(tape.var(np.ones((2, 3))), tape.var(np.ones((3, 4))), np.zeros(4), "silu")
+    assert len(tape._records) == 1
+
+
+def test_segment_mean_is_one_record():
+    tape = ad.Tape()
+    ad.segment_sum(tape.var(np.ones((3, 2))), np.array([0, 1, 1]), 2, np.array([1.0, 2.0]))
     assert len(tape._records) == 1
 
 

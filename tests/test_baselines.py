@@ -12,7 +12,7 @@ from sgnn.baselines import (
     make_gns_params,
 )
 from sgnn.geometry import Gravity, check_equivariance, random_subgroup_transform
-from sgnn.graph import ParticleSystem, build_edges, merged_particle_edges
+from sgnn.graph import ParticleSystem, build_edges
 from sgnn.layers import somp_forward
 from sgnn.mlp import mlp_forward
 from sgnn.verify import reduction_suite
@@ -33,7 +33,7 @@ def test_gns_zero_init_identity_on_positions():
     rng = np.random.default_rng(0)
     params = make_gns_params(rng, 2, hidden=8, iterations=3, zero_init_update=True)
     sys_ = random_system(rng)
-    edges = merged_particle_edges(build_edges(sys_, 0.8))
+    edges = build_edges(sys_, 0.8).merged
     x, v, h = gns_forward(params, sys_.positions, sys_.velocities, sys_.attrs, edges)
     np.testing.assert_array_equal(x, sys_.positions)
     np.testing.assert_array_equal(v, sys_.velocities)
@@ -43,7 +43,7 @@ def test_gns_matches_naive_transcription():
     rng = np.random.default_rng(1)
     params = make_gns_params(rng, 2, hidden=8, iterations=2, zero_init_update=False)
     sys_ = random_system(rng)
-    edges = merged_particle_edges(build_edges(sys_, 0.8))
+    edges = build_edges(sys_, 0.8).merged
     got_x, got_v, got_h = gns_forward(
         params, sys_.positions, sys_.velocities, sys_.attrs, edges
     )
@@ -95,7 +95,7 @@ def test_egnn_constant_velocity_gate_keeps_velocities():
     # zero-init phi_x / phi_g / phi_v, then pin the velocity gate output to 1
     params.phi_v.biases[-1][:] = 1.0
     sys_ = random_system(rng)
-    edges = merged_particle_edges(build_edges(sys_, 0.8))
+    edges = build_edges(sys_, 0.8).merged
     x, v, h = egnn_forward(
         params, sys_.positions, sys_.velocities, sys_.attrs, edges, gravity=GRAVITY
     )
@@ -126,7 +126,7 @@ def test_gmn_zero_init_identity():
     rng = np.random.default_rng(6)
     params = make_gmn_params(rng, 2, hidden=8, iterations=2, zero_init_update=True)
     sys_ = random_system(rng)
-    edges = merged_particle_edges(build_edges(sys_, 0.8))
+    edges = build_edges(sys_, 0.8).merged
     z, h = somp_forward(params, sys_.geometric_stack(), sys_.attrs, edges, gravity=GRAVITY)
     np.testing.assert_array_equal(z, sys_.geometric_stack())
     np.testing.assert_array_equal(h, sys_.attrs)

@@ -166,6 +166,25 @@ def test_malformed_header_raises_typed_error(tmp_path, case):
         load_model(path)
 
 
+@pytest.mark.parametrize("no_hierarchy", [False, True])
+def test_no_hierarchy_key_must_match_stages(tmp_path, no_hierarchy):
+    path = tmp_path / "model.sgnn"
+    model = make_sgnn_model(np.random.default_rng(4), 2, hidden=8, iterations=1,
+                            no_hierarchy=no_hierarchy)
+    assert model.no_hierarchy is no_hierarchy
+    save_model(path, model)
+    assert load_model(path).no_hierarchy is no_hierarchy
+    tensors = read_tensors(path)
+    meta = json.loads(bytes(tensors["header/config_utf8"].reshape(-1).astype(np.uint8)))
+    assert meta["no_hierarchy"] is no_hierarchy
+    meta["no_hierarchy"] = not no_hierarchy
+    header = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8).astype(np.float64)
+    tensors["header/config_utf8"] = header.reshape(1, -1)
+    write_tensors(path, list(tensors.items()))
+    with pytest.raises(CheckpointFormatError, match="disagrees with stages"):
+        load_model(path)
+
+
 def test_eval_exits_1_on_malformed_header(tmp_path, capsys):
     path = _with_header(tmp_path, np.array([255.0, 254.0]))
     rc = main(["eval", str(path), "--data", str(tmp_path), "--out", str(tmp_path / "e")])

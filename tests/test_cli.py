@@ -3,6 +3,7 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from sgnn.cli import main
@@ -116,6 +117,23 @@ def test_train_baseline_variant(tiny_dataset, tmp_path):
     ckpt = tmp_path / "gns.sgnn"
     assert main(_train_args(tiny_dataset, ckpt, variant="gns")) == 0
     assert load_model(ckpt).variant == "gns"
+
+
+@pytest.mark.parametrize("argv", [
+    ["gns"], ["egnn"], ["egnn_s"], ["gmn"], ["gmn_s"],
+    ["sgnn", "--no-hierarchy"], ["sgnn", "--no-object-aware"],
+    ["sgnn", "--no-edge-separation"], ["sgnn", "--full-equivariance"],
+], ids=lambda argv: argv[-1].lstrip("-"))
+def test_mean_aggregation_trains_and_evaluates(tiny_dataset, tmp_path, argv):
+    ckpt = tmp_path / "model.sgnn"
+    assert main(_train_args(tiny_dataset, ckpt, variant=argv[0], extra=argv[1:])) == 0
+    out = tmp_path / "eval"
+    assert main(["eval", str(ckpt), "--data", str(tiny_dataset), "--horizons", "3,7",
+                 "--rigid", "--out", str(out)]) == 0
+    for name in ("metrics.csv", "per_trajectory.csv"):
+        rows = (out / name).read_text().splitlines()[1:]
+        values = [float(cell) for row in rows for cell in row.split(",")[1:]]
+        assert rows and np.isfinite(values).all(), name
 
 
 def test_ablation_flags_reject_baselines(tiny_dataset, tmp_path):

@@ -9,7 +9,6 @@ from sgnn.graph import (
     EdgeSets,
     ParticleSystem,
     build_edges,
-    merged_particle_edges,
     pool_objects,
     pooled_object_edge_features,
 )
@@ -34,10 +33,12 @@ def brute_force_edges(system: ParticleSystem, r: float) -> EdgeSets:
     inter = edges[~same] if len(pairs) else edges
     if inter.shape[0]:
         obj_pairs = np.stack([system.object_of[inter[:, 0]], system.object_of[inter[:, 1]]], axis=1)
-        obj = np.unique(obj_pairs, axis=0)
+        obj, inter_to_obj = np.unique(obj_pairs, axis=0, return_inverse=True)
     else:
         obj = np.zeros((0, 2), dtype=np.int64)
-    return EdgeSets(inter=inter, inner=inner, obj=obj)
+        inter_to_obj = np.zeros(0, dtype=np.int64)
+    return EdgeSets(merged=edges, inter=inter, inner=inner, obj=obj,
+                    inter_to_obj=inter_to_obj.reshape(-1))
 
 
 def random_system(rng, n=24, objects=3, spread=1.0, n_attrs=2) -> ParticleSystem:
@@ -93,7 +94,7 @@ def test_matches_brute_force_scan(trial):
 
 
 def assert_same_edges(got: EdgeSets, want: EdgeSets):
-    for name in ("inter", "inner", "obj", "inter_to_obj"):
+    for name in ("merged", "inter", "inner", "obj", "inter_to_obj"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype, name
         assert a.shape == b.shape, name
@@ -136,7 +137,7 @@ def test_matches_loop_on_shell_at_cutoff():
     sys_ = make_system(pos, np.arange(301) % 2)
     want = loop_build_edges(sys_, r)
     assert_same_edges(build_edges(sys_, r), want)
-    from_origin = np.count_nonzero(merged_particle_edges(want)[:, 0] == 0)
+    from_origin = np.count_nonzero(want.merged[:, 0] == 0)
     assert 0 < from_origin < 300
 
 
@@ -199,10 +200,12 @@ def test_merged_edges_sorted_cover():
     rng = np.random.default_rng(4)
     sys_ = random_system(rng, n=30, objects=2)
     edges = build_edges(sys_, 0.6)
-    merged = merged_particle_edges(edges)
-    assert merged.shape[0] == edges.inter.shape[0] + edges.inner.shape[0]
+    merged = edges.merged
+    assert edges.inter.shape[0] and edges.inner.shape[0]
     order = np.lexsort((merged[:, 1], merged[:, 0]))
     np.testing.assert_array_equal(order, np.arange(merged.shape[0]))
+    both = np.concatenate([edges.inter, edges.inner], axis=0)
+    np.testing.assert_array_equal(merged, both[np.lexsort((both[:, 1], both[:, 0]))])
 
 
 def test_pool_single_particle_object():

@@ -71,14 +71,19 @@ def test_two_coincident_still_nodes_zero_update_identity():
     np.testing.assert_array_equal(h, sys_.attrs)
 
 
-@pytest.mark.parametrize("trial", range(6))
-def test_matches_naive_transcription(trial):
+# the sum cases keep their earlier ids, the bare trial number
+@pytest.mark.parametrize("aggregate,trial", [
+    pytest.param(aggregate, trial, id=str(trial) if aggregate == "sum" else f"mean-{trial}")
+    for aggregate in ("sum", "mean") for trial in range(6)
+])
+def test_matches_naive_transcription(aggregate, trial):
     rng = np.random.default_rng(400 + trial)
     msg_extra = 0 if trial == 5 else 4  # the last trial sends no invariant message extras
     params = make_somp_params(
         rng, 2, hidden=12, iterations=1, zero_init_update=False, msg_channels=2,
         msg_extra=msg_extra,
     )
+    params.aggregate = aggregate
     sys_ = random_instance(rng, n=8, objects=2)
     feats = pool_objects(sys_)
     edges = build_edges(sys_, 0.8)
@@ -176,18 +181,3 @@ def test_gradient_flow_matches_finite_differences():
 
     worst = check_mlp_grads_fd(make_loss, params.mlps(), rng, coords_per_tensor=3)
     assert worst < 1e-4
-
-
-def test_mean_aggregation_option():
-    rng = np.random.default_rng(9)
-    params = make_somp_params(rng, 1, hidden=8, iterations=1, zero_init_update=False)
-    params.aggregate = "mean"
-    sys_ = random_instance(rng, n=6, objects=2, n_attrs=1)
-    feats = pool_objects(sys_)
-    edges = build_edges(sys_, 0.9)
-    all_edges = np.concatenate([edges.inter, edges.inner], axis=0)
-    z, h = somp_forward(
-        params, sys_.geometric_stack(), sys_.attrs, all_edges,
-        objects=feats, object_of=sys_.object_of, gravity=GRAVITY,
-    )
-    assert np.isfinite(z).all() and np.isfinite(h).all()

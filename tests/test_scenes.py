@@ -10,7 +10,6 @@ from sgnn.geometry import SubgroupTransform
 from sgnn.scenes import (
     SceneConfig,
     Trajectory,
-    _Body,
     _cross,
     _cube_offsets,
     _make_bodies,
@@ -124,23 +123,23 @@ def test_energy_non_increasing_in_free_flight():
                       record_every=1, drop_height=1.0)
     rng = np.random.default_rng(cfg.seed)
     bodies = _make_bodies(cfg, rng, cfg.gravity)
-    b = bodies[0]
-    b.vel = np.array([0.4, -0.2, 0.6])
-    b.omega = np.array([0.8, 0.5, -0.3])
+    bodies.vel[0] = [0.4, -0.2, 0.6]
+    bodies.omega[0] = [0.8, 0.5, -0.3]
 
-    def energy(body):
-        R = body.rotation()
-        inertia = R @ body.inertia_body @ R.T
-        kinetic = 0.5 * body.mass * body.vel @ body.vel
-        spin = 0.5 * body.omega @ inertia @ body.omega
-        potential = body.mass * cfg.gravity * body.com[2]
+    def energy():
+        R = _rotations(bodies.quat)[0]
+        inertia = R @ bodies.inertia_body @ R.T
+        vel, omega = bodies.vel[0], bodies.omega[0]
+        kinetic = 0.5 * bodies.mass * vel @ vel
+        spin = 0.5 * omega @ inertia @ omega
+        potential = bodies.mass * cfg.gravity * bodies.com[0, 2]
         return kinetic + spin + potential
 
-    e0 = energy(b)
+    e0 = energy()
     energies = [e0]
     for _ in range(100):
         _step(bodies, cfg, cfg.gravity)
-        energies.append(energy(b))
+        energies.append(energy())
     drift = (e0 - energies[-1]) / abs(e0)
     assert drift >= -1e-12  # never increases
     assert abs(drift) < 1e-4  # bounded per 100 steps
