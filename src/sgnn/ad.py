@@ -278,10 +278,6 @@ def reshape(a, shape):
     return record(av.reshape(tuple(shape)), (a,), lambda g: (g.reshape(av.shape),))
 
 
-def swap_last2(a):
-    return record(np.swapaxes(value_of(a), -1, -2), (a,), lambda g: (np.swapaxes(g, -1, -2),))
-
-
 def concat(parts: Sequence, axis: int):
     values = [value_of(p) for p in parts]
     sizes = [v.shape[axis] for v in values]

@@ -126,10 +126,16 @@ def chain_dense(x, w, b, act):
     return ad.reshape(h, (-1,)) if squeeze else h
 
 
+def swap_last2(a):
+    """A transpose of the last two axes, as one tape record."""
+    return ad.record(np.swapaxes(ad.value_of(a), -1, -2), (a,),
+                     lambda g: (np.swapaxes(g, -1, -2),))
+
+
 def chain_normalized_gram(z, normalize=True):
     """The ten-record Gram normalization: the reference for
     ``geometry.normalized_gram``."""
-    gram = ad.matmul(ad.swap_last2(z), z)
+    gram = ad.matmul(swap_last2(z), z)
     if not normalize:
         return gram
     sq = ad.sum_(ad.mul(gram, gram), axis=(-2, -1), keepdims=True)
@@ -160,12 +166,19 @@ def chain_ominus(zi, zj):
     return ad.concat(parts, axis=-1) if len(parts) > 1 else rel
 
 
+def adjoint_seed(size: int, seed: int) -> np.ndarray:
+    """Mixed-magnitude normals: the output adjoint ``value_and_adjoints``
+    seeds its sweep with.  Its first entries are the adjoint of the value
+    ``build`` returns."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=size) * 10.0 ** rng.integers(-4, 5, size=size)
+
+
 def value_and_adjoints(build, inputs, seed: int, reuse: bool):
     """Output value of ``build(*vars)`` and every input's adjoint, on a fresh
     tape seeded with mixed-magnitude normals.  With ``reuse`` each input is
     also squared later on the tape, so it already holds an adjoint when the
     partials of ``build``'s records arrive."""
-    rng = np.random.default_rng(seed)
     tape = ad.Tape()
     vs = [tape.var(a) for a in inputs]
     y = build(*vs)
@@ -173,8 +186,7 @@ def value_and_adjoints(build, inputs, seed: int, reuse: bool):
     if reuse:
         parts += [ad.reshape(ad.mul(v, v), (-1,)) for v in vs]
     out = ad.concat(parts, axis=0)
-    g = rng.normal(size=out.shape) * 10.0 ** rng.integers(-4, 5, size=out.shape)
-    grads = tape.backward(out, g)
+    grads = tape.backward(out, adjoint_seed(out.shape[0], seed))
     return [y.value] + [grads.of(v) for v in vs]
 
 

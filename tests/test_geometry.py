@@ -6,6 +6,7 @@ import pytest
 from sgnn import ad
 from sgnn.errors import ContractError, GramMismatchError, ShapeError
 from sgnn.geometry import (
+    GRAM_NORM_EPS,
     Gravity,
     check_equivariance,
     horizontal_axis_rotation,
@@ -19,7 +20,14 @@ from sgnn.geometry import (
 )
 from sgnn.mlp import mlp_init
 
-from helpers import chain_normalized_gram, chain_ominus, value_and_adjoints
+from helpers import (
+    adjoint_seed,
+    chain_normalized_gram,
+    chain_ominus,
+    fd_grad,
+    rel_err,
+    value_and_adjoints,
+)
 
 GRAVITY = Gravity()
 
@@ -255,16 +263,102 @@ GRAM_CASES = {
 @pytest.mark.parametrize("reuse", [False, True], ids=["fresh", "reused"])
 @pytest.mark.parametrize("case", list(GRAM_CASES))
 def test_fused_gram_matches_ten_record_chain_bit_for_bit(case, reuse):
+    # the values, on a tape and eager; the adjoints are compared below
     shape, zero_rows, normalize = GRAM_CASES[case]
     z = _gram_stack(shape, zero_rows)
-    fused = value_and_adjoints(lambda v: normalized_gram(v, normalize), [z], 21, reuse)
-    chain = value_and_adjoints(lambda v: chain_normalized_gram(v, normalize), [z], 21, reuse)
-    for got, want in zip(fused, chain):
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-    assert np.isfinite(fused[1]).all()
+    fused = value_and_adjoints(lambda v: normalized_gram(v, normalize), [z], 21, reuse)[0]
+    chain = value_and_adjoints(lambda v: chain_normalized_gram(v, normalize), [z], 21, reuse)[0]
+    assert fused.dtype == chain.dtype and fused.shape == chain.shape
+    assert fused.tobytes() == chain.tobytes()
     eager = normalized_gram(z, normalize)
-    assert eager.tobytes() == chain[0].tobytes()
+    assert eager.tobytes() == chain.tobytes()
+
+
+def _stack_norms(a):
+    """Frobenius norm of each (r, c) matrix of a (..., r, c) array, flat."""
+    return np.linalg.norm(a.reshape((-1,) + a.shape[-2:]), axis=(-2, -1))
+
+
+def _gram_norms(z):
+    return _stack_norms(np.swapaxes(z, -1, -2) @ z)
+
+
+@pytest.mark.parametrize("reuse", [False, True], ids=["fresh", "reused"])
+@pytest.mark.parametrize("case", list(GRAM_CASES))
+def test_fused_gram_adjoints_match_ten_record_chain(case, reuse):
+    # the analytic backward rounds differently from the chain's; each stack's
+    # adjoints agree to 1e-12 of its scale, the larger of the chain's largest
+    # partial and |g| |z| / |G|.  The latter is the scale of an m = 1 stack,
+    # whose true adjoint is 0 and whose chain adjoint is round-off
+    shape, zero_rows, normalize = GRAM_CASES[case]
+    z = _gram_stack(shape, zero_rows)
+    _, fused = value_and_adjoints(lambda v: normalized_gram(v, normalize), [z], 21, reuse)
+    y, chain = value_and_adjoints(lambda v: chain_normalized_gram(v, normalize), [z], 21, reuse)
+    assert fused.dtype == chain.dtype and fused.shape == chain.shape
+    assert np.isfinite(fused).all()
+    g = adjoint_seed(y.size + reuse * z.size, 21)[: y.size].reshape(y.shape)
+    gram_norm = _gram_norms(z)
+    denom = np.where(normalize & (gram_norm >= GRAM_NORM_EPS), gram_norm, 1.0)
+    stacks = (-1,) + z.shape[-2:]
+    scale = np.maximum(
+        np.abs(chain).reshape(stacks).max(axis=(-2, -1)),
+        _stack_norms(g) * _stack_norms(z) / denom,
+    )
+    err = np.abs(fused - chain).reshape(stacks).max(axis=(-2, -1))
+    assert (err <= 1e-12 * scale).all()
+
+
+@pytest.mark.parametrize("normalize", [True, False], ids=["normalized", "unnormalized"])
+@pytest.mark.parametrize("shape", [(4, 3, 3), (3, 4)], ids=["batched", "unbatched"])
+def test_gram_adjoint_matches_finite_differences(shape, normalize):
+    rng = np.random.default_rng(24)
+    z = rng.normal(size=shape)
+    w = rng.normal(size=shape[:-2] + (shape[-1], shape[-1]))
+    tape = ad.Tape()
+    v = tape.var(z)
+    got = tape.backward(normalized_gram(v, normalize), w).of(v)
+    want = fd_grad(lambda: float(np.sum(w * normalized_gram(z, normalize))), z, range(z.size))
+    assert rel_err(got.reshape(-1), want) <= 1e-6
+
+
+@pytest.mark.parametrize("case", ["batched", "unbatched", "batched_m1", "unbatched_m1", "zero_rows"])
+def test_gram_adjoint_is_orthogonal_to_the_stack(case):
+    # a normalized Gram is homogeneous of degree 0 in z, so by Euler's
+    # theorem sum(g_z * z) = 0 on every stack that is scaled, up to round-off
+    # of the size of |g| |z|^2 / |G|
+    shape, zero_rows, _ = GRAM_CASES[case]
+    z = _gram_stack(shape, zero_rows)
+    y, g_z = value_and_adjoints(normalized_gram, [z], 21, False)
+    g = adjoint_seed(y.size, 21).reshape(y.shape)
+    gram_norm = _gram_norms(z)
+    scaled = gram_norm >= GRAM_NORM_EPS
+    assert scaled.any()
+    radial = np.abs((g_z * z).reshape((-1,) + z.shape[-2:]).sum(axis=(-2, -1)))[scaled]
+    scale = (_stack_norms(g) * _stack_norms(z) ** 2)[scaled] / gram_norm[scaled]
+    assert (radial <= 1e-12 * scale).all()
+
+
+@pytest.mark.parametrize("case", ["batched_m1", "unbatched_m1"])
+def test_gram_adjoint_of_one_channel_is_exactly_zero(case):
+    # one nonzero channel normalizes to [[1]] whatever its length
+    shape, zero_rows, _ = GRAM_CASES[case]
+    _, g_z = value_and_adjoints(normalized_gram, [_gram_stack(shape, zero_rows)], 21, False)
+    assert not g_z.any()
+
+
+def test_gram_adjoint_where_scaling_is_skipped_is_the_unnormalized_one():
+    # stacks 1-3 have |G| below GRAM_NORM_EPS (one is all zero), stack 0 is
+    # scaled; each stack's adjoint depends on that stack alone
+    rng = np.random.default_rng(25)
+    z = rng.normal(size=(4, 3, 3))
+    z[1:] *= 1e-7
+    z[2] = 0.0
+    norms = _gram_norms(z)
+    assert norms[0] >= GRAM_NORM_EPS and (norms[1:] < GRAM_NORM_EPS).all()
+    got = value_and_adjoints(normalized_gram, [z], 26, False)
+    want = value_and_adjoints(lambda v: normalized_gram(v, False), [z], 26, False)
+    for a, b in zip(got, want):
+        assert a[1:].tobytes() == b[1:].tobytes()
 
 
 def test_fused_gram_is_one_record():
