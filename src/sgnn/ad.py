@@ -12,9 +12,10 @@ argument.  Constant arguments get no tape variable, and the sweep keeps no
 adjoint for them.  Closures capture arrays, shapes and flags, never a
 ``Var``, which would point back to the tape.
 
-All values are float64.  A tape is swept once: ``backward`` drops its
-records, so the intermediates are freed as soon as the caller lets go of the
-tape, without waiting for the cyclic garbage collector.
+All values are float64.  A tape is swept once: ``backward`` pops each record
+as it reaches it and each intermediate adjoint once it is consumed, so the
+forward arrays a closure captured and the adjoints are freed during the sweep,
+without waiting for the cyclic garbage collector.
 """
 
 from __future__ import annotations
@@ -51,7 +52,9 @@ class Var:
 
 
 class Grads:
-    """Adjoints keyed by variable; zeros for variables the loss never saw."""
+    """Leaf adjoints (parameters and ``Tape.var`` inputs) keyed by variable;
+    zeros for variables the loss never saw and for intermediates, whose
+    adjoints the sweep drops once consumed."""
 
     def __init__(self, table: dict):
         self._table = table
@@ -102,7 +105,9 @@ class Tape:
 
     def backward(self, output: Var, output_grad) -> Grads:
         """Reverse sweep from ``output`` seeded with ``output_grad``.  The
-        sweep consumes the records: a tape has one backward."""
+        sweep consumes the records: each is popped as it is reached, with its
+        output's adjoint, so a tape has one backward and the returned
+        ``Grads`` holds leaf adjoints only."""
         if self._records is None:
             raise TapeError("backward called on a tape that was already swept")
         if not self._records:
@@ -114,9 +119,11 @@ class Tape:
             raise ShapeError(
                 f"output grad shape {seed.shape} != value shape {output.value.shape}"
             )
+        records, self._records = self._records, None
         table: dict[int, Array] = {output._vid: seed}
-        for out_vid, vids, bwd in reversed(self._records):
-            g = table.get(out_vid)
+        while records:
+            out_vid, vids, bwd = records.pop()
+            g = table.pop(out_vid, None)
             if g is None:
                 continue
             for vid, pg in zip(vids, bwd(g)):
@@ -124,7 +131,6 @@ class Tape:
                     continue
                 acc = table.get(vid)
                 table[vid] = pg if acc is None else acc + pg
-        self._records = None
         return Grads(table)
 
 

@@ -159,15 +159,13 @@ def train(model, trajectories: list[Trajectory], cfg: TrainConfig):
                         f"non-finite loss at epoch {epoch}, trajectory {traj_idx}, frame {t}"
                     )
                 batch_loss += value
-                # free the last sample's adjoints here: freed before the forward
-                # pass, the heap top is unmapped and faulted in again (GNS -30 %)
-                grads = None
                 # a loss that reaches no parameter (no edges) has zero gradients
                 grads = (tape.backward(loss, np.array(1.0)) if isinstance(loss, ad.Var)
                          else ad.Grads({}))
                 for net, acc in zip(mlps, accum):
                     for slot, g in zip(acc, mlp_grads(tape, grads, net)):
                         slot += g
+                del grads  # not held through the next sample's forward and sweep
             scale = 1.0 / len(batch)
             for net, acc in zip(mlps, accum):
                 adam_step(net, [g * scale for g in acc], lr=lr)

@@ -1,5 +1,7 @@
 """Tape engine: forward semantics, adjoints vs finite differences, fused records."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -270,4 +272,28 @@ def test_constant_operands_get_no_tape_variable_and_no_adjoint(op):
     }[op]()
     assert (x._vid, y._vid, tape._next_vid) == (0, 1, 2)
     grads = tape.backward(y, np.ones(y.shape))
-    assert sorted(grads._table) == [0, 1]
+    assert sorted(grads._table) == [0]
+
+
+def test_sweep_frees_each_record_before_the_earlier_ones_run():
+    # a later record's closure, and the forward array it alone captured, are
+    # dropped before an earlier record's bwd runs; only leaf adjoints remain
+    tape = ad.Tape()
+    x = tape.var(np.ones(3))
+    w = tape.param(np.full(3, 2.0))
+    alive_at_first_bwd = []
+
+    def first_bwd(g):
+        alive_at_first_bwd.append(captured() is not None)
+        return g * 2.0, g
+
+    y = ad.record(x.value * w.value, (x, w), first_bwd)
+    kept = np.full(3, 3.0)
+    captured = weakref.ref(kept)
+    z = ad.mul(y, kept)
+    del kept
+    assert captured() is not None
+    grads = tape.backward(ad.mul(z, z), np.ones(3))
+    assert alive_at_first_bwd == [False]
+    assert sorted(grads._table) == [x._vid, w._vid]
+    np.testing.assert_array_equal(grads.of(y), np.zeros(3))
