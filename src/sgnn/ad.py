@@ -214,67 +214,72 @@ def matmul(a, b):
     ))
 
 
-def sqrt(a):
-    out = np.sqrt(value_of(a))
-    return record(out, (a,), lambda g: (g * (0.5 / out),))
-
-
 def _sigmoid(x: Array) -> Array:
-    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, both computed
-    # densely: the exponent is never positive, so exp cannot overflow.
-    # -np.abs(x) would set the sign bit of a NaN; this keeps NaN bits too.
-    pos = x >= 0
-    e = np.exp(np.where(pos, -x, x))
-    return np.where(pos, 1.0, e) / (1.0 + e)
+    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, select-free: exp
+    # never overflows, the numerator is max(e, x >= 0), and np.minimum keeps
+    # NaN bits (-np.abs would not).  Each step reuses one temporary.
+    e = np.minimum(x, -x)
+    np.exp(e, out=e)
+    num = np.maximum(e, x >= 0)
+    return np.divide(num, np.add(1.0, e, out=e), out=num)
 
 
-def silu(a):
-    av = value_of(a)
-    s = _sigmoid(av)
-    return record(av * s, (a,), lambda g: (g * (s * (1.0 + av * (1.0 - s))),))
+def _silu_grad(g: Array, x: Array, s: Array) -> Array:
+    """``g * (s * (1.0 + x * (1.0 - s)))``, operands in that order, in one temporary."""
+    t = np.subtract(1.0, s)
+    np.multiply(x, t, out=t)
+    np.add(1.0, t, out=t)
+    np.multiply(s, t, out=t)
+    return np.multiply(g, t, out=t)
 
 
-def relu(a):
-    av = value_of(a)
-    return record(np.maximum(av, 0.0), (a,), lambda g: (g * (av > 0.0),))
+def mlp(x, layers: Sequence[tuple]):
+    """``act(x @ w + b)`` for each ``(w, b, act)`` of ``layers`` in turn (``act``
+    in silu, relu, linear; a 1-D ``x`` runs as one row), as one record.
 
-
-def dense(x, w, b, act: str):
-    """``act(x @ w + b)`` for a 2-D ``w`` and ``act`` in silu, relu, linear.
-
-    One record that runs the numpy operations of the matmul, add and
-    activation records in their order, forward and backward, so values and
-    adjoints match that chain bit for bit.  A 1-D ``x`` runs as one row.  The
-    SiLU keeps its forward sigmoid for the backward pass.
+    Each layer runs the numpy operations of a matmul, bias-add and activation
+    record in their order, forward and backward, so values and adjoints match
+    that chain bit for bit.  The backward walks the layers in reverse and
+    drops each one's arrays once its partials are out.
     """
-    xv, wv, bv = value_of(x), value_of(w), value_of(b)
-    x2 = xv.reshape(1, -1) if xv.ndim == 1 else xv
-    if x2.shape[-1] != wv.shape[0]:
-        raise ShapeError(f"matmul inner dims differ: {x2.shape} @ {wv.shape}")
-    pre = np.add(np.matmul(x2, wv), bv)
-    tx, tw, tb = isinstance(x, Var), isinstance(w, Var), isinstance(b, Var)
-    if act == "silu" and not (tx or tw or tb):
-        out = pre * _sigmoid(pre)  # numpy reuses the sigmoid temporary; a tape keeps it
-    elif act == "silu":
-        s = _sigmoid(pre)
-        out = pre * s
-    elif act == "relu":
-        out = np.maximum(pre, 0.0)
-    else:
-        out = pre
-    out = out.reshape(-1) if xv.ndim == 1 else out
+    xv = value_of(x)
+    h = xv.reshape(1, -1) if xv.ndim == 1 else xv
+    args = [x] + [a for w, b, _ in layers for a in (w, b)]
+    wants = [isinstance(a, Var) for a in args]
+    saved = []  # per layer: input, pre-activation (ReLU: output), sigmoid, w, b's shape, act
+    for w, b, act in layers:
+        wv, bv = value_of(w), value_of(b)
+        pre = np.matmul(h, wv)
+        pre += bv
+        s = _sigmoid(pre) if act == "silu" else None
+        if any(wants):
+            saved.append((h, pre, s, wv, bv.shape, act))
+        if act == "silu":
+            h = np.multiply(pre, s, out=None if any(wants) else s)
+        else:  # in place: a ReLU output is > 0 exactly where its input is
+            h = np.maximum(pre, 0.0, out=pre) if act == "relu" else pre
 
     def bwd(g):
-        g = g.reshape(pre.shape)
-        if act == "silu":
-            g = g * (s * (1.0 + pre * (1.0 - s)))
-        elif act == "relu":
-            g = g * (pre > 0.0)
-        gx = _unbroadcast(g @ np.swapaxes(wv, -1, -2), x2.shape).reshape(xv.shape) if tx else None
-        gw = _unbroadcast(np.swapaxes(x2, -1, -2) @ g, wv.shape) if tw else None
-        return gx, gw, _unbroadcast(g, bv.shape) if tb else None
+        g = g.reshape(h.shape)
+        grads = [None] * len(wants)
+        lo = max(wants.index(True) - 1, 0) // 2  # the first layer with a partial to give
+        for k in range(len(saved) - 1, lo - 1, -1):
+            hk, pre, s, wv, bshape, act = saved.pop()
+            if act == "silu":
+                g = _silu_grad(g, pre, s)
+            elif act == "relu":
+                g = g * (pre > 0.0)
+            del pre, s
+            if wants[2 * k + 1]:
+                grads[2 * k + 1] = _unbroadcast(np.swapaxes(hk, -1, -2) @ g, wv.shape)
+            if wants[2 * k + 2]:
+                grads[2 * k + 2] = _unbroadcast(g, bshape)
+            if k > lo or wants[0]:
+                g = _unbroadcast(g @ np.swapaxes(wv, -1, -2), hk.shape)
+        grads[0] = g.reshape(xv.shape) if wants[0] else None
+        return grads
 
-    return record(out, (x, w, b), bwd)
+    return record(h.reshape(-1) if xv.ndim == 1 else h, args, bwd)
 
 
 # ------------------------------------------------------------- shape plumbing

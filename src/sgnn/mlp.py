@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,16 +14,15 @@ _ACTIVATIONS = {"silu", "relu", "linear"}
 
 @dataclass
 class MLP:
-    """Dense layers with per-layer activation tags and Adam moment buffers.
-
-    Weight k has shape (in_k, out_k); consecutive layers must chain.
-    """
+    """Dense layers with per-layer activation tags and Adam moments, each one
+    flat float64 buffer over ``parameters()``.  Weight k has shape (in_k,
+    out_k); consecutive layers must chain."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     activations: list[str]
-    adam_m: list[np.ndarray] = field(default_factory=list)
-    adam_v: list[np.ndarray] = field(default_factory=list)
+    adam_m: np.ndarray | None = None
+    adam_v: np.ndarray | None = None
     step: int = 0
 
     def __post_init__(self):
@@ -39,13 +38,9 @@ class MLP:
                     f"layer {k - 1} out dim {self.weights[k - 1].shape[1]} != "
                     f"layer {k} in dim {w.shape[0]}"
                 )
-        if not self.adam_m:
-            self.adam_m = [np.zeros_like(w) for w in self.weights] + [
-                np.zeros_like(b) for b in self.biases
-            ]
-            self.adam_v = [np.zeros_like(w) for w in self.weights] + [
-                np.zeros_like(b) for b in self.biases
-            ]
+        if self.adam_m is None:
+            size = sum(p.size for p in self.parameters())
+            self.adam_m, self.adam_v = np.zeros(size), np.zeros(size)
 
     @property
     def in_dim(self) -> int:
@@ -85,7 +80,7 @@ def mlp_init(
 def mlp_forward(params: MLP, x, tape: ad.Tape | None = None):
     """Apply the network to ``x`` of shape (..., in_dim).
 
-    With a tape (or a Var input) the call is recorded for backprop; parameter
+    With a tape (or a Var input) the call is one ``ad.mlp`` record; parameter
     arrays are wrapped through ``tape.param`` so adjoints accumulate across
     shared uses of the same MLP.
     """
@@ -94,11 +89,10 @@ def mlp_forward(params: MLP, x, tape: ad.Tape | None = None):
     xv = ad.value_of(x)
     if xv.shape[-1] != params.in_dim:
         raise ShapeError(f"input dim {xv.shape[-1]} != first layer in dim {params.in_dim}")
-    for w, b, act in zip(params.weights, params.biases, params.activations):
-        if tape is not None:
-            w, b = tape.param(w), tape.param(b)
-        x = ad.dense(x, w, b, act)
-    return x
+    layers = zip(params.weights, params.biases, params.activations)
+    if tape is not None:
+        layers = [(tape.param(w), tape.param(b), act) for w, b, act in layers]
+    return ad.mlp(x, list(layers))
 
 
 def mlp_grads(tape: ad.Tape, grads: ad.Grads, params: MLP) -> list[np.ndarray]:
@@ -114,25 +108,25 @@ def adam_step(
     betas: tuple[float, float] = (0.9, 0.999),
     eps: float = 1e-8,
 ) -> MLP:
-    """Bias-corrected Adam update, in place. Returns ``params``."""
+    """Bias-corrected Adam update, in place, on the flat moment buffers.
+    Returns ``params``; a rejected gradient leaves it unchanged."""
     tensors = params.parameters()
-    if len(grads) != len(tensors):
-        raise ShapeError(f"expected {len(tensors)} gradients, got {len(grads)}")
+    shapes = [p.shape for p in tensors]
+    if [g.shape for g in grads] != shapes:
+        raise ShapeError(f"gradient shapes {[g.shape for g in grads]} != parameter shapes {shapes}")
+    g = np.concatenate([g.reshape(-1) for g in grads])
+    if not np.isfinite(g).all():
+        idx = next(k for k, gk in enumerate(grads) if not np.isfinite(gk).all())
+        raise TrainingError(f"non-finite gradient for parameter index {idx}")
     b1, b2 = betas
     params.step += 1
-    t = params.step
-    for idx, (p, g) in enumerate(zip(tensors, grads)):
-        if p.shape != g.shape:
-            raise ShapeError(f"grad {idx} shape {g.shape} != param shape {p.shape}")
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient for parameter index {idx}")
-        m = params.adam_m[idx]
-        v = params.adam_v[idx]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    m, v = params.adam_m, params.adam_v
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    update = lr * (m / (1.0 - b1**params.step)) / (np.sqrt(v / (1.0 - b2**params.step)) + eps)
+    start = 0
+    for p in tensors:
+        p -= update[start:(start := start + p.size)].reshape(p.shape)
     return params

@@ -113,17 +113,39 @@ def add_at_scatter(index: np.ndarray, values: np.ndarray, rows: int) -> np.ndarr
     return out
 
 
-def chain_dense(x, w, b, act):
-    """Matmul, bias-add and activation records, with a 1-D ``x`` reshaped to
-    one row and back: the reference for ``ad.dense``."""
+def silu(a):
+    """A SiLU record on the masked sigmoid, whose backward keeps the forward
+    sigmoid."""
+    av = ad.value_of(a)
+    s = masked_sigmoid(av)
+    return ad.record(av * s, (a,), lambda g: (g * (s * (1.0 + av * (1.0 - s))),))
+
+
+def relu(a):
+    """A ReLU record."""
+    av = ad.value_of(a)
+    return ad.record(np.maximum(av, 0.0), (a,), lambda g: (g * (av > 0.0),))
+
+
+def chain_dense(x, layers):
+    """Matmul, bias-add and activation records per ``(w, b, act)`` layer,
+    with a 1-D ``x`` reshaped to one row and back: the reference for
+    ``ad.mlp``."""
     squeeze = ad.value_of(x).ndim == 1
     h = ad.reshape(x, (1, -1)) if squeeze else x
-    h = ad.add(ad.matmul(h, w), b)
-    if act == "silu":
-        h = ad.silu(h)
-    elif act == "relu":
-        h = ad.relu(h)
+    for w, b, act in layers:
+        h = ad.add(ad.matmul(h, w), b)
+        if act == "silu":
+            h = silu(h)
+        elif act == "relu":
+            h = relu(h)
     return ad.reshape(h, (-1,)) if squeeze else h
+
+
+def sqrt(a):
+    """A square-root record."""
+    out = np.sqrt(ad.value_of(a))
+    return ad.record(out, (a,), lambda g: (g * (0.5 / out),))
 
 
 def swap_last2(a):
@@ -140,7 +162,7 @@ def chain_normalized_gram(z, normalize=True):
         return gram
     sq = ad.sum_(ad.mul(gram, gram), axis=(-2, -1), keepdims=True)
     mask = (ad.value_of(sq) >= GRAM_NORM_EPS**2).astype(np.float64)
-    norm = ad.sqrt(ad.add(ad.mul(sq, mask), 1.0 - mask))
+    norm = sqrt(ad.add(ad.mul(sq, mask), 1.0 - mask))
     denom = ad.add(ad.mul(norm, mask), 1.0 - mask)
     return ad.div(gram, denom)
 
@@ -437,6 +459,20 @@ def naive_somp(params, z, h, edges, feats=None, object_of=None,
             h_new[i] = h[i] + dh
         z, h = z_new, h_new
     return z, h
+
+
+def per_tensor_adam(params, adam_m, adam_v, grads, t, lr, betas=(0.9, 0.999), eps=1e-8):
+    """Bias-corrected Adam on one moment array per tensor, in place: the
+    reference for ``mlp.adam_step``."""
+    b1, b2 = betas
+    for p, m, v, g in zip(params, adam_m, adam_v, grads):
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1**t)
+        v_hat = v / (1.0 - b2**t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 def check_mlp_grads_fd(

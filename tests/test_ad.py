@@ -1,5 +1,6 @@
 """Tape engine: forward semantics, adjoints vs finite differences, fused records."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -9,7 +10,7 @@ from sgnn import ad
 from sgnn.errors import ShapeError, TapeError
 
 from helpers import (add_at_scatter, chain_dense, chain_segment_mean, fd_grad, masked_sigmoid,
-                     rel_err, value_and_adjoints)
+                     rel_err, relu, silu, sqrt, value_and_adjoints)
 
 
 def test_eager_path_returns_plain_arrays():
@@ -62,11 +63,11 @@ def test_composite_ops_match_finite_differences(trial):
         else:
             a, b = tape.var(a0), tape.var(b0)
         y = ad.matmul(a, b)
-        y = ad.silu(y)
+        y = silu(y)
         y = ad.concat([y, ad.mul(y, y)], axis=-1)
         y = ad.segment_sum(y, seg, 2)
-        y = ad.div(y, ad.add(ad.sqrt(ad.sum_(ad.mul(y, y), keepdims=False)), 1.0))
-        y = ad.relu(ad.sub(y, 0.05))
+        y = ad.div(y, ad.add(sqrt(ad.sum_(ad.mul(y, y), keepdims=False)), 1.0))
+        y = relu(ad.sub(y, 0.05))
         out = ad.sum_(ad.gather(y, np.array([1, 0, 1])))
         return out
 
@@ -74,11 +75,11 @@ def test_composite_ops_match_finite_differences(trial):
     a = tape.var(a0)
     b = tape.var(b0)
     y = ad.matmul(a, b)
-    y = ad.silu(y)
+    y = silu(y)
     y = ad.concat([y, ad.mul(y, y)], axis=-1)
     y = ad.segment_sum(y, seg, 2)
-    y = ad.div(y, ad.add(ad.sqrt(ad.sum_(ad.mul(y, y), keepdims=False)), 1.0))
-    y = ad.relu(ad.sub(y, 0.05))
+    y = ad.div(y, ad.add(sqrt(ad.sum_(ad.mul(y, y), keepdims=False)), 1.0))
+    y = relu(ad.sub(y, 0.05))
     out = ad.sum_(ad.gather(y, np.array([1, 0, 1])))
     grads = tape.backward(out, np.array(1.0))
 
@@ -139,7 +140,7 @@ def test_determinism_same_seed_same_bits():
         tape = ad.Tape()
         a = tape.var(rng.normal(size=(8, 8)))
         b = tape.var(rng.normal(size=(8, 8)))
-        out = ad.sum_(ad.silu(ad.matmul(a, b)))
+        out = ad.sum_(ad.mlp(a, [(b, np.zeros(8), "silu")]))
         grads = tape.backward(out, np.array(1.0))
         return ad.value_of(out).copy(), grads.of(a).copy()
 
@@ -174,18 +175,30 @@ def test_sigmoid_matches_masked_form_bit_for_bit():
         assert _same_bits(ad._sigmoid(x), masked_sigmoid(x))
 
 
+def test_sigmoid_raises_no_floating_point_error_on_finite_or_infinite_input():
+    big = np.finfo(np.float64).max
+    tiny = np.finfo(np.float64).smallest_subnormal
+    x = np.concatenate([
+        SPECIAL[~np.isnan(SPECIAL)],
+        [big, -big, tiny, -tiny, 709.0, -709.0, 710.0, -710.0, 1e308, -1e308],
+        np.random.default_rng(48).normal(scale=400.0, size=1000),
+    ])
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        s = ad._sigmoid(x)
+    assert np.all((s >= 0.0) & (s <= 1.0))
+    assert _same_bits(s, masked_sigmoid(x))
+
+
 def test_silu_forward_and_backward_match_masked_form_bit_for_bit():
+    # the forward product and the one-temporary derivative of ``ad.mlp``'s
+    # SiLU layers, against the expressions of a SiLU record
     rng = np.random.default_rng(41)
     with np.errstate(invalid="ignore"):
         for x in _sigmoid_inputs(rng):
             g = rng.normal(size=x.shape)
-            tape = ad.Tape()
-            v = tape.var(x)
-            y = ad.silu(v)
             s = masked_sigmoid(x)
-            assert _same_bits(y.value, x * s)
-            grad = tape.backward(y, g).of(v)
-            assert _same_bits(grad, g * (s * (1.0 + x * (1.0 - s))))
+            assert _same_bits(x * ad._sigmoid(x), x * s)
+            assert _same_bits(ad._silu_grad(g, x, s), g * (s * (1.0 + x * (1.0 - s))))
 
 
 @pytest.mark.parametrize("tail", [(), (3, 2), (3, 0)], ids=["scalar", "3x2", "3x0"])
@@ -235,6 +248,7 @@ def test_segment_mean_matches_segment_sum_div_chain_bit_for_bit(tail, reuse):
 @pytest.mark.parametrize("act", ["silu", "relu", "linear"])
 @pytest.mark.parametrize("lead", [(), (7,), (3, 6)], ids=["1d", "2d", "3d"])
 def test_dense_matches_matmul_add_activation_chain_bit_for_bit(lead, act, reuse):
+    # one layer of the MLP record against one matmul, add and activation
     rng = np.random.default_rng(44)
     x = rng.normal(size=lead + (5,)) * 10.0 ** rng.integers(-3, 4, size=lead + (5,))
     w = rng.normal(size=(5, 4))
@@ -242,16 +256,101 @@ def test_dense_matches_matmul_add_activation_chain_bit_for_bit(lead, act, reuse)
     if lead:  # a zero row meets the zero bias: a pre-activation of exactly 0
         x.reshape(-1, 5)[0] = 0.0
         b[1] = 0.0
-    fused = value_and_adjoints(lambda *v: ad.dense(*v, act), [x, w, b], 45, reuse)
-    chain = value_and_adjoints(lambda *v: chain_dense(*v, act), [x, w, b], 45, reuse)
+    fused = value_and_adjoints(lambda x, w, b: ad.mlp(x, [(w, b, act)]), [x, w, b], 45, reuse)
+    chain = value_and_adjoints(lambda x, w, b: chain_dense(x, [(w, b, act)]), [x, w, b], 45, reuse)
     for got, want in zip(fused, chain):
         assert _same_bits(got, want)
-    assert _same_bits(ad.dense(x, w, b, act), chain[0])
+    assert _same_bits(ad.mlp(x, [(w, b, act)]), chain[0])
+
+
+# x's shape, the activation of each layer, and what is special about the case
+MLP_CASES = {
+    "1-layer-relu-1d": ((5,), ["relu"], ""),
+    "2-layer-silu-linear-2d": ((7, 5), ["silu", "linear"], ""),
+    "3-layer-zero-row-2d": ((7, 5), ["silu", "relu", "linear"], "zero row"),
+    "3-layer-relu-silu-1d": ((5,), ["relu", "silu", "linear"], ""),
+    "constant-input": ((7, 5), ["silu", "relu", "linear"], "constant x"),
+    "constant-weights": ((7, 5), ["relu", "silu"], "constant w"),
+    "applied-twice": ((7, 5), ["silu", "relu"], "twice"),
+    "zero-rows": ((0, 5), ["silu", "relu", "linear"], ""),
+}
+
+
+@pytest.mark.parametrize("reuse", [False, True], ids=["fresh", "reused"])
+@pytest.mark.parametrize("case", list(MLP_CASES))
+def test_mlp_record_matches_per_layer_chain_bit_for_bit(case, reuse):
+    shape, acts, kind = MLP_CASES[case]
+    rng = np.random.default_rng(48)
+    dims = [5] + [int(d) for d in rng.integers(2, 7, size=len(acts))]
+    x = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+    x2 = rng.normal(size=shape)
+    ws = [rng.normal(size=(i, o)) for i, o in zip(dims, dims[1:])]
+    bs = [rng.normal(size=o) for o in dims[1:]]
+    if kind == "zero row":  # a pre-activation of exactly 0 in the first layer
+        x[0] = 0.0
+        bs[0][1] = 0.0
+    taped = {"constant x": ws + bs, "constant w": [x] + bs, "twice": [x, x2] + ws + bs}.get(
+        kind, [x] + ws + bs)
+
+    def run(stack, *vs):
+        var = {id(a): v for a, v in zip(taped, vs)}
+        pick = lambda a: var.get(id(a), a)  # noqa: E731
+        layers = [(pick(w), pick(b), act) for w, b, act in zip(ws, bs, acts)]
+        y = stack(pick(x), layers)
+        return ad.concat([y, stack(pick(x2), layers)], axis=0) if kind == "twice" else y
+
+    fused = value_and_adjoints(lambda *vs: run(ad.mlp, *vs), taped, 49, reuse)
+    chain = value_and_adjoints(lambda *vs: run(chain_dense, *vs), taped, 49, reuse)
+    assert len(fused) == len(taped) + 1
+    for got, want in zip(fused, chain):
+        assert _same_bits(got, want)
+
+
+def test_mlp_record_gives_no_partial_to_constants():
+    # constant x and first layer: the backward walks the second layer only
+    rng = np.random.default_rng(50)
+    tape = ad.Tape()
+    w1, b1 = tape.param(rng.normal(size=(4, 2))), tape.param(rng.normal(size=2))
+    y = ad.mlp(rng.normal(size=(6, 3)), [(rng.normal(size=(3, 4)), np.zeros(4), "silu"),
+                                         (w1, b1, "linear")])
+    parts = tape._records[-1][2](np.ones(y.shape))
+    assert parts[:3] == [None, None, None]
+    assert parts[3].shape == (4, 2) and parts[4].shape == (2,)
+
+
+def _backward_peak(stack, x, layers, g):
+    tracemalloc.start()
+    try:
+        tape = ad.Tape()
+        y = stack(tape.var(x), [(tape.param(w), tape.param(b), act) for w, b, act in layers])
+        tracemalloc.reset_peak()
+        tape.backward(y, g)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_mlp_record_backward_peaks_no_higher_than_the_chain():
+    # a stage-3 sigma (108 -> 32 -> 32 -> 28) on a criterion-8 frame's 2,082
+    # within-object edges; the input partial is the widest array, so a backward
+    # that kept every layer's arrays until it returned would peak above the chain
+    rng = np.random.default_rng(51)
+    dims, acts = [108, 32, 32, 28], ["silu", "silu", "linear"]
+    layers = [(rng.normal(size=(i, o)), rng.normal(size=o), act)
+              for i, o, act in zip(dims, dims[1:], acts)]
+    x = rng.normal(size=(2082, 108))
+    g = rng.normal(size=(2082, 28))
+    record = _backward_peak(ad.mlp, x, layers, g)
+    chain = _backward_peak(chain_dense, x, layers, g)
+    assert record <= chain
 
 
 def test_dense_is_one_record():
+    # a whole stack of dense layers is one record
     tape = ad.Tape()
-    ad.dense(tape.var(np.ones((2, 3))), tape.var(np.ones((3, 4))), np.zeros(4), "silu")
+    ad.mlp(tape.var(np.ones((2, 3))), [(tape.var(np.ones((3, 4))), np.zeros(4), "silu"),
+                                       (np.ones((4, 4)), np.zeros(4), "relu"),
+                                       (np.ones((4, 1)), tape.var(np.zeros(1)), "linear")])
     assert len(tape._records) == 1
 
 
@@ -268,7 +367,7 @@ def test_constant_operands_get_no_tape_variable_and_no_adjoint(op):
     y = {
         "mul": lambda: ad.mul(x, np.full((2, 3), 2.0)),
         "concat": lambda: ad.concat([np.zeros((2, 1)), x], axis=-1),
-        "dense": lambda: ad.dense(x, np.ones((3, 4)), np.zeros(4), "silu"),
+        "dense": lambda: ad.mlp(x, [(np.ones((3, 4)), np.zeros(4), "silu")]),
     }[op]()
     assert (x._vid, y._vid, tape._next_vid) == (0, 1, 2)
     grads = tape.backward(y, np.ones(y.shape))

@@ -7,7 +7,7 @@ from sgnn import ad
 from sgnn.errors import ShapeError, TrainingError
 from sgnn.mlp import MLP, adam_step, mlp_forward, mlp_grads, mlp_init
 
-from helpers import check_mlp_grads_fd
+from helpers import check_mlp_grads_fd, per_tensor_adam
 
 
 def test_identity_single_layer():
@@ -118,6 +118,65 @@ def test_adam_rejects_non_finite_grads():
     grads = [np.full((2, 2), np.nan), np.zeros(2)]
     with pytest.raises(TrainingError, match="index 0"):
         adam_step(net, grads, lr=0.1)
+
+
+@pytest.mark.parametrize("bad", [1, 2, 3])
+def test_adam_names_the_first_non_finite_parameter_and_changes_nothing(bad):
+    rng = np.random.default_rng(3)
+    net = mlp_init(rng, [3, 4, 2])
+    adam_step(net, [rng.normal(size=p.shape) for p in net.parameters()], lr=0.1)
+    before = [p.copy() for p in net.parameters()] + [net.adam_m.copy(), net.adam_v.copy()]
+    grads = [rng.normal(size=p.shape) for p in net.parameters()]
+    grads[bad].reshape(-1)[-1] = np.inf
+    grads[3].reshape(-1)[0] = np.nan
+    with pytest.raises(TrainingError, match=f"index {bad}$"):
+        adam_step(net, grads, lr=0.1)
+    assert net.step == 1
+    after = net.parameters() + [net.adam_m, net.adam_v]
+    assert all(np.array_equal(a, b) for a, b in zip(after, before))
+
+
+def test_flat_adam_matches_per_tensor_adam_bit_for_bit():
+    rng = np.random.default_rng(4)
+    net = mlp_init(rng, [5, 7, 7, 3])
+    ref = [p.copy() for p in net.parameters()]
+    moments = [np.zeros_like(p) for p in ref], [np.zeros_like(p) for p in ref]
+    for step in range(1, 6):
+        grads = [rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 3, size=p.shape)
+                 for p in ref]
+        adam_step(net, grads, lr=0.01)
+        per_tensor_adam(ref, *moments, grads, step, lr=0.01)
+        for got, want in zip(net.parameters(), ref):
+            assert got.tobytes() == want.tobytes()
+    assert net.adam_m.tobytes() == np.concatenate([m.reshape(-1) for m in moments[0]]).tobytes()
+    assert net.adam_v.tobytes() == np.concatenate([v.reshape(-1) for v in moments[1]]).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(4,), (6, 4)], ids=["1d", "2d"])
+@pytest.mark.parametrize("acts", [["silu", "relu", "linear"], ["relu", "silu"], ["linear"]],
+                         ids=["silu-relu-linear", "relu-silu", "linear"])
+def test_eager_value_equals_taped_value(shape, acts):
+    rng = np.random.default_rng(6)
+    dims = [4] + [5] * (len(acts) - 1) + [3]
+    net = MLP(weights=[rng.normal(size=(i, o)) for i, o in zip(dims, dims[1:])],
+              biases=[rng.normal(size=o) for o in dims[1:]], activations=acts)
+    x = rng.normal(size=shape)
+    eager = mlp_forward(net, x)
+    taped = mlp_forward(net, x, tape=ad.Tape())
+    assert isinstance(eager, np.ndarray) and isinstance(taped, ad.Var)
+    assert eager.shape == shape[:-1] + (3,)
+    assert eager.tobytes() == taped.value.tobytes()
+
+
+def test_each_mlp_call_is_one_tape_record():
+    rng = np.random.default_rng(7)
+    net = mlp_init(rng, [3, 8, 8, 3])
+    tape = ad.Tape()
+    y = mlp_forward(net, tape.var(rng.normal(size=(5, 3))))
+    assert len(tape._records) == 1
+    mlp_forward(net, y)  # the same MLP again: one more record, shared params
+    assert len(tape._records) == 2
+    assert len(tape._params) == 6
 
 
 def test_grad_correctness_100_random_instances():
