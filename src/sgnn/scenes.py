@@ -24,6 +24,7 @@ from .graph import ParticleSystem, _check_object_of
 
 TRAJ_MAGIC = b"SGTJ"
 TRAJ_VERSION = 1
+_UP = np.array([0.0, 0.0, 1.0])  # the ground normal and the vertical axis
 
 
 @dataclass
@@ -64,8 +65,15 @@ class SceneConfig:
             )
         for name in ("cube_side", "gravity", "stiffness", "damping", "friction_smoothing",
                      "particle_mass", "dt"):
-            if getattr(self, name) <= 0:
-                raise ContractError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ContractError(f"{name} must be positive and finite")
+        for name, top in (("contact_radius", np.inf), ("friction", np.inf), ("restitution", 1)):
+            value = getattr(self, name)
+            if not (0 <= value <= top and np.isfinite(value)):
+                raise ContractError(f"{name} must be finite and lie in [0, {top}]")
+        low, high = self.gravity_min, self.gravity_max
+        if (low or high) and not 0 < low < high < np.inf:
+            raise ContractError("need 0 < gravity_min < gravity_max < inf, or both 0")
         if not np.isfinite(self.dt * self.frames * self.record_every):
             raise ContractError("dt * frames must be finite")
 
@@ -198,18 +206,18 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
 
 
 def _quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton products of quaternions (..., 4) in (w, x, y, z)."""
-    aw, ax, ay, az = (a[..., i] for i in range(4))
-    bw, bx, by, bz = (b[..., i] for i in range(4))
-    return np.stack(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ],
-        axis=-1,
-    )
+    """Hamilton products of quaternions (K, 4) in (w, x, y, z), row by row or
+    of one ``a`` (4,) with every row of ``b``, in Python floats as in
+    ``_rotations``."""
+    rows = b.tolist()
+    lefts = a.tolist() if a.ndim == 2 else [a.tolist()] * len(rows)
+    return np.array([
+        [aw * bw - ax * bx - ay * by - az * bz,
+         aw * bx + ax * bw + ay * bz - az * by,
+         aw * by - ax * bz + ay * bw + az * bx,
+         aw * bz + ax * by - ay * bx + az * bw]
+        for (aw, ax, ay, az), (bw, bx, by, bz) in zip(lefts, rows)
+    ]).reshape(-1, 4)
 
 
 def _quat_from_axis_angle(axis: np.ndarray, angle: np.ndarray) -> np.ndarray:
@@ -235,6 +243,8 @@ class _Bodies:
     offsets: np.ndarray  # (P, 3), body frame
     mass: float
     inertia_body: np.ndarray  # (3, 3)
+    pairs: np.ndarray  # (K(K-1)/2, 2), every body pair a < b in order
+    gravity_force: np.ndarray  # (K, 3)
 
 
 def _pose(bodies: _Bodies):
@@ -272,9 +282,11 @@ def _make_bodies(cfg: SceneConfig, rng: np.random.Generator, gravity_mag: float)
             com_z += rng.uniform(0.0, 0.02)
             vel.append(cfg.push_speed * direction)
         com.append(direction * along + side * lateral + np.array([0.0, 0.0, com_z]))
+    n = cfg.objects
     return _Bodies(com=np.array(com), quat=np.array(quat), vel=np.array(vel),
-                   omega=np.zeros((cfg.objects, 3)), offsets=offsets, mass=mass,
-                   inertia_body=inertia)
+                   omega=np.zeros((n, 3)), offsets=offsets, mass=mass, inertia_body=inertia,
+                   pairs=np.stack(np.triu_indices(n, 1), axis=1),
+                   gravity_force=np.zeros((n, 3)) + mass * np.array([0.0, 0.0, -gravity_mag]))
 
 
 def _contact_force(penetration, normal, rel_vel, cfg: SceneConfig):
@@ -294,6 +306,15 @@ def _contact_force(penetration, normal, rel_vel, cfg: SceneConfig):
     return fn + ft
 
 
+def _apart(positions: np.ndarray, pairs: np.ndarray, rc: float) -> np.ndarray:
+    """Which body pairs (M, 2) have particle bounding boxes more than
+    ``rc * (1 + 1e-6)`` apart on some axis.  Rounding is monotone, so every
+    computed particle distance of such a pair exceeds ``rc``."""
+    lo, hi = np.minimum.reduce(positions, 1), np.maximum.reduce(positions, 1)
+    gap = np.maximum(lo[pairs[:, 1]] - hi[pairs[:, 0]], lo[pairs[:, 0]] - hi[pairs[:, 1]])
+    return (gap > rc * (1.0 + 1e-6)).any(axis=1)
+
+
 def _step(bodies: _Bodies, cfg: SceneConfig, gravity_mag: float) -> None:
     """Advance every body by one substep of ``cfg.dt``, all bodies at once.
 
@@ -301,49 +322,54 @@ def _step(bodies: _Bodies, cfg: SceneConfig, gravity_mag: float) -> None:
     force and torque sums keep the per-body order (gravity, ground, then
     pairs a < b, each pair into a and then b).  Every float is rounded as in
     the per-body reference step ``loop_step`` in ``tests/helpers.py``.
+    Quaternion products run on Python floats; the pair table and gravity
+    rows (for ``gravity_mag``) come once per scene from ``_make_bodies``;
+    pairs ``_apart`` by over ``rc * (1 + 1e-6)`` on an axis are culled, exactly.
     """
     com, vel, omega, mass = bodies.com, bodies.vel, bodies.omega, bodies.mass
     n_bodies = com.shape[0]
     R, world = _pose(bodies)
     positions = com[:, None, :] + world
     velocities = vel[:, None, :] + _cross(omega[:, None, :], world)
-    forces = np.zeros((n_bodies, 3)) + mass * np.array([0.0, 0.0, -gravity_mag])
+    forces = bodies.gravity_force.copy()
     torques = np.zeros((n_bodies, 3))
 
     if cfg.ground:
         pen = cfg.ground_height - positions[:, :, 2]
-        if (pen.max(axis=1) > cfg.cube_side).any():
+        if (np.maximum.reduce(pen, 1) > cfg.cube_side).any():
             raise GenerationError("ground tunneling detected; reduce dt or stiffness")
         kk, pp = np.nonzero(pen > 0.0)
-        f = _contact_force(pen[kk, pp], np.array([0.0, 0.0, 1.0]), velocities[kk, pp], cfg)
-        arm = _cross(positions[kk, pp] - com[kk], f)
-        bounds = np.searchsorted(kk, np.arange(n_bodies + 1))
-        for k in range(n_bodies):
-            lo, hi = bounds[k], bounds[k + 1]
-            if hi > lo:
-                forces[k] += f[lo:hi].sum(axis=0)
-                torques[k] += arm[lo:hi].sum(axis=0)
+        if kk.size:
+            f = _contact_force(pen[kk, pp], _UP, velocities[kk, pp], cfg)
+            arm = _cross(positions[kk, pp] - com[kk], f)
+            bounds = np.searchsorted(kk, np.arange(n_bodies + 1)).tolist()
+            for k in range(n_bodies):
+                lo, hi = bounds[k], bounds[k + 1]
+                if hi > lo:
+                    forces[k] += np.add.reduce(f[lo:hi], 0)
+                    torques[k] += np.add.reduce(arm[lo:hi], 0)
 
     rc = cfg.effective_contact_radius()
     reach = np.sqrt(3.0) * cfg.cube_side + rc
-    pairs = np.array([(a, b) for a in range(n_bodies) for b in range(a + 1, n_bodies)],
-                     dtype=np.intp).reshape(-1, 2)
+    pairs = bodies.pairs
     gaps = _row_norms(com[pairs[:, 0]] - com[pairs[:, 1]])
     if (gaps < 0.5 * cfg.cube_side).any():
         raise GenerationError("object interpenetration deeper than the cube side; reduce dt")
-    for a, b in pairs[~(gaps > reach)]:
+    near = pairs[~(gaps > reach)]
+    for a, b in near[~_apart(positions, near, rc)].tolist():
         diff = positions[a][:, None, :] - positions[b][None, :, :]
-        dist = np.sqrt((diff * diff).sum(axis=2))
+        dist = np.sqrt(np.add.reduce(diff * diff, 2))
         ia, ib = np.nonzero(dist < rc)
         if ia.size == 0:
             continue
         d = dist[ia, ib]
         normal = diff[ia, ib] / np.maximum(d, 1e-12)[:, None]
         f = _contact_force(rc - d, normal, velocities[a][ia] - velocities[b][ib], cfg)
-        forces[a] += f.sum(axis=0)
-        torques[a] += _cross(positions[a][ia] - com[a], f).sum(axis=0)
-        forces[b] -= f.sum(axis=0)
-        torques[b] += _cross(positions[b][ib] - com[b], -f).sum(axis=0)
+        f_sum = np.add.reduce(f, 0)
+        forces[a] += f_sum
+        torques[a] += np.add.reduce(_cross(positions[a][ia] - com[a], f), 0)
+        forces[b] -= f_sum
+        torques[b] += np.add.reduce(_cross(positions[b][ib] - com[b], -f), 0)
 
     inertia_world = R @ bodies.inertia_body @ R.transpose(0, 2, 1)
     gyro = _cross(omega, (inertia_world @ omega[:, :, None])[:, :, 0])
@@ -365,11 +391,10 @@ def _transform_bodies(bodies: _Bodies, transform) -> None:
     quaternion and are rejected."""
     O = np.asarray(transform.O, dtype=np.float64)
     t = np.asarray(transform.t, dtype=np.float64)
-    ez = np.array([0.0, 0.0, 1.0])
-    if np.max(np.abs(O @ ez - ez)) > 1e-12 or np.linalg.det(O) < 0.0:
+    if np.max(np.abs(O @ _UP - _UP)) > 1e-12 or np.linalg.det(O) < 0.0:
         raise ContractError("initial-condition transform must be a proper rotation about the vertical axis")
     theta = float(np.arctan2(O[1, 0], O[0, 0]))
-    q_rot = _quat_from_axis_angle(ez[None], np.array([theta]))[0]
+    q_rot = _quat_from_axis_angle(_UP[None], np.array([theta]))[0]
     # one matrix-vector product per body: a batched ``com @ O.T`` rounds differently
     bodies.com = np.array([O @ c + t for c in bodies.com])
     bodies.vel = np.array([O @ v for v in bodies.vel])

@@ -236,7 +236,9 @@ def test_criterion_8_rotation_generalization(experiment):
         f"rotated-vs-unrotated agreement {worst_gap:.2e} < 1e-7 per trajectory; "
         f"sgnn t=40 rollout MSE {sgnn_t40:.3e} beats gns rotated-test "
         f"{gns_t40_rot:.3e} (gns rotation gap {gns_gap:.2e}); budgets "
-        f"{budgets['sgnn']:.0f}s / {budgets['gns']:.0f}s < 600s each",
+        f"{budgets['sgnn']:.0f}s / {budgets['gns']:.0f}s < 600s each; contact accuracy "
+        f"sgnn {sgnn_rows[-1]['contact_accuracy']} / gns {gns_rows[-1]['contact_accuracy']} "
+        f"(reported only)",
     )
 
 

@@ -10,6 +10,7 @@ from sgnn.geometry import SubgroupTransform
 from sgnn.scenes import (
     SceneConfig,
     Trajectory,
+    _apart,
     _cross,
     _cube_offsets,
     _make_bodies,
@@ -64,6 +65,43 @@ def test_config_rejects_record_every_below_one(value):
     # zero substeps per frame would record frame 0 over and over
     with pytest.raises(ContractError, match="substep"):
         SceneConfig(record_every=value)
+
+
+INVALID_PHYSICS = [
+    (dict(contact_radius=-0.01), "contact_radius"),  # used to fall back to the spacing
+    (dict(restitution=1.5), "restitution"),  # used to make the damping negative
+    (dict(restitution=-0.2), "restitution"),
+    (dict(friction=-0.1), "friction"),
+    # a one-sided or empty gravity range used to fall back to fixed gravity
+    (dict(gravity_min=5.0), "gravity_min"),
+    (dict(gravity_max=15.0), "gravity_max"),
+    (dict(gravity_min=12.0, gravity_max=6.0), "gravity_min"),
+    (dict(gravity_min=6.0, gravity_max=6.0), "gravity_max"),
+    (dict(gravity_min=6.0, gravity_max=np.inf), "gravity_max"),
+    (dict(friction=np.inf), "friction"),
+    (dict(contact_radius=np.nan), "contact_radius"),
+    # non-finite values used to pass the positivity checks
+    (dict(stiffness=np.nan), "stiffness"),
+    (dict(gravity=np.inf), "gravity"),
+]
+
+
+@pytest.mark.parametrize("knobs, key", INVALID_PHYSICS,
+                         ids=lambda k: ",".join(f"{a}={v}" for a, v in k.items())
+                         if isinstance(k, dict) else k)
+@pytest.mark.parametrize("via", ["SceneConfig", "parse_scene_config"])
+def test_config_rejects_invalid_physics(knobs, key, via):
+    with pytest.raises(ContractError, match=key):
+        if via == "SceneConfig":
+            SceneConfig(**knobs)
+        else:
+            parse_scene_config("".join(f"{k}={v}\n" for k, v in knobs.items()))
+
+
+def test_config_accepts_physics_bounds():
+    for knobs in (dict(contact_radius=0.0, friction=0.0, restitution=0.0),
+                  dict(restitution=1.0), dict(gravity_min=0.5, gravity_max=0.6)):
+        assert parse_scene_config(format_scene_config(SceneConfig(**knobs))) == SceneConfig(**knobs)
 
 
 def test_resting_cube_is_static():
@@ -176,8 +214,68 @@ def test_batched_kernels_match_numpy_bit_for_bit():
     dq = _quat_from_axis_angle(axis, angle)
     assert all(dq[k].tobytes() == quat_from_axis_angle(axis[k], angle[k]).tobytes()
                for k in range(64))
-    prod = _quat_multiply(dq, q)
-    assert all(prod[k].tobytes() == quat_multiply(dq[k], q[k]).tobytes() for k in range(64))
+    for rows in (0, 1, 64):
+        prod = _quat_multiply(dq[:rows], q[:rows])
+        assert prod.shape == (rows, 4)
+        assert all(prod[k].tobytes() == quat_multiply(dq[k], q[k]).tobytes() for k in range(rows))
+    # one quaternion times every row, as ``_transform_bodies`` turns all bodies
+    for rows in (1, 64):
+        prod = _quat_multiply(dq[7], q[:rows])
+        assert prod.shape == (rows, 4)
+        assert all(prod[k].tobytes() == quat_multiply(dq[7], q[k]).tobytes() for k in range(rows))
+
+
+def test_substep_without_turning_bodies_matches_per_body_loop():
+    # free fall far apart: no torque, so no body turns and no quaternion changes
+    cfg = SceneConfig(objects=3, ground=False, spread=0.3, seed=8)
+    fast = _make_bodies(cfg, np.random.default_rng(cfg.seed), cfg.gravity)
+    slow = _make_bodies(cfg, np.random.default_rng(cfg.seed), cfg.gravity)
+    quat0 = fast.quat.tobytes()
+    for _ in range(3):
+        _step(fast, cfg, cfg.gravity)
+        loop_step(slow, cfg, cfg.gravity)
+        assert not fast.omega.any()
+    assert fast.quat.tobytes() == quat0
+    for name in ("com", "quat", "vel", "omega"):
+        assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes()
+
+
+def test_box_cull_never_skips_a_pair_within_contact_radius():
+    """Two rotated lattice cubes whose extreme particles face each other
+    across a box gap within a few ulps of ``rc`` or of the cull margin
+    ``rc * (1 + 1e-6)``: a culled pair's brute-force minimum particle
+    distance is at least ``rc``, and a pair at ``rc`` is never culled."""
+    cfg = SceneConfig()
+    rc = cfg.effective_contact_radius()
+    offsets = _cube_offsets(cfg)
+    rng = np.random.default_rng(23)
+    culled = kept = 0
+    for trial in range(240):
+        q = rng.normal(size=(2, 4))
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        world = offsets @ _rotations(q).transpose(0, 2, 1)
+        axis, near_margin = trial % 3, trial % 2 == 1
+        edge = rc * (1.0 + 1e-6) if near_margin else rc
+        gap = edge + int(rng.integers(-4, 5)) * np.spacing(edge)  # a few ulps either side
+        # b's lowest particle on ``axis`` sits ``gap`` above a's highest one,
+        # level with it on the other two axes; either body may come first
+        top, bottom = world[0][world[0][:, axis].argmax()], world[1][world[1][:, axis].argmin()]
+        com_a = rng.uniform(-0.05, 0.05, size=3)
+        com_b = com_a + top - bottom
+        com_b[axis] = com_a[axis] + top[axis] + gap - bottom[axis]
+        positions = np.stack([com_a + world[0], com_b + world[1]])
+        pair = np.array([[0, 1]] if trial % 4 < 2 else [[1, 0]])
+        apart = _apart(positions, pair, rc)[0]
+        d = np.linalg.norm(positions[0][:, None] - positions[1][None], axis=2).min()
+        if apart:
+            assert d >= rc, (trial, d - rc)
+            culled += 1
+        else:
+            kept += 1
+        if not near_margin:
+            assert not apart
+        assert abs(d - gap) < 1e-15  # the placement really probes the edge
+    assert culled > 20 and kept > 120
 
 
 def oracle_outcome(monkeypatch, step, cfg, ic_transform=None):
@@ -205,6 +303,11 @@ ORACLE_GRID = [
     dict(restitution=0.5, contact_radius=0.03),
     dict(ic_transform=0.9),
     dict(objects=4, spread=0.035),  # a body touching two others at once
+    dict(spread=0.051),  # near-touching neighbours: pairs culled and kept by their boxes
+] + [
+    # the benchmark's own scene
+    dict(objects=3, lattice=3, frames=41, push_speed=0.25, drop_height=0.12, seed=seed)
+    for seed in (0, 301)
 ]
 
 
@@ -216,7 +319,7 @@ def test_oracle_matches_per_body_loop(knobs, monkeypatch):
     if "ic_transform" in knobs:
         ic = SubgroupTransform(O=vertical_rotation(knobs.pop("ic_transform")),
                                t=np.array([0.3, -0.2, 0.0]))
-    cfg = SceneConfig(frames=21, push_speed=0.25, seed=5, **knobs)
+    cfg = SceneConfig(**{"frames": 21, "push_speed": 0.25, "seed": 5, **knobs})
     fast = oracle_outcome(monkeypatch, _step, cfg, ic)
     assert isinstance(fast, bytes)
     assert fast == oracle_outcome(monkeypatch, loop_step, cfg, ic)
