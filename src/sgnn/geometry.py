@@ -32,6 +32,10 @@ class Gravity:
         d = np.asarray(self.direction, dtype=np.float64)
         if d.shape != (3,):
             raise ShapeError("gravity direction must be a 3-vector")
+        if not np.isfinite(d).all():
+            raise ContractError("gravity direction must be finite")
+        if not np.isfinite(self.magnitude):
+            raise ContractError("gravity magnitude must be finite")
         if abs(np.linalg.norm(d) - 1.0) > 1e-12:
             raise ContractError("gravity direction must be a unit vector")
         object.__setattr__(self, "direction", d)
@@ -45,6 +49,8 @@ class SubgroupTransform:
     t: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def validate(self, gravity: Gravity, tol: float = 1e-12) -> None:
+        if not (np.isfinite(self.O).all() and np.isfinite(self.t).all()):
+            raise ContractError("transform holds non-finite values")
         if np.max(np.abs(self.O.T @ self.O - np.eye(3))) > tol:
             raise ContractError("transform is not orthogonal")
         if np.max(np.abs(self.O @ gravity.direction - gravity.direction)) > tol:

@@ -194,29 +194,12 @@ def _kabsch(reference: np.ndarray, predicted: np.ndarray) -> tuple[np.ndarray, n
     return R, t, degenerate
 
 
-def rigid_project(
-    predicted: np.ndarray,
-    reference: np.ndarray,
-    ransac: bool = False,
-    seed: int = 0,
-) -> RigidFit:
-    """Least-squares rigid motion of ``reference`` matching ``predicted``.
-
-    Proper rotations only (the smallest singular direction is flipped when
-    the determinant is negative).  With ``ransac`` the fit is repeated on
-    ``RANSAC_ITERATIONS`` random 4-point subsets and refit on the best
-    inlier set, which discards grossly displaced particles.  All subsets are
-    fitted and scored as one batch; the best is the first with the most
-    inliers, and subsets with a collinear reference are skipped.  Collinear
-    references fall back to a translation-only fit, flagged on the result.
-    """
-    predicted = np.asarray(predicted, dtype=np.float64)
-    reference = np.asarray(reference, dtype=np.float64)
-    if predicted.shape != reference.shape or predicted.shape[0] < 3:
-        raise ContractError("need matching point sets with at least 3 points")
+def _ransac_inliers(predicted: np.ndarray, reference: np.ndarray, seed: int) -> np.ndarray:
+    """Inlier mask of the first best of ``RANSAC_ITERATIONS`` random 4-point
+    fits, or every particle when all subsets are collinear or the best keeps
+    fewer than 3.  All subsets are fitted and scored as one batch."""
     n = predicted.shape[0]
-    best_mask = None
-    if ransac and RANSAC_ITERATIONS > 0:
+    if RANSAC_ITERATIONS > 0:
         rng = np.random.default_rng(seed)
         idx = np.stack([
             rng.choice(n, size=min(4, n), replace=False) for _ in range(RANSAC_ITERATIONS)
@@ -226,17 +209,58 @@ def rigid_project(
         masks = np.linalg.norm(moved - predicted, axis=2) < INLIER_THRESHOLD
         if not degenerate.all():
             # argmax takes the first maximum, as a loop keeping only strict gains
-            best_mask = masks[np.argmax(np.where(degenerate, -1, masks.sum(axis=1)))]
-    if ransac and (best_mask is None or best_mask.sum() < 3):
-        best_mask = np.ones(n, dtype=bool)
-    keep = slice(None) if best_mask is None else best_mask
-    R, t, degenerate = _kabsch(reference[None, keep], predicted[None, keep])
+            best = masks[np.argmax(np.where(degenerate, -1, masks.sum(axis=1)))]
+            if best.sum() >= 3:
+                return best
+    return np.ones(n, dtype=bool)
+
+
+def rigid_project(
+    predicted: np.ndarray,
+    reference: np.ndarray,
+    ransac: bool = False,
+    seed: int = 0,
+) -> RigidFit:
+    """Least-squares rigid motion of ``reference`` matching ``predicted``.
+
+    Proper rotations only (the smallest singular direction is flipped when
+    the determinant is negative).  Collinear references fall back to a
+    translation-only fit, flagged on the result.
+
+    With ``ransac`` the fit is consensus-first: the all-points fit is
+    returned with an all-true ``inlier_mask`` when every particle lies
+    within ``INLIER_THRESHOLD`` of it, and no subset is drawn.  Otherwise
+    it is redone on the inliers of the best of ``RANSAC_ITERATIONS`` random
+    4-point subsets drawn from ``seed``, which discards grossly displaced
+    particles.  This equals plain RANSAC whenever its best consensus is
+    every particle; where the all-points fit keeps every particle but no
+    sampled subset does, the all-points fit wins as the larger consensus.
+
+    Raises ``ContractError`` on mismatched shapes, fewer than 3 points, or
+    non-finite ``predicted`` or ``reference``.
+    """
+    predicted = np.asarray(predicted, dtype=np.float64)
+    reference = np.asarray(reference, dtype=np.float64)
+    if predicted.shape != reference.shape or predicted.shape[0] < 3:
+        raise ContractError("need matching point sets with at least 3 points")
+    for name, points in (("predicted", predicted), ("reference", reference)):
+        if not np.isfinite(points).all():
+            raise ContractError(f"rigid_project: {name} holds non-finite values")
+    R, t, degenerate = _kabsch(reference[None], predicted[None])
+    positions = reference @ R[0].T + t[0]
+    inliers = None
+    if ransac:
+        inliers = np.linalg.norm(positions - predicted, axis=1) < INLIER_THRESHOLD
+        if not inliers.all():
+            inliers = _ransac_inliers(predicted, reference, seed)
+            R, t, degenerate = _kabsch(reference[None, inliers], predicted[None, inliers])
+            positions = reference @ R[0].T + t[0]
     return RigidFit(
-        positions=reference @ R[0].T + t[0],
+        positions=positions,
         rotation=R[0],
         translation=t[0],
         translation_only=bool(degenerate[0]),
-        inlier_mask=best_mask,
+        inlier_mask=inliers,
     )
 
 
@@ -254,9 +278,9 @@ def rollout(
 
     Edges are rebuilt every step; next-frame velocities are the one-frame
     position differences.  With ``rigid``, each tagged object's predicted
-    cloud is replaced by the RANSAC rigid motion of its layout in
-    ``initial`` before the next step.  Raises ``RolloutError`` on non-finite
-    states.
+    cloud is replaced by the rigid motion of its layout in ``initial``
+    that ``rigid_project(..., ransac=True)`` fits, before the next step.
+    Raises ``RolloutError`` on non-finite states.
     """
     if steps < 1:
         raise ContractError("steps must be >= 1")

@@ -71,6 +71,9 @@ class SceneConfig:
             value = getattr(self, name)
             if not (0 <= value <= top and np.isfinite(value)):
                 raise ContractError(f"{name} must be finite and lie in [0, {top}]")
+        for name in ("drop_height", "spread", "push_speed", "bias_angle", "ground_height"):
+            if not np.isfinite(getattr(self, name)):
+                raise ContractError(f"{name} must be finite")
         low, high = self.gravity_min, self.gravity_max
         if (low or high) and not 0 < low < high < np.inf:
             raise ContractError("need 0 < gravity_min < gravity_max < inf, or both 0")

@@ -6,9 +6,12 @@ variant (a flipped payload bit is still a valid float) but must never
 raise anything other than an ``SgnnError`` subclass.
 """
 
+import json
+
 import numpy as np
 import pytest
 
+from sgnn.checkpoint import read_tensors, write_tensors
 from sgnn.errors import SgnnError
 from sgnn.model import make_sgnn_model
 from sgnn.modelio import load_model, save_model
@@ -61,3 +64,24 @@ def test_corrupted_files_raise_only_typed_errors(tmp_path, write, load, seed):
         except Exception as err:  # noqa: BLE001 - the test is that none escape
             escaped.append(f"variant {k}: {type(err).__name__}: {err}")
     assert not escaped, "\n".join(escaped)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("direction", np.nan), ("magnitude", np.nan), ("magnitude", np.inf),
+])
+def test_checkpoint_with_non_finite_gravity_raises_typed_error(tmp_path, field, value):
+    """A NaN gravity tensor is refused by the tensor reader; a NaN or
+    infinite magnitude (valid JSON to Python) is refused by ``Gravity``."""
+    path = tmp_path / "model"
+    _write_checkpoint(path)
+    tensors = read_tensors(path)
+    if field == "direction":
+        tensors["header/gravity_dir"][0, 0] = value
+    else:
+        meta = json.loads(bytes(tensors["header/config_utf8"].astype(np.uint8)))
+        meta["gravity_mag"] = value
+        raw = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        tensors["header/config_utf8"] = raw.astype(np.float64).reshape(1, -1)
+    write_tensors(path, list(tensors.items()))
+    with pytest.raises(SgnnError):
+        load_model(path)

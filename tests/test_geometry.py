@@ -8,6 +8,7 @@ from sgnn.errors import ContractError, GramMismatchError, ShapeError
 from sgnn.geometry import (
     GRAM_NORM_EPS,
     Gravity,
+    SubgroupTransform,
     check_equivariance,
     horizontal_axis_rotation,
     lemma5_witness,
@@ -208,6 +209,25 @@ def test_subequivariant_breaks_under_horizontal_rotation():
 def test_subequivariant_rejects_non_unit_gravity():
     with pytest.raises(ContractError):
         Gravity(direction=np.array([0.0, 0.0, -2.0]))
+
+
+@pytest.mark.parametrize("knobs", [
+    dict(direction=np.array([np.nan, 0.0, 0.0])),
+    dict(direction=np.array([0.0, np.inf, 0.0])),
+    dict(magnitude=np.nan),
+    dict(magnitude=np.inf),
+], ids=["direction-nan", "direction-inf", "magnitude-nan", "magnitude-inf"])
+def test_gravity_rejects_non_finite(knobs):
+    with pytest.raises(ContractError, match="finite"):
+        Gravity(**knobs)
+
+
+@pytest.mark.parametrize("field", ["O", "t"])
+def test_subgroup_transform_rejects_non_finite(field):
+    parts = {"O": np.eye(3), "t": np.zeros(3)}
+    parts[field] = np.full_like(parts[field], np.nan)
+    with pytest.raises(ContractError, match="non-finite"):
+        SubgroupTransform(**parts).validate(GRAVITY)
 
 
 def test_gram_normalization_scale_invariance():

@@ -230,7 +230,7 @@ def test_rigid_project_recovers_known_motion():
     np.testing.assert_allclose(fit.translation, t0, atol=1e-9)
 
 
-def test_rigid_project_ransac_rejects_outlier():
+def test_rigid_project_ransac_rejects_outlier(monkeypatch):
     rng = np.random.default_rng(14)
     ref = rng.normal(size=(20, 3))
     R0 = _proper_rotation(rng)
@@ -238,10 +238,14 @@ def test_rigid_project_ransac_rejects_outlier():
     moved = ref @ R0.T + t0
     corrupted = moved.copy()
     corrupted[7] += np.array([0.1, -0.1, 0.1])  # 10x the inlier threshold
+    # the all-points fit rejects a particle, so subsets are drawn
+    seeds, real_rng = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: seeds.append(seed) or real_rng(seed))
     fit = rigid_project(corrupted, ref, ransac=True, seed=3)
+    assert seeds == [3]
     np.testing.assert_allclose(fit.rotation, R0, atol=1e-6)
     np.testing.assert_allclose(fit.translation, t0, atol=1e-6)
-    assert not fit.inlier_mask[7]
+    assert fit.inlier_mask.tolist() == (np.arange(20) != 7).tolist()
 
 
 def test_rigid_project_collinear_falls_back_to_translation():
@@ -343,3 +347,70 @@ def test_rigid_project_all_hypotheses_degenerate():
     assert fit.translation_only
     assert fit.inlier_mask.all()
     np.testing.assert_allclose(fit.positions, line + 0.25, atol=1e-12)
+
+
+def _noisy_motion(rng, noise):
+    ref = rng.normal(scale=0.05, size=(27, 3))
+    moved = ref @ _proper_rotation(rng).T + rng.normal(size=3)
+    return moved + noise * rng.normal(size=ref.shape), ref
+
+
+def test_consensus_first_equals_loop_when_its_consensus_is_every_particle():
+    """Whenever plain RANSAC's best consensus is every particle, its refit is
+    the all-points fit, which the consensus-first path returns as is."""
+    rng = np.random.default_rng(19)
+    compared = dict.fromkeys((0.0, 1e-3, 3e-3, 5e-3), 0)
+    for noise in compared:
+        for trial in range(4):
+            pred, ref = _noisy_motion(rng, noise)
+            for seed in range(3):
+                want = loop_rigid_project(pred, ref, ransac=True, seed=seed)
+                if want.inlier_mask.all():
+                    _same_fit(rigid_project(pred, ref, ransac=True, seed=seed), want)
+                    compared[noise] += 1
+    # the quiet motions are always compared, the noisy ones only sometimes
+    assert compared[0.0] == compared[1e-3] == 12
+    assert 0 < compared[3e-3] + compared[5e-3] < 24
+
+
+def test_consensus_first_keeps_all_points_fit_over_a_smaller_sampled_consensus(monkeypatch):
+    """One sampled subset may keep fewer particles than the all-points fit,
+    which then wins as the strictly larger consensus."""
+    monkeypatch.setattr(model_module, "RANSAC_ITERATIONS", 1)
+    pred, ref = _noisy_motion(np.random.default_rng(21), 3e-3)
+    plain = rigid_project(pred, ref)
+    assert (np.linalg.norm(plain.positions - pred, axis=1) < model_module.INLIER_THRESHOLD).all()
+    smaller = [s for s in range(10)
+               if not loop_rigid_project(pred, ref, ransac=True, seed=s,
+                                         ransac_iterations=1).inlier_mask.all()]
+    assert smaller
+    for seed in smaller:
+        fit = rigid_project(pred, ref, ransac=True, seed=seed)
+        assert fit.inlier_mask.dtype == bool and fit.inlier_mask.all()
+        for name in ("positions", "rotation", "translation"):
+            assert getattr(fit, name).tobytes() == getattr(plain, name).tobytes(), name
+
+
+def test_consensus_first_draws_no_subsets_for_a_clean_motion(monkeypatch):
+    rng = np.random.default_rng(23)
+    ref = rng.normal(size=(12, 3))
+    R0, t0 = _proper_rotation(rng), rng.normal(size=3)
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("a clean rigid motion drew RANSAC subsets")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    fit = rigid_project(ref @ R0.T + t0, ref, ransac=True, seed=5)
+    assert fit.inlier_mask.all()
+    np.testing.assert_allclose(fit.rotation, R0, atol=1e-9)
+    np.testing.assert_allclose(fit.translation, t0, atol=1e-9)
+
+
+@pytest.mark.parametrize("ransac", [True, False])
+@pytest.mark.parametrize("name", ["predicted", "reference"])
+def test_rigid_project_rejects_non_finite_points(name, ransac):
+    ref = np.random.default_rng(24).normal(size=(8, 3))
+    points = {"predicted": ref + 0.1, "reference": ref.copy()}
+    points[name][3, 1] = np.nan
+    with pytest.raises(ContractError, match=name):
+        rigid_project(points["predicted"], points["reference"], ransac=ransac)

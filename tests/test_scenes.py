@@ -83,6 +83,12 @@ INVALID_PHYSICS = [
     # non-finite values used to pass the positivity checks
     (dict(stiffness=np.nan), "stiffness"),
     (dict(gravity=np.inf), "gravity"),
+    # used to fail only after the whole simulation, naming no key
+    (dict(drop_height=np.nan), "drop_height"),
+    (dict(spread=np.inf), "spread"),
+    (dict(push_speed=-np.inf), "push_speed"),
+    (dict(bias_angle=np.nan), "bias_angle"),
+    (dict(ground_height=np.inf), "ground_height"),
 ]
 
 
