@@ -233,22 +233,30 @@ def _silu_grad(g: Array, x: Array, s: Array) -> Array:
     return np.multiply(g, t, out=t)
 
 
-def mlp(x, layers: Sequence[tuple]):
+def mlp(x, layers: Sequence[tuple], fold: tuple | None = None):
     """``act(x @ w + b)`` for each ``(w, b, act)`` of ``layers`` in turn (``act``
     in silu, relu, linear; a 1-D ``x`` runs as one row), as one record.
 
     Each layer runs the numpy operations of a matmul, bias-add and activation
     record in their order, forward and backward, so values and adjoints match
     that chain bit for bit.  The backward walks the layers in reverse and
-    drops each one's arrays once its partials are out.
+    drops each one's arrays once its partials are out.  ``fold = (rows,
+    cols)`` runs the network with the first weight's row k summed into row
+    ``rows[k]`` and the last layer's weight column and bias entry k into
+    ``cols[k]``; each summed entry's partial is that of its sum.
     """
     xv = value_of(x)
     h = xv.reshape(1, -1) if xv.ndim == 1 else xv
     args = [x] + [a for w, b, _ in layers for a in (w, b)]
     wants = [isinstance(a, Var) for a in args]
+    values = [[value_of(w), value_of(b), act] for w, b, act in layers]
+    if fold is not None:
+        rows, cols = fold
+        values[0][0] = scatter_add(rows, values[0][0], rows.max() + 1)
+        values[-1][0] = scatter_add(cols, values[-1][0].T, cols.max() + 1).T
+        values[-1][1] = scatter_add(cols, values[-1][1], cols.max() + 1)
     saved = []  # per layer: input, pre-activation (ReLU: output), sigmoid, w, b's shape, act
-    for w, b, act in layers:
-        wv, bv = value_of(w), value_of(b)
+    for wv, bv, act in values:
         pre = np.matmul(h, wv)
         pre += bv
         s = _sigmoid(pre) if act == "silu" else None
@@ -277,6 +285,9 @@ def mlp(x, layers: Sequence[tuple]):
             if k > lo or wants[0]:
                 g = _unbroadcast(g @ np.swapaxes(wv, -1, -2), hk.shape)
         grads[0] = g.reshape(xv.shape) if wants[0] else None
+        if fold is not None:
+            for k, index, axis in ((1, rows, 0), (-2, cols, 1), (-1, cols, 0)):
+                grads[k] = None if grads[k] is None else np.take(grads[k], index, axis=axis)
         return grads
 
     return record(h.reshape(-1) if xv.ndim == 1 else h, args, bwd)

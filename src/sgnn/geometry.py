@@ -89,14 +89,16 @@ def _apply_sigma(sigma, x, tape):
     return sigma(x)
 
 
-def normalized_gram(z, normalize: bool = True):
-    """Gram matrix of the column stack, scaled to unit Frobenius norm.
+def normalized_gram(z, normalize: bool = True, multiplicity=None):
+    """Gram matrix of the column stack, scaled to the unit Frobenius norm of
+    the stack with channel a repeated c_a = ``multiplicity[a]`` times (once
+    by default): ``|G|^2 = sum c_a c_b G_ab^2``.
 
     Scaling is skipped (divide by 1) whenever the norm falls below 1e-12 so
     all-zero stacks stay finite.  Accepts (3, m) or (B, 3, m).  One tape
     record with an analytic backward: for ``out = G / |G|`` and symmetric
-    ``out`` the adjoint is ``(z (g + g^T) - 2 <g, out> z out) / |G|``, and
-    ``z (g + g^T)`` where scaling is skipped.
+    ``out`` the adjoint is ``(z (g + g^T) - 2 <g, out> z (w * out)) / |G|``
+    with ``w = c c^T``, and ``z (g + g^T)`` where scaling is skipped.
     """
     zv = ad.value_of(z)
     # the contiguous transpose takes numpy's fast matmul path; the strided
@@ -104,7 +106,8 @@ def normalized_gram(z, normalize: bool = True):
     gram = np.matmul(np.ascontiguousarray(np.swapaxes(zv, -1, -2)), zv)
     if not normalize:
         return ad.record(gram, (z,), lambda g: (zv @ (g + np.swapaxes(g, -1, -2)),))
-    sq = (gram * gram).sum(axis=(-2, -1), keepdims=True)
+    w = 1.0 if multiplicity is None else np.outer(multiplicity, multiplicity)
+    sq = (gram * gram * w).sum(axis=(-2, -1), keepdims=True)
     mask = sq >= GRAM_NORM_EPS**2
     denom = np.where(mask, np.sqrt(sq), 1.0)
     out = np.divide(gram, denom, out=gram)
@@ -112,7 +115,7 @@ def normalized_gram(z, normalize: bool = True):
     def bwd(g):
         # the norm's term vanishes on the stacks where scaling is skipped
         proj = 2.0 * np.einsum("...ij,...ij->...", g, out)[..., None, None] * mask
-        return ((zv @ (g + np.swapaxes(g, -1, -2)) - proj * (zv @ out)) / denom,)
+        return ((zv @ (g + np.swapaxes(g, -1, -2)) - proj * (zv @ (out * w))) / denom,)
 
     return ad.record(out, (z,), bwd)
 
@@ -127,10 +130,12 @@ def scalarize_subequivariant(
     out_channels: int = 1,
     extra_channels: int = 0,
     normalize: bool = True,
+    multiplicity: np.ndarray | None = None,
     tape: ad.Tape | None = None,
 ):
     """Batched scalarization Z V with V = sigma(gram(Z), h), returning the
     (geometric, extras) pair for ``z`` of shape (B, 3, m) and ``h`` (B, n).
+    ``multiplicity`` (see ``normalized_gram``) has the gravity column's too.
 
     With ``eta`` the gravity direction is appended as channel m with scale
     eta(h), so the output can leave the span of Z along the vertical axis
@@ -152,7 +157,7 @@ def scalarize_subequivariant(
         g_col = ad.mul(ad.reshape(scale, (B, 1, 1)), gravity.direction.reshape(3, 1))
         z = ad.concat([z, g_col], axis=-1) if m else g_col
         m += 1
-    gram = normalized_gram(z, normalize=normalize)
+    gram = normalized_gram(z, normalize=normalize, multiplicity=multiplicity)
     feats = ad.concat([ad.reshape(gram, (B, m * m)), h], axis=-1)
     out = _apply_sigma(sigma, feats, tape)
     width = ad.value_of(out).shape[-1]

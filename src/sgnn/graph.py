@@ -139,7 +139,7 @@ def build_edges(system: ParticleSystem, r: float) -> EdgeSets:
     same float dot product as a per-pair loop.  Edges are in lexicographic
     (i, j) order, so downstream aggregation is reproducible.
     """
-    if r <= 0:
+    if not r > 0:  # NaN too; an infinite cutoff keeps every pair
         raise ContractError("cutoff radius must be positive")
     pos = system.positions
     n = pos.shape[0]

@@ -2,16 +2,18 @@
 
 One layer updates per-particle stacks [x, v] and scalar features by
 exchanging messages along an edge list.  Each edge builds a translation
-invariant multichannel stack: the sender's and receiver's offsets from
-their objects' pooled features plus the pairwise offset, all fed through
-gravity-augmented scalarization so outputs stay equivariant to rotations
-and reflections about the vertical axis.  Node updates are residual, and
-nodes without incident edges are left untouched.
+invariant multichannel stack: the pairwise position offset plus the
+receiver's and sender's offsets from their objects' pooled features, each
+channel once, all fed through gravity-augmented scalarization so outputs
+stay equivariant to rotations and reflections about the vertical axis.
+Node updates are residual, and nodes without incident edges are left
+untouched.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -54,11 +56,8 @@ class SompParams:
     own_velocity: bool = False
 
     def mlps(self) -> list[MLP]:
-        out = []
-        for m in (self.phi_sigma, self.phi_eta, self.psi_sigma, self.psi_eta):
-            if isinstance(m, MLP):
-                out.append(m)
-        return out
+        nets = (self.phi_sigma, self.phi_eta, self.psi_sigma, self.psi_eta)
+        return [m for m in nets if isinstance(m, MLP)]
 
 
 def make_somp_params(
@@ -110,6 +109,26 @@ def make_somp_params(
     )
 
 
+def _distinct_channel_sigma(params: SompParams, tape):
+    """The object-aware message network on the distinct edge stack
+    [x_r - x_s, z_r ⊖ C_r, z_s ⊖ C_s, g], and that stack's multiplicities.
+
+    An MLP stores the layout [z_r ⊖ C_r, z_s ⊖ C_s, z_r ⊖ z_s, g], whose
+    channels 7 and 8 repeat v_r and v_s.  It runs with its first-layer Gram
+    rows summed onto the distinct channel pairs and its last-layer columns
+    onto the distinct channels (``ad.mlp``'s fold): the stored function, and
+    every stored row and column gets its partial.  Another callable reads
+    the distinct stack."""
+    m = 7 if params.equivariant_only else 8
+    chan = np.array([1, 2, 3, 4, 5, 6, 0, 2, 5, 7])[: m + 2]  # stored channel k's place
+    sigma, mc = params.phi_sigma, params.msg_channels
+    if isinstance(sigma, MLP):  # the scalar inputs and the extras stay in place
+        fold = (np.append(chan[:, None] * m + chan, np.arange(sigma.in_dim - chan.size**2) + m * m),
+                np.append(chan[:, None] * mc + np.arange(mc), np.arange(params.msg_extra) + m * mc))
+        sigma = partial(mlp_forward, sigma, tape=tape, fold=fold)
+    return sigma, np.bincount(chan).astype(np.float64)
+
+
 def somp_forward(
     params: SompParams,
     z,
@@ -147,16 +166,18 @@ def somp_forward(
     recv = edges[:, 0]
     send = edges[:, 1]
     mask, divisor = _receiver_mask(recv, n_nodes, params.aggregate)
-    mask2 = mask[:, None]
-    mask3 = mask[:, None, None]
     phi_eta = None if params.equivariant_only else params.phi_eta
     psi_eta = None if params.equivariant_only else params.psi_eta
 
+    sigma, multiplicity = params.phi_sigma, None
+    if params.use_objects and edge_features is None:
+        sigma, multiplicity = _distinct_channel_sigma(params, tape)
+
     def aggregated_messages(z_edge, h_edge):
         msg_geo, msg_sca = scalarize_subequivariant(
-            z_edge, h_edge, params.phi_sigma, phi_eta, gravity,
+            z_edge, h_edge, sigma, phi_eta, gravity,
             out_channels=params.msg_channels, extra_channels=params.msg_extra,
-            normalize=params.normalize, tape=tape,
+            normalize=params.normalize, multiplicity=multiplicity, tape=tape,
         )
         return (ad.segment_sum(msg_geo, recv, n_nodes, divisor),
                 ad.segment_sum(msg_sca, recv, n_nodes, divisor))
@@ -169,18 +190,14 @@ def somp_forward(
 
     for _ in range(params.iterations):
         # node-level parts, built once and gathered onto both edge ends:
-        # the offset from the node's object and the scalars [h, c]
+        # [x, z ⊖ C] with the offset from the node's object, and [h, c]
+        nodes, hc = z, h
         if params.use_objects:
             offset = ominus(z, C_of)
+            nodes = ad.concat([ad.narrow(z, -1, 0, 1), offset], axis=-1)
             hc = ad.concat([h, c_of], axis=-1)
-        else:
-            hc = h
         if edge_features is None:
-            z_edge = ominus(ad.gather(z, recv), ad.gather(z, send))
-            if params.use_objects:
-                z_edge = ad.concat(
-                    [ad.gather(offset, recv), ad.gather(offset, send), z_edge], axis=-1
-                )
+            z_edge = ominus(ad.gather(nodes, recv), ad.gather(nodes, send))
             h_edge = ad.concat([ad.gather(hc, recv), ad.gather(hc, send)], axis=-1)
             agg_geo, agg_sca = aggregated_messages(z_edge, h_edge)
 
@@ -195,8 +212,8 @@ def somp_forward(
             out_channels=params.node_channels, extra_channels=params.n_scalar,
             normalize=params.normalize, tape=tape,
         )
-        z = ad.add(z, ad.mul(dz, mask3))
-        h = ad.add(h, ad.mul(dh, mask2))
+        z = ad.add(z, ad.mul(dz, mask[:, None, None]))
+        h = ad.add(h, ad.mul(dh, mask[:, None]))
     return z, h
 
 
@@ -218,23 +235,20 @@ def masked_sigma(
     channels (gravity column, object offsets) contribute nothing to the
     output.  Inference-only.
     """
-    keep_stack = list(keep_stack)
-    keep_scalars = list(keep_scalars)
-    sub_m = len(keep_stack)
+    keep = np.asarray(keep_stack)
+    # flat columns: the kept Gram block and scalars read, the kept rows of
+    # the mixing weights and the extras written
+    read = np.append(keep[:, None] * full_channels + keep,
+                     full_channels**2 + np.asarray(keep_scalars, dtype=np.int64))
+    write = np.append(keep[:, None] * out_channels + np.arange(out_channels),
+                      full_channels * out_channels + np.arange(extra_channels))
 
     def f(x):
-        xv = ad.value_of(x)
-        B = xv.shape[0]
-        gram = xv[:, : full_channels * full_channels].reshape(B, full_channels, full_channels)
-        sub = gram[:, keep_stack][:, :, keep_stack]
-        scal = xv[:, full_channels * full_channels :][:, keep_scalars]
-        inner_in = np.concatenate([sub.reshape(B, -1), scal], axis=-1)
-        out = ad.value_of(mlp_forward(inner, inner_in)) if isinstance(inner, MLP) else ad.value_of(inner(inner_in))
-        v_sub = out[:, : sub_m * out_channels].reshape(B, sub_m, out_channels)
-        v_full = np.zeros((B, full_channels, out_channels))
-        v_full[:, keep_stack] = v_sub
-        return np.concatenate(
-            [v_full.reshape(B, -1), out[:, sub_m * out_channels :]], axis=-1
-        )
+        inner_in = ad.value_of(x)[:, read]
+        out = mlp_forward(inner, inner_in) if isinstance(inner, MLP) else inner(inner_in)
+        out = ad.value_of(out)
+        full = np.zeros((out.shape[0], full_channels * out_channels + extra_channels))
+        full[:, write] = out
+        return full
 
     return f

@@ -62,6 +62,8 @@ def mlp_init(
     starts as a no-op inside residual updates."""
     if len(dims) < 2:
         raise ShapeError("need at least input and output dims")
+    if min(dims) < 1:
+        raise ShapeError(f"every layer dim must be >= 1, got {dims}")
     weights, biases, acts = [], [], []
     for k in range(len(dims) - 1):
         fan_in, fan_out = dims[k], dims[k + 1]
@@ -77,8 +79,9 @@ def mlp_init(
     return MLP(weights=weights, biases=biases, activations=acts)
 
 
-def mlp_forward(params: MLP, x, tape: ad.Tape | None = None):
-    """Apply the network to ``x`` of shape (..., in_dim).
+def mlp_forward(params: MLP, x, tape: ad.Tape | None = None, fold: tuple | None = None):
+    """Apply the network to ``x`` of shape (..., in_dim), or with ``fold``
+    (see ``ad.mlp``) to ``x`` of the folded first layer's width.
 
     With a tape (or a Var input) the call is one ``ad.mlp`` record; parameter
     arrays are wrapped through ``tape.param`` so adjoints accumulate across
@@ -87,12 +90,13 @@ def mlp_forward(params: MLP, x, tape: ad.Tape | None = None):
     if tape is None and isinstance(x, ad.Var):
         tape = x.tape
     xv = ad.value_of(x)
-    if xv.shape[-1] != params.in_dim:
-        raise ShapeError(f"input dim {xv.shape[-1]} != first layer in dim {params.in_dim}")
+    in_dim = params.in_dim if fold is None else fold[0].max() + 1
+    if xv.shape[-1] != in_dim:
+        raise ShapeError(f"input dim {xv.shape[-1]} != first layer in dim {in_dim}")
     layers = zip(params.weights, params.biases, params.activations)
     if tape is not None:
         layers = [(tape.param(w), tape.param(b), act) for w, b, act in layers]
-    return ad.mlp(x, list(layers))
+    return ad.mlp(x, list(layers), fold)
 
 
 def mlp_grads(tape: ad.Tape, grads: ad.Grads, params: MLP) -> list[np.ndarray]:

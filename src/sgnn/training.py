@@ -49,6 +49,14 @@ class TrainConfig:
             raise ContractError("patience values must be >= 1")
         if self.noise_mode not in ("relative", "absolute"):
             raise ContractError("noise_mode must be 'relative' or 'absolute'")
+        for key in ("batch_size", "max_steps_per_epoch"):  # the latter may be None
+            if getattr(self, key) is not None and getattr(self, key) < 1:
+                raise ContractError(f"{key} must be >= 1")
+        for key in ("lr", "noise_scale"):  # an lr of 0 keeps the model frozen
+            if not 0.0 <= getattr(self, key) < np.inf:
+                raise ContractError(f"{key} must be finite and >= 0")
+        if not 0.0 < self.velocity_input_scale < np.inf:
+            raise ContractError("velocity_input_scale must be finite and > 0")
 
 
 @dataclass

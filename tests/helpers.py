@@ -6,8 +6,8 @@ import numpy as np
 
 from sgnn import ad
 from sgnn.errors import ContractError, GenerationError
-from sgnn.geometry import GRAM_NORM_EPS, Gravity, ominus
-from sgnn.graph import EdgeSets, ParticleSystem
+from sgnn.geometry import GRAM_NORM_EPS, Gravity, ominus, scalarize_subequivariant
+from sgnn.graph import EdgeSets, ParticleSystem, _receiver_mask
 from sgnn.mlp import MLP, mlp_forward, mlp_grads
 from sgnn.model import RigidFit
 from sgnn.scenes import _Bodies, _contact_force
@@ -458,6 +458,41 @@ def naive_somp(params, z, h, edges, feats=None, object_of=None,
             z_new[i] = z[i] + dz
             h_new[i] = h[i] + dh
         z, h = z_new, h_new
+    return z, h
+
+
+def full_layout_somp(params, z, h, edges, objects, object_of, gravity=GRAVITY, tape=None):
+    """The object-aware layer on the stored ten-channel edge stack
+    ``[z_r ⊖ C_r, z_s ⊖ C_s, z_r ⊖ z_s]`` plus gravity, repeated channels and
+    all, taped: the reference for ``layers.somp_forward``'s distinct-channel
+    stack and folded message network."""
+    n_nodes = ad.value_of(z).shape[0]
+    recv, send = edges[:, 0], edges[:, 1]
+    mask, divisor = _receiver_mask(recv, n_nodes, params.aggregate)
+    phi_eta = None if params.equivariant_only else params.phi_eta
+    psi_eta = None if params.equivariant_only else params.psi_eta
+    C_of = ad.gather(objects.C, object_of)
+    c_of = ad.gather(objects.c, object_of)
+    for _ in range(params.iterations):
+        offset = ominus(z, C_of)
+        hc = ad.concat([h, c_of], axis=-1)
+        z_edge = ad.concat([ad.gather(offset, recv), ad.gather(offset, send),
+                            ominus(ad.gather(z, recv), ad.gather(z, send))], axis=-1)
+        h_edge = ad.concat([ad.gather(hc, recv), ad.gather(hc, send)], axis=-1)
+        msg_geo, msg_sca = scalarize_subequivariant(
+            z_edge, h_edge, params.phi_sigma, phi_eta, gravity,
+            out_channels=params.msg_channels, extra_channels=params.msg_extra,
+            normalize=params.normalize, tape=tape,
+        )
+        agg_geo = ad.segment_sum(msg_geo, recv, n_nodes, divisor)
+        agg_sca = ad.segment_sum(msg_sca, recv, n_nodes, divisor)
+        dz, dh = scalarize_subequivariant(
+            ad.concat([agg_geo, offset], axis=-1), ad.concat([agg_sca, hc], axis=-1),
+            params.psi_sigma, psi_eta, gravity, out_channels=params.node_channels,
+            extra_channels=params.n_scalar, normalize=params.normalize, tape=tape,
+        )
+        z = ad.add(z, ad.mul(dz, mask[:, None, None]))
+        h = ad.add(h, ad.mul(dh, mask[:, None]))
     return z, h
 
 

@@ -142,6 +142,19 @@ def test_ablation_flags_reject_baselines(tiny_dataset, tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("flag,value,key", [
+    ("--batch-size", "0", "batch_size"), ("--lr", "-1", "lr"), ("--noise", "nan", "noise_scale"),
+    ("--cutoff", "nan", "cutoff"), ("--hidden", "0", "dim"),
+])
+def test_train_rejects_invalid_values_with_an_error_line(tiny_dataset, tmp_path, capsys,
+                                                         flag, value, key):
+    ckpt = tmp_path / "x.sgnn"
+    assert main(_train_args(tiny_dataset, ckpt, extra=[flag, value])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert not ckpt.exists()
+
+
 def test_eval_writes_metrics_with_rotation_columns(tiny_dataset, tmp_path, capsys):
     ckpt = tmp_path / "model.sgnn"
     assert main(_train_args(tiny_dataset, ckpt)) == 0

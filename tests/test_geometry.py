@@ -358,6 +358,60 @@ def test_gram_adjoint_is_orthogonal_to_the_stack(case):
     assert (radial <= 1e-12 * scale).all()
 
 
+# (shape, zero stacks, per-channel multiplicity); the last is the object-aware
+# edge stack's, whose v_r and v_s channels stand twice in the stored layout
+WEIGHTED_GRAM_CASES = {
+    "batched": ((6, 3, 4), (), (1, 2, 1, 3)),
+    "unbatched": ((3, 3), (), (2, 1, 1)),
+    "zero_rows": ((6, 3, 3), (1, 4), (1, 3, 2)),
+    "edge_stack": ((5, 3, 8), (), (1, 1, 2, 1, 1, 2, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("case", list(WEIGHTED_GRAM_CASES))
+def test_weighted_gram_equals_the_gram_of_the_repeated_stack(case):
+    shape, zero_rows, counts = WEIGHTED_GRAM_CASES[case]
+    z = _gram_stack(shape, zero_rows)
+    first = np.cumsum((0,) + counts[:-1])  # each channel's first copy
+    want = normalized_gram(np.repeat(z, counts, axis=-1))[..., first[:, None], first]
+    got = normalized_gram(z, multiplicity=np.array(counts, dtype=np.float64))
+    assert got.shape == want.shape
+    assert (np.abs(got - want) <= 1e-15 * np.abs(want)).all()
+    ones = normalized_gram(z, multiplicity=np.ones(shape[-1]))
+    assert ones.tobytes() == normalized_gram(z).tobytes()
+
+
+@pytest.mark.parametrize("case", list(WEIGHTED_GRAM_CASES))
+def test_weighted_gram_adjoint_matches_finite_differences(case):
+    shape, _, counts = WEIGHTED_GRAM_CASES[case]
+    rng = np.random.default_rng(25)
+    z = rng.normal(size=shape)
+    c = np.array(counts, dtype=np.float64)
+    w = rng.normal(size=shape[:-2] + (shape[-1], shape[-1]))
+    tape = ad.Tape()
+    v = tape.var(z)
+    got = tape.backward(normalized_gram(v, multiplicity=c), w).of(v)
+    want = fd_grad(lambda: float(np.sum(w * normalized_gram(z, multiplicity=c))), z,
+                   range(z.size))
+    assert rel_err(got.reshape(-1), want) <= 1e-6
+
+
+@pytest.mark.parametrize("case", list(WEIGHTED_GRAM_CASES))
+def test_weighted_gram_adjoint_is_orthogonal_to_the_stack(case):
+    # homogeneous of degree 0 in z whatever the weights (Euler's theorem)
+    shape, zero_rows, counts = WEIGHTED_GRAM_CASES[case]
+    z = _gram_stack(shape, zero_rows)
+    c = np.array(counts, dtype=np.float64)
+    y, g_z = value_and_adjoints(lambda v: normalized_gram(v, multiplicity=c), [z], 21, False)
+    g = adjoint_seed(y.size, 21).reshape(y.shape)
+    gram_norm = _gram_norms(np.repeat(z, counts, axis=-1))
+    scaled = gram_norm >= GRAM_NORM_EPS
+    assert scaled.any()
+    radial = np.abs((g_z * z).reshape((-1,) + z.shape[-2:]).sum(axis=(-2, -1)))[scaled]
+    scale = (_stack_norms(g) * _stack_norms(z) ** 2)[scaled] / gram_norm[scaled]
+    assert (radial <= 1e-12 * scale).all()
+
+
 @pytest.mark.parametrize("case", ["batched_m1", "unbatched_m1"])
 def test_gram_adjoint_of_one_channel_is_exactly_zero(case):
     # one nonzero channel normalizes to [[1]] whatever its length

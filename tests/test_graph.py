@@ -250,6 +250,13 @@ def test_pool_commutes_with_rotation():
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
+def test_nan_cutoff_rejected_infinite_cutoff_keeps_every_pair():
+    sys_ = make_system([[0, 0, 0], [1, 1, 1], [5, 0, 0]], [0, 0, 1])
+    with pytest.raises(ContractError, match="cutoff"):
+        build_edges(sys_, float("nan"))
+    assert build_edges(sys_, float("inf")).merged.shape == (6, 2)
+
+
 def test_empty_object_rejected():
     with pytest.raises(ContractError):
         make_system([[0, 0, 0], [1, 1, 1]], [0, 2])

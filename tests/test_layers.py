@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from sgnn import ad
-from sgnn.geometry import Gravity, check_equivariance
-from sgnn.graph import ParticleSystem, build_edges, pool_objects
+from sgnn import ad, geometry
+from sgnn.geometry import Gravity, check_equivariance, normalized_gram
+from sgnn.graph import ObjectFeatures, ParticleSystem, build_edges, pool_objects
 from sgnn.layers import make_somp_params, somp_forward
+from sgnn.mlp import mlp_grads
 
-from helpers import check_mlp_grads_fd, naive_somp
+from helpers import check_mlp_grads_fd, full_layout_somp, naive_somp
 
 GRAVITY = Gravity()
 
@@ -181,3 +182,70 @@ def test_gradient_flow_matches_finite_differences():
 
     worst = check_mlp_grads_fd(make_loss, params.mlps(), rng, coords_per_tensor=3)
     assert worst < 1e-4
+
+
+def _parity_case(stage, aggregate, equivariant_only, zero_objects, seed=11):
+    rng = np.random.default_rng(seed)
+    params = make_somp_params(rng, 2, hidden=12, iterations=2, zero_init_update=False,
+                              msg_extra=4, equivariant_only=equivariant_only)
+    params.aggregate = aggregate
+    sys_ = random_instance(rng, n=10, objects=3)
+    feats = pool_objects(sys_)
+    if zero_objects:
+        feats = ObjectFeatures(C=np.zeros_like(feats.C), c=np.zeros_like(feats.c))
+    sets = build_edges(sys_, 0.6)
+    edges = sets.inter if stage == "stage1" else sets.inner
+    return params, sys_, feats, edges, [rng.normal(size=(10, 3, 2)), rng.normal(size=(10, 2))]
+
+
+def _taped_layer(layer, params, sys_, feats, edges, projections, stage):
+    # stage 1 reads the pooled object features as constants, stage 3 reads
+    # the ones stage 2 computed on the tape
+    tape = ad.Tape()
+    inputs = [tape.var(sys_.geometric_stack()), tape.var(sys_.attrs)]
+    objects = feats
+    if stage == "stage3":
+        objects = ObjectFeatures(C=tape.var(feats.C), c=tape.var(feats.c))
+        inputs += [objects.C, objects.c]
+    z2, h2 = layer(params, *inputs[:2], edges, objects, sys_.object_of, gravity=GRAVITY,
+                   tape=tape)
+    loss = ad.add(ad.sum_(ad.mul(z2, projections[0])), ad.sum_(ad.mul(h2, projections[1])))
+    grads = tape.backward(loss, np.array(1.0))
+    inputs = [grads.of(v) for v in inputs]
+    params_grads = [g for net in params.mlps() for g in mlp_grads(tape, grads, net)]
+    return (z2.value, h2.value), inputs + params_grads
+
+
+@pytest.mark.parametrize("zero_objects", [False, True], ids=["pooled", "zero_objects"])
+@pytest.mark.parametrize("equivariant_only", [False, True], ids=["gated", "no_gate"])
+@pytest.mark.parametrize("aggregate", ["sum", "mean"])
+@pytest.mark.parametrize("stage", ["stage1", "stage3"])
+def test_distinct_channel_stack_matches_full_layout(stage, aggregate, equivariant_only,
+                                                    zero_objects, monkeypatch):
+    # the layer's edge Gram has the 7 distinct channels plus gravity (the
+    # update's has fewer), and the layer computes the stored ten-channel function: outputs to 1e-12, and
+    # every entry of every gradient, the repeated channels' rows and columns
+    # of phi_sigma included, to 1e-10 of its tensor's scale
+    params, sys_, feats, edges, projections = _parity_case(
+        stage, aggregate, equivariant_only, zero_objects)
+    assert edges.shape[0] > 0
+    widths = []
+
+    def spy(z, *args, **kwargs):
+        widths.append(ad.value_of(z).shape[1:])
+        return normalized_gram(z, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "normalized_gram", spy)
+    out, grads = _taped_layer(somp_forward, params, sys_, feats, edges, projections, stage)
+    message_channels = 7 if equivariant_only else 8
+    assert (3, message_channels) in widths
+    assert all(w[1] <= message_channels for w in widths)
+    monkeypatch.undo()
+    want_out, want_grads = _taped_layer(full_layout_somp, params, sys_, feats, edges,
+                                        projections, stage)
+    for got, want in zip(out, want_out):
+        np.testing.assert_allclose(got, want, atol=1e-12, rtol=0.0)
+    assert len(grads) == len(want_grads)
+    for got, want in zip(grads, want_grads):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()

@@ -41,6 +41,12 @@ def test_two_layer_forward_matches_hand_evaluation():
     np.testing.assert_allclose(got, want, atol=1e-12, rtol=0.0)
 
 
+@pytest.mark.parametrize("dims", [[0, 4, 2], [3, 0, 2], [3, 4, 0], [3, -1, 2]])
+def test_init_rejects_dims_below_one(dims):
+    with pytest.raises(ShapeError, match="dim"):
+        mlp_init(np.random.default_rng(0), dims)
+
+
 def test_forward_shape_error():
     net = mlp_init(np.random.default_rng(0), [3, 2])
     with pytest.raises(ShapeError):

@@ -123,11 +123,13 @@ def test_training_without_edges_takes_zero_gradients(variant):
 
 def test_sgnn_sample_tape_record_budget():
     """One SGNN training sample at the criterion-8 model config records at
-    most 222 tape entries (222).  It recorded 377 before the frame's inputs
+    most 221 tape entries (221).  It recorded 377 before the frame's inputs
     were kept off the tape and each node's object offset was built once per
     iteration, 293 while each ``ominus`` took six records, 267 while each
-    mean aggregation took two, and 255 while each dense layer took one (an
-    MLP takes one now)."""
+    mean aggregation took two, 255 while each dense layer took one (an MLP
+    takes one now), and 222 while the object-aware edge stack took six
+    records and repeated two channels (five now, and the message network's
+    fold happens inside its MLP record)."""
     traj = generate_scene(SceneConfig(objects=3, frames=12, push_speed=0.25,
                                       drop_height=0.12, seed=0))
     model = make_sgnn_model(np.random.default_rng(0), traj.attrs.shape[1], hidden=32,
@@ -141,7 +143,7 @@ def test_sgnn_sample_tape_record_budget():
     pred = model.predict(system, edges, tape=tape)
     diff = ad.sub(pred, traj.frames[11])
     ad.div(ad.sum_(ad.mul(diff, diff)), float(system.n_particles))
-    assert len(tape._records) <= 222
+    assert len(tape._records) <= 221
 
 
 def test_frozen_model_loss_equals_mean_rollout_mse():
@@ -224,6 +226,17 @@ def test_history_csv_schema(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "epoch,train_loss,val_loss,lr"
     assert len(lines) == len(history) + 1
+
+
+@pytest.mark.parametrize("key,value", [
+    ("batch_size", 0), ("lr", -1.0), ("lr", float("nan")), ("lr", float("inf")),
+    ("noise_scale", -0.1), ("noise_scale", float("nan")), ("noise_scale", float("inf")),
+    ("velocity_input_scale", 0.0), ("velocity_input_scale", float("nan")),
+    ("velocity_input_scale", float("inf")), ("max_steps_per_epoch", 0),
+])
+def test_config_rejects_values_that_cannot_train(key, value):
+    with pytest.raises(ContractError, match=key):
+        TrainConfig(**{key: value})
 
 
 def test_train_requires_frames():
