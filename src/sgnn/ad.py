@@ -155,8 +155,9 @@ def _unbroadcast(grad: Array, shape: tuple) -> Array:
     if grad.shape == shape:
         return grad
     extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
+    if extra > 0:  # a matrix's column sums as a matvec take BLAS's fast path
+        grad = np.ones(len(grad)) @ grad if grad.ndim == extra + 1 == 2 else grad.sum(
+            axis=tuple(range(extra)))
     axes = tuple(i for i, (g, s) in enumerate(zip(grad.shape, shape)) if s == 1 and g != 1)
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
@@ -241,20 +242,20 @@ def mlp(x, layers: Sequence[tuple], fold: tuple | None = None):
     record in their order, forward and backward, so values and adjoints match
     that chain bit for bit.  The backward walks the layers in reverse and
     drops each one's arrays once its partials are out.  ``fold = (rows,
-    cols)`` runs the network with the first weight's row k summed into row
-    ``rows[k]`` and the last layer's weight column and bias entry k into
-    ``cols[k]``; each summed entry's partial is that of its sum.
+    cols)``, 0/1 tables (``cols`` may be None), runs it on the first weight
+    ``rows @ w`` and last weight and bias ``w @ cols.T``, ``cols @ b``: each
+    summed stored entry gets the partial of its sum.
     """
     xv = value_of(x)
     h = xv.reshape(1, -1) if xv.ndim == 1 else xv
     args = [x] + [a for w, b, _ in layers for a in (w, b)]
     wants = [isinstance(a, Var) for a in args]
     values = [[value_of(w), value_of(b), act] for w, b, act in layers]
-    if fold is not None:
-        rows, cols = fold
-        values[0][0] = scatter_add(rows, values[0][0], rows.max() + 1)
-        values[-1][0] = scatter_add(cols, values[-1][0].T, cols.max() + 1).T
-        values[-1][1] = scatter_add(cols, values[-1][1], cols.max() + 1)
+    rows, cols = fold or (None, None)
+    if rows is not None:
+        values[0][0] = rows @ values[0][0]
+    if cols is not None:
+        values[-1][0], values[-1][1] = values[-1][0] @ cols.T, cols @ values[-1][1]
     saved = []  # per layer: input, pre-activation (ReLU: output), sigmoid, w, b's shape, act
     for wv, bv, act in values:
         pre = np.matmul(h, wv)
@@ -285,9 +286,10 @@ def mlp(x, layers: Sequence[tuple], fold: tuple | None = None):
             if k > lo or wants[0]:
                 g = _unbroadcast(g @ np.swapaxes(wv, -1, -2), hk.shape)
         grads[0] = g.reshape(xv.shape) if wants[0] else None
-        if fold is not None:
-            for k, index, axis in ((1, rows, 0), (-2, cols, 1), (-1, cols, 0)):
-                grads[k] = None if grads[k] is None else np.take(grads[k], index, axis=axis)
+        if rows is not None and wants[1]:
+            grads[1] = rows.T @ grads[1]
+        if cols is not None and wants[-1]:
+            grads[-2], grads[-1] = grads[-2] @ cols, grads[-1] @ cols
         return grads
 
     return record(h.reshape(-1) if xv.ndim == 1 else h, args, bwd)

@@ -10,6 +10,7 @@ position-like channel; the remaining channels transform like velocities
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -83,39 +84,68 @@ def ominus(zi, zj):
     ))
 
 
-def _apply_sigma(sigma, x, tape):
-    if isinstance(sigma, MLP):
-        return mlp_forward(sigma, x, tape=tape)
-    return sigma(x)
+def _apply_sigma(sigma, x, tape, chan=(), out_channels=0, extra=0):
+    if not isinstance(sigma, MLP):
+        return sigma(x)
+    fold = sigma_fold(chan, sigma.in_dim - len(chan) ** 2, out_channels, extra) if chan else None
+    return mlp_forward(sigma, x, tape=tape, fold=fold)
+
+
+@lru_cache(maxsize=None)
+def triangle(m: int) -> tuple:
+    """An (m, m) matrix's upper triangle in ``np.triu_indices`` order: its
+    places in the flat square, the (m, m) table of each (a, b)'s place in it,
+    and its entries' counts in the square (2 off the diagonal), then 3 - that."""
+    rows, cols = np.triu_indices(m)
+    index = np.empty((m, m), dtype=np.int64)
+    index[rows, cols] = index[cols, rows] = np.arange(rows.size)
+    return rows * m + cols, index, 2.0 - (rows == cols), 1.0 + (rows == cols)
+
+
+@lru_cache(maxsize=None)
+def sigma_fold(chan: tuple, n_scalar: int, out_channels: int, extra: int) -> tuple:
+    """``ad.mlp``'s 0/1 fold of a sigma stored on the square Gram of a stack
+    whose channel k is distinct channel ``chan[k]``, then ``n_scalar``
+    scalars: its rows onto [distinct triangle, scalars] and, unless ``chan`` is
+    the identity, its columns onto ``out_channels`` per channel and ``extra``."""
+    c, m = np.asarray(chan), max(chan) + 1
+    rows = np.append(triangle(m)[1][c[:, None], c],
+                     m * (m + 1) // 2 + np.arange(n_scalar))
+    cols = np.append(c[:, None] * out_channels + np.arange(out_channels),
+                     m * out_channels + np.arange(extra))
+    rows, cols = (np.eye(p.max(initial=-1) + 1)[:, p] for p in (rows, cols))
+    return rows, None if chan == tuple(range(m)) else cols
 
 
 def normalized_gram(z, normalize: bool = True, multiplicity=None):
-    """Gram matrix of the column stack, scaled to the unit Frobenius norm of
-    the stack with channel a repeated c_a = ``multiplicity[a]`` times (once
-    by default): ``|G|^2 = sum c_a c_b G_ab^2``.
+    """Upper triangle T (see ``triangle``) of the Gram matrix G of the stack
+    over |G|, with channel a repeated c_a = ``multiplicity[a]`` times (once by
+    default): |G|^2 = sum_{a<=b} w_ab T_ab^2, w_ab = c_a c_b, twice if a < b.
 
     Scaling is skipped (divide by 1) whenever the norm falls below 1e-12 so
     all-zero stacks stay finite.  Accepts (3, m) or (B, 3, m).  One tape
-    record with an analytic backward: for ``out = G / |G|`` and symmetric
-    ``out`` the adjoint is ``(z (g + g^T) - 2 <g, out> z (w * out)) / |G|``
-    with ``w = c c^T``, and ``z (g + g^T)`` where scaling is skipped.
+    record with an analytic backward ``z (U + U^T) / |G|``, where U is the
+    upper-triangle scatter of ``g - <g, out> (w * out)`` (of ``g`` where
+    scaling is skipped).
     """
     zv = ad.value_of(z)
+    upper, index, off2, twice = triangle(zv.shape[-1])
     # the contiguous transpose takes numpy's fast matmul path; the strided
     # view computes the same values about twice as slowly
     gram = np.matmul(np.ascontiguousarray(np.swapaxes(zv, -1, -2)), zv)
+    out = np.take(gram.reshape(zv.shape[:-2] + (-1,)), upper, axis=-1)
     if not normalize:
-        return ad.record(gram, (z,), lambda g: (zv @ (g + np.swapaxes(g, -1, -2)),))
-    w = 1.0 if multiplicity is None else np.outer(multiplicity, multiplicity)
-    sq = (gram * gram * w).sum(axis=(-2, -1), keepdims=True)
+        return ad.record(out, (z,), lambda g: (zv @ np.take(g * twice, index, axis=-1),))
+    w = off2 if multiplicity is None else off2 * np.outer(multiplicity, multiplicity).take(upper)
+    sq = (out * out) @ w[:, None]
     mask = sq >= GRAM_NORM_EPS**2
     denom = np.where(mask, np.sqrt(sq), 1.0)
-    out = np.divide(gram, denom, out=gram)
+    out = np.divide(out, denom, out=out)
 
     def bwd(g):
-        # the norm's term vanishes on the stacks where scaling is skipped
-        proj = 2.0 * np.einsum("...ij,...ij->...", g, out)[..., None, None] * mask
-        return ((zv @ (g + np.swapaxes(g, -1, -2)) - proj * (zv @ (out * w))) / denom,)
+        # U + U^T holds alpha_ab at (a, b) and (b, a); no norm term if unscaled
+        alpha = g - np.einsum("...k,...k->...", g, out)[..., None] * mask * (w * out)
+        return (zv @ np.take(alpha * twice, index, axis=-1) / denom[..., None],)
 
     return ad.record(out, (z,), bwd)
 
@@ -130,12 +160,14 @@ def scalarize_subequivariant(
     out_channels: int = 1,
     extra_channels: int = 0,
     normalize: bool = True,
-    multiplicity: np.ndarray | None = None,
+    channels: tuple | None = None,
     tape: ad.Tape | None = None,
 ):
     """Batched scalarization Z V with V = sigma(gram(Z), h), returning the
     (geometric, extras) pair for ``z`` of shape (B, 3, m) and ``h`` (B, n).
-    ``multiplicity`` (see ``normalized_gram``) has the gravity column's too.
+    A callable sigma reads [triangle, h] (see ``normalized_gram``), an MLP
+    the same through a fold of its stored square layout (``sigma_fold``),
+    whose channel k is z's ``channels[k]``, the Gram norm counting repeats.
 
     With ``eta`` the gravity direction is appended as channel m with scale
     eta(h), so the output can leave the span of Z along the vertical axis
@@ -157,9 +189,9 @@ def scalarize_subequivariant(
         g_col = ad.mul(ad.reshape(scale, (B, 1, 1)), gravity.direction.reshape(3, 1))
         z = ad.concat([z, g_col], axis=-1) if m else g_col
         m += 1
-    gram = normalized_gram(z, normalize=normalize, multiplicity=multiplicity)
-    feats = ad.concat([ad.reshape(gram, (B, m * m)), h], axis=-1)
-    out = _apply_sigma(sigma, feats, tape)
+    gram = normalized_gram(z, normalize, None if channels is None else np.bincount(channels))
+    out = _apply_sigma(sigma, ad.concat([gram, h], axis=-1), tape, channels or tuple(range(m)),
+                       out_channels, extra_channels)
     width = ad.value_of(out).shape[-1]
     if width != m * out_channels + extra_channels:
         raise ShapeError(

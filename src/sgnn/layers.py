@@ -13,15 +13,14 @@ untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from . import ad
 from .errors import ContractError, ShapeError
-from .geometry import Gravity, ominus, scalarize_subequivariant
+from .geometry import Gravity, _apply_sigma, ominus, scalarize_subequivariant, triangle
 from .graph import ObjectFeatures, _receiver_mask
-from .mlp import MLP, mlp_forward, mlp_init
+from .mlp import MLP, mlp_init
 
 # Gravity gates are small MLPs whose output bias starts at ETA_INIT: starting
 # near the geometric feature scale keeps the augmented Gram well conditioned.
@@ -109,26 +108,6 @@ def make_somp_params(
     )
 
 
-def _distinct_channel_sigma(params: SompParams, tape):
-    """The object-aware message network on the distinct edge stack
-    [x_r - x_s, z_r ⊖ C_r, z_s ⊖ C_s, g], and that stack's multiplicities.
-
-    An MLP stores the layout [z_r ⊖ C_r, z_s ⊖ C_s, z_r ⊖ z_s, g], whose
-    channels 7 and 8 repeat v_r and v_s.  It runs with its first-layer Gram
-    rows summed onto the distinct channel pairs and its last-layer columns
-    onto the distinct channels (``ad.mlp``'s fold): the stored function, and
-    every stored row and column gets its partial.  Another callable reads
-    the distinct stack."""
-    m = 7 if params.equivariant_only else 8
-    chan = np.array([1, 2, 3, 4, 5, 6, 0, 2, 5, 7])[: m + 2]  # stored channel k's place
-    sigma, mc = params.phi_sigma, params.msg_channels
-    if isinstance(sigma, MLP):  # the scalar inputs and the extras stay in place
-        fold = (np.append(chan[:, None] * m + chan, np.arange(sigma.in_dim - chan.size**2) + m * m),
-                np.append(chan[:, None] * mc + np.arange(mc), np.arange(params.msg_extra) + m * mc))
-        sigma = partial(mlp_forward, sigma, tape=tape, fold=fold)
-    return sigma, np.bincount(chan).astype(np.float64)
-
-
 def somp_forward(
     params: SompParams,
     z,
@@ -169,15 +148,17 @@ def somp_forward(
     phi_eta = None if params.equivariant_only else params.phi_eta
     psi_eta = None if params.equivariant_only else params.psi_eta
 
-    sigma, multiplicity = params.phi_sigma, None
+    # phi_sigma stores [z_r ⊖ C_r, z_s ⊖ C_s, z_r ⊖ z_s, g], channel k being channel
+    # chan[k] of the edge stack [x_r - x_s, z_r ⊖ C_r, z_s ⊖ C_s, g] (v_r, v_s twice)
+    chan = None
     if params.use_objects and edge_features is None:
-        sigma, multiplicity = _distinct_channel_sigma(params, tape)
+        chan = (1, 2, 3, 4, 5, 6, 0, 2, 5, 7)[: 9 if params.equivariant_only else 10]
 
     def aggregated_messages(z_edge, h_edge):
         msg_geo, msg_sca = scalarize_subequivariant(
-            z_edge, h_edge, sigma, phi_eta, gravity,
+            z_edge, h_edge, params.phi_sigma, phi_eta, gravity,
             out_channels=params.msg_channels, extra_channels=params.msg_extra,
-            normalize=params.normalize, multiplicity=multiplicity, tape=tape,
+            normalize=params.normalize, channels=chan, tape=tape,
         )
         return (ad.segment_sum(msg_geo, recv, n_nodes, divisor),
                 ad.segment_sum(msg_sca, recv, n_nodes, divisor))
@@ -229,24 +210,24 @@ def masked_sigma(
 ):
     """Wrap a smaller layer's sigma so a wider layer reproduces it exactly.
 
-    The wrapper selects the Gram sub-block of the kept stack channels and the
-    kept scalar entries, applies ``inner``, and embeds the resulting mixing
-    weights back into the full stack with zero rows elsewhere: the dropped
-    channels (gravity column, object offsets) contribute nothing to the
-    output.  Inference-only.
+    The wrapper reads the kept stack channels' Gram triangle and scalar
+    entries, applies ``inner`` as the scalarization would, and embeds the
+    resulting mixing weights back into the full stack with zero rows
+    elsewhere: the dropped channels (gravity column, object offsets)
+    contribute nothing to the output.  Inference-only.
     """
     keep = np.asarray(keep_stack)
-    # flat columns: the kept Gram block and scalars read, the kept rows of
-    # the mixing weights and the extras written
-    read = np.append(keep[:, None] * full_channels + keep,
-                     full_channels**2 + np.asarray(keep_scalars, dtype=np.int64))
+    # flat columns: the kept Gram triangle and scalars read, the kept rows
+    # of the mixing weights and the extras written
+    kept = triangle(full_channels)[1][keep[:, None], keep][np.triu_indices(keep.size)]
+    read = np.append(kept, len(triangle(full_channels)[0])
+                     + np.asarray(keep_scalars, dtype=np.int64))
     write = np.append(keep[:, None] * out_channels + np.arange(out_channels),
                       full_channels * out_channels + np.arange(extra_channels))
 
     def f(x):
         inner_in = ad.value_of(x)[:, read]
-        out = mlp_forward(inner, inner_in) if isinstance(inner, MLP) else inner(inner_in)
-        out = ad.value_of(out)
+        out = ad.value_of(_apply_sigma(inner, inner_in, None, tuple(range(keep.size))))
         full = np.zeros((out.shape[0], full_channels * out_channels + extra_channels))
         full[:, write] = out
         return full

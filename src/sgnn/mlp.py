@@ -90,7 +90,7 @@ def mlp_forward(params: MLP, x, tape: ad.Tape | None = None, fold: tuple | None 
     if tape is None and isinstance(x, ad.Var):
         tape = x.tape
     xv = ad.value_of(x)
-    in_dim = params.in_dim if fold is None else fold[0].max() + 1
+    in_dim = params.in_dim if fold is None else fold[0].shape[0]
     if xv.shape[-1] != in_dim:
         raise ShapeError(f"input dim {xv.shape[-1]} != first layer in dim {in_dim}")
     layers = zip(params.weights, params.biases, params.activations)

@@ -367,9 +367,9 @@ def build_masked_gmn_from_egnn(egnn_params, n_scalar: int) -> SompParams:
     def sigma_msg(x):
         xv = ad.value_of(x)
         b = xv.shape[0]
-        d2 = xv[:, 0:1]  # entry (0, 0) of the raw 3x3 Gram
-        hi = xv[:, 9 : 9 + n]
-        hj = xv[:, 9 + n : 9 + 2 * n]
+        d2 = xv[:, 0:1]  # entry (0, 0) of the raw 3x3 Gram's 6-entry triangle
+        hi = xv[:, 6 : 6 + n]
+        hj = xv[:, 6 + n : 6 + 2 * n]
         m = ad.value_of(mlp_forward(egnn_params.phi_m, np.concatenate([d2, hi, hj], axis=-1)))
         xw = ad.value_of(mlp_forward(egnn_params.phi_x, m))
         zeros = np.zeros((b, 2))
@@ -378,8 +378,8 @@ def build_masked_gmn_from_egnn(egnn_params, n_scalar: int) -> SompParams:
     def sigma_upd(x):
         xv = ad.value_of(x)
         b = xv.shape[0]
-        sm = xv[:, 4 : 4 + w]
-        hh = xv[:, 4 + w : 4 + w + n]
+        sm = xv[:, 3 : 3 + w]  # after the 2-channel stack's 3-entry triangle
+        hh = xv[:, 3 + w : 3 + w + n]
         phiv = ad.value_of(mlp_forward(egnn_params.phi_v, hh))
         ones = np.ones((b, 1))
         dh = ad.value_of(mlp_forward(egnn_params.phi_h, np.concatenate([hh, sm], axis=-1)))

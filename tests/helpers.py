@@ -154,17 +154,45 @@ def swap_last2(a):
                      lambda g: (np.swapaxes(g, -1, -2),))
 
 
+def take_last(a, index):
+    """A take of ``index`` along the last axis, as one tape record."""
+    av = ad.value_of(a)
+
+    def bwd(g):
+        out = np.zeros_like(av)
+        out[..., index] = g
+        return (out,)
+
+    return ad.record(np.take(av, index, axis=-1), (a,), bwd)
+
+
 def chain_normalized_gram(z, normalize=True):
-    """The ten-record Gram normalization: the reference for
+    """The record chain of the Gram matmul, its upper-triangle take and the
+    matvec norm weighted by 2 off the diagonal: the reference for
     ``geometry.normalized_gram``."""
-    gram = ad.matmul(swap_last2(z), z)
+    shape = ad.value_of(z).shape
+    m = shape[-1]
+    rows, cols = np.triu_indices(m)
+    gram = ad.reshape(ad.matmul(swap_last2(z), z), shape[:-2] + (m * m,))
+    tri = take_last(gram, rows * m + cols)
     if not normalize:
-        return gram
-    sq = ad.sum_(ad.mul(gram, gram), axis=(-2, -1), keepdims=True)
+        return tri
+    flat = ad.reshape(tri, (-1, rows.size))
+    weights = np.where(rows == cols, 1.0, 2.0)[:, None]
+    sq = ad.reshape(ad.matmul(ad.mul(flat, flat), weights), shape[:-2] + (1,))
     mask = (ad.value_of(sq) >= GRAM_NORM_EPS**2).astype(np.float64)
     norm = sqrt(ad.add(ad.mul(sq, mask), 1.0 - mask))
     denom = ad.add(ad.mul(norm, mask), 1.0 - mask)
-    return ad.div(gram, denom)
+    return ad.div(tri, denom)
+
+
+def square_gram(z, multiplicity=None):
+    """The full normalized Gram matrix ``G / |G|`` of the column stack, with
+    ``|G|^2 = sum_ab c_a c_b G_ab^2``, in plain numpy."""
+    gram = np.swapaxes(z, -1, -2) @ z
+    c = np.ones(z.shape[-1]) if multiplicity is None else np.asarray(multiplicity, dtype=float)
+    sq = (gram * gram * np.outer(c, c)).sum(axis=(-2, -1), keepdims=True)
+    return gram / np.where(sq >= GRAM_NORM_EPS**2, np.sqrt(sq), 1.0)
 
 
 def chain_segment_mean(a, segments, num_segments, divisor):

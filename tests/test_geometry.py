@@ -18,8 +18,9 @@ from sgnn.geometry import (
     random_subgroup_transform,
     sample_subgroup_transform,
     scalarize_subequivariant,
+    triangle,
 )
-from sgnn.mlp import mlp_init
+from sgnn.mlp import mlp_forward, mlp_grads, mlp_init
 
 from helpers import (
     adjoint_seed,
@@ -27,6 +28,7 @@ from helpers import (
     chain_ominus,
     fd_grad,
     rel_err,
+    square_gram,
     value_and_adjoints,
 )
 
@@ -258,7 +260,7 @@ def test_gram_normalization_scale_invariance_with_gravity_channel():
 def test_gram_normalization_skips_tiny_norm():
     z = np.zeros((3, 2))
     g = normalized_gram(z)
-    np.testing.assert_array_equal(g, np.zeros((2, 2)))
+    np.testing.assert_array_equal(g, np.zeros(3))
 
 
 def _gram_stack(shape, zero_rows=()):
@@ -303,12 +305,17 @@ def _gram_norms(z):
     return _stack_norms(np.swapaxes(z, -1, -2) @ z)
 
 
+def _triangle_norms(g):
+    """Euclidean norm of each triangle of a (..., T) array, flat."""
+    return np.linalg.norm(g.reshape(-1, g.shape[-1]), axis=-1)
+
+
 @pytest.mark.parametrize("reuse", [False, True], ids=["fresh", "reused"])
 @pytest.mark.parametrize("case", list(GRAM_CASES))
 def test_fused_gram_adjoints_match_ten_record_chain(case, reuse):
     # the analytic backward rounds differently from the chain's; each stack's
     # adjoints agree to 1e-12 of its scale, the larger of the chain's largest
-    # partial and |g| |z| / |G|.  The latter is the scale of an m = 1 stack,
+    # partial and |g| |z| / |G| (|g| of the triangle adjoint).  The latter is the scale of an m = 1 stack,
     # whose true adjoint is 0 and whose chain adjoint is round-off
     shape, zero_rows, normalize = GRAM_CASES[case]
     z = _gram_stack(shape, zero_rows)
@@ -322,7 +329,7 @@ def test_fused_gram_adjoints_match_ten_record_chain(case, reuse):
     stacks = (-1,) + z.shape[-2:]
     scale = np.maximum(
         np.abs(chain).reshape(stacks).max(axis=(-2, -1)),
-        _stack_norms(g) * _stack_norms(z) / denom,
+        _triangle_norms(g) * _stack_norms(z) / denom,
     )
     err = np.abs(fused - chain).reshape(stacks).max(axis=(-2, -1))
     assert (err <= 1e-12 * scale).all()
@@ -333,7 +340,7 @@ def test_fused_gram_adjoints_match_ten_record_chain(case, reuse):
 def test_gram_adjoint_matches_finite_differences(shape, normalize):
     rng = np.random.default_rng(24)
     z = rng.normal(size=shape)
-    w = rng.normal(size=shape[:-2] + (shape[-1], shape[-1]))
+    w = rng.normal(size=shape[:-2] + (shape[-1] * (shape[-1] + 1) // 2,))
     tape = ad.Tape()
     v = tape.var(z)
     got = tape.backward(normalized_gram(v, normalize), w).of(v)
@@ -354,7 +361,7 @@ def test_gram_adjoint_is_orthogonal_to_the_stack(case):
     scaled = gram_norm >= GRAM_NORM_EPS
     assert scaled.any()
     radial = np.abs((g_z * z).reshape((-1,) + z.shape[-2:]).sum(axis=(-2, -1)))[scaled]
-    scale = (_stack_norms(g) * _stack_norms(z) ** 2)[scaled] / gram_norm[scaled]
+    scale = (_triangle_norms(g) * _stack_norms(z) ** 2)[scaled] / gram_norm[scaled]
     assert (radial <= 1e-12 * scale).all()
 
 
@@ -373,7 +380,10 @@ def test_weighted_gram_equals_the_gram_of_the_repeated_stack(case):
     shape, zero_rows, counts = WEIGHTED_GRAM_CASES[case]
     z = _gram_stack(shape, zero_rows)
     first = np.cumsum((0,) + counts[:-1])  # each channel's first copy
-    want = normalized_gram(np.repeat(z, counts, axis=-1))[..., first[:, None], first]
+    rows, cols = np.triu_indices(shape[-1])
+    repeated = np.repeat(z, counts, axis=-1)
+    m = repeated.shape[-1]
+    want = normalized_gram(repeated)[..., triangle(m)[1][first[rows], first[cols]]]
     got = normalized_gram(z, multiplicity=np.array(counts, dtype=np.float64))
     assert got.shape == want.shape
     assert (np.abs(got - want) <= 1e-15 * np.abs(want)).all()
@@ -387,7 +397,7 @@ def test_weighted_gram_adjoint_matches_finite_differences(case):
     rng = np.random.default_rng(25)
     z = rng.normal(size=shape)
     c = np.array(counts, dtype=np.float64)
-    w = rng.normal(size=shape[:-2] + (shape[-1], shape[-1]))
+    w = rng.normal(size=shape[:-2] + (shape[-1] * (shape[-1] + 1) // 2,))
     tape = ad.Tape()
     v = tape.var(z)
     got = tape.backward(normalized_gram(v, multiplicity=c), w).of(v)
@@ -408,8 +418,59 @@ def test_weighted_gram_adjoint_is_orthogonal_to_the_stack(case):
     scaled = gram_norm >= GRAM_NORM_EPS
     assert scaled.any()
     radial = np.abs((g_z * z).reshape((-1,) + z.shape[-2:]).sum(axis=(-2, -1)))[scaled]
-    scale = (_stack_norms(g) * _stack_norms(z) ** 2)[scaled] / gram_norm[scaled]
+    scale = (_triangle_norms(g) * _stack_norms(z) ** 2)[scaled] / gram_norm[scaled]
     assert (radial <= 1e-12 * scale).all()
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["plain", "multiplicity"])
+@pytest.mark.parametrize("case", list(WEIGHTED_GRAM_CASES))
+def test_triangle_is_the_square_grams_upper_triangle_over_its_full_norm(case, weighted):
+    # an independent transcription: the full square Gram over its full
+    # weighted Frobenius norm, read in np.triu_indices order
+    shape, zero_rows, counts = WEIGHTED_GRAM_CASES[case]
+    z = _gram_stack(shape, zero_rows)
+    c = np.array(counts, dtype=np.float64) if weighted else None
+    rows, cols = np.triu_indices(shape[-1])
+    want = square_gram(z, c)[..., rows, cols]
+    got = normalized_gram(z, multiplicity=c)
+    assert got.shape == want.shape == shape[:-2] + (rows.size,)
+    assert (np.abs(got - want) <= 1e-15 * np.abs(want)).all()
+
+
+@pytest.mark.parametrize("gated", [False, True], ids=["plain", "gravity"])
+def test_square_layout_mlp_on_the_triangle_matches_the_full_square(gated):
+    # an MLP sigma stores the square layout and runs folded on the triangle:
+    # the same function as on the full square Gram, outputs to 1e-12 and
+    # every weight gradient to 1e-10 of its tensor's scale
+    rng = np.random.default_rng(27)
+    B, m, n = 7, 3, 2
+    z, h = rng.normal(size=(B, 3, m)), rng.normal(size=(B, n))
+    eta = constant_eta(0.4) if gated else None
+    m_aug = m + gated
+    net = mlp_init(rng, [m_aug * m_aug + n, 16, 16, m_aug * 2 + 1])
+    seed = rng.normal(size=(B, 3, 2))
+
+    def run(sigma):
+        tape = ad.Tape()
+        out, _ = scalarize_subequivariant(tape.var(z), h, sigma(tape), eta, GRAVITY,
+                                          out_channels=2, extra_channels=1)
+        grads = tape.backward(out, seed)
+        return ad.value_of(out), mlp_grads(tape, grads, net)
+
+    def square(tape):
+        def f(x):  # rebuild the augmented stack and feed its square Gram
+            aug = np.concatenate([z, np.broadcast_to(0.4 * GRAVITY.direction[:, None],
+                                                     (B, 3, 1))], axis=-1) if gated else z
+            return mlp_forward(net, np.concatenate([square_gram(aug).reshape(B, -1), h], axis=-1),
+                               tape=tape)
+        return f
+
+    got, got_grads = run(lambda tape: net)
+    want, want_grads = run(square)
+    np.testing.assert_allclose(got, want, atol=1e-12, rtol=0.0)
+    for g, w in zip(got_grads, want_grads):
+        assert g.shape == w.shape
+        assert np.abs(g - w).max() <= 1e-10 * np.abs(w).max()
 
 
 @pytest.mark.parametrize("case", ["batched_m1", "unbatched_m1"])

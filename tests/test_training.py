@@ -123,13 +123,14 @@ def test_training_without_edges_takes_zero_gradients(variant):
 
 def test_sgnn_sample_tape_record_budget():
     """One SGNN training sample at the criterion-8 model config records at
-    most 221 tape entries (221).  It recorded 377 before the frame's inputs
+    most 210 tape entries (210).  It recorded 377 before the frame's inputs
     were kept off the tape and each node's object offset was built once per
     iteration, 293 while each ``ominus`` took six records, 267 while each
     mean aggregation took two, 255 while each dense layer took one (an MLP
-    takes one now), and 222 while the object-aware edge stack took six
+    takes one now), 222 while the object-aware edge stack took six
     records and repeated two channels (five now, and the message network's
-    fold happens inside its MLP record)."""
+    fold happens inside its MLP record), and 221 while each of the 11
+    scalarizations reshaped its square Gram (sigma reads the triangle now)."""
     traj = generate_scene(SceneConfig(objects=3, frames=12, push_speed=0.25,
                                       drop_height=0.12, seed=0))
     model = make_sgnn_model(np.random.default_rng(0), traj.attrs.shape[1], hidden=32,
@@ -143,7 +144,7 @@ def test_sgnn_sample_tape_record_budget():
     pred = model.predict(system, edges, tape=tape)
     diff = ad.sub(pred, traj.frames[11])
     ad.div(ad.sum_(ad.mul(diff, diff)), float(system.n_particles))
-    assert len(tape._records) <= 221
+    assert len(tape._records) <= 210
 
 
 def test_frozen_model_loss_equals_mean_rollout_mse():
