@@ -215,25 +215,6 @@ def matmul(a, b):
     ))
 
 
-def _sigmoid(x: Array) -> Array:
-    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, select-free: exp
-    # never overflows, the numerator is max(e, x >= 0), and np.minimum keeps
-    # NaN bits (-np.abs would not).  Each step reuses one temporary.
-    e = np.minimum(x, -x)
-    np.exp(e, out=e)
-    num = np.maximum(e, x >= 0)
-    return np.divide(num, np.add(1.0, e, out=e), out=num)
-
-
-def _silu_grad(g: Array, x: Array, s: Array) -> Array:
-    """``g * (s * (1.0 + x * (1.0 - s)))``, operands in that order, in one temporary."""
-    t = np.subtract(1.0, s)
-    np.multiply(x, t, out=t)
-    np.add(1.0, t, out=t)
-    np.multiply(s, t, out=t)
-    return np.multiply(g, t, out=t)
-
-
 def mlp(x, layers: Sequence[tuple], fold: tuple | None = None):
     """``act(x @ w + b)`` for each ``(w, b, act)`` of ``layers`` in turn (``act``
     in silu, relu, linear; a 1-D ``x`` runs as one row), as one record.
@@ -256,15 +237,20 @@ def mlp(x, layers: Sequence[tuple], fold: tuple | None = None):
         values[0][0] = rows @ values[0][0]
     if cols is not None:
         values[-1][0], values[-1][1] = values[-1][0] @ cols.T, cols @ values[-1][1]
-    saved = []  # per layer: input, pre-activation (ReLU: output), sigmoid, w, b's shape, act
+    saved = []  # per layer: input, pre-activation (ReLU: output), SiLU's 1 + e^-x, w, b's shape, act
     for wv, bv, act in values:
         pre = np.matmul(h, wv)
         pre += bv
-        s = _sigmoid(pre) if act == "silu" else None
+        d = None
+        if act == "silu":  # x / (1 + e^-x); below x = -709.78 e^-x is inf and the SiLU -0.0
+            d = np.negative(pre)
+            with np.errstate(over="ignore"):
+                np.exp(d, out=d)
+            d += 1.0
         if any(wants):
-            saved.append((h, pre, s, wv, bv.shape, act))
+            saved.append((h, pre, d, wv, bv.shape, act))
         if act == "silu":
-            h = np.multiply(pre, s, out=None if any(wants) else s)
+            h = np.divide(pre, d, out=None if any(wants) else d)
         else:  # in place: a ReLU output is > 0 exactly where its input is
             h = np.maximum(pre, 0.0, out=pre) if act == "relu" else pre
 
@@ -272,13 +258,18 @@ def mlp(x, layers: Sequence[tuple], fold: tuple | None = None):
         g = g.reshape(h.shape)
         grads = [None] * len(wants)
         lo = max(wants.index(True) - 1, 0) // 2  # the first layer with a partial to give
+        y = h  # the output of layer k, which is layer k + 1's input
         for k in range(len(saved) - 1, lo - 1, -1):
-            hk, pre, s, wv, bshape, act = saved.pop()
-            if act == "silu":
-                g = _silu_grad(g, pre, s)
+            hk, pre, d, wv, bshape, act = saved.pop()
+            if act == "silu":  # g (1 + x - y) / d, as sigmoid = 1 / d and x sigmoid = y; pre is free
+                t = np.add(1.0, pre, out=pre)
+                t -= y
+                t /= d  # before g: (1 + x - y) / d is bounded where g (1 + x - y) may overflow
+                g = np.multiply(g, t, out=t)
             elif act == "relu":
                 g = g * (pre > 0.0)
-            del pre, s
+            del pre, d
+            y = hk
             if wants[2 * k + 1]:
                 grads[2 * k + 1] = _unbroadcast(np.swapaxes(hk, -1, -2) @ g, wv.shape)
             if wants[2 * k + 2]:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import BASELINE_VARIANTS, make_baseline
-from .errors import SgnnError
+from .errors import ContractError, SgnnError
 from .model import make_sgnn_model
 from .modelio import load_model, save_model
 from .scenes import (
@@ -131,9 +131,12 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     _echo_config("eval", vars(args))
+    try:
+        horizons = [int(h) for h in args.horizons.split(",") if h]
+    except ValueError as err:  # names the token
+        raise ContractError(f"--horizons: {err}") from None
     model = load_model(args.checkpoint)
     trajs = _load_dir(args.data)
-    horizons = [int(h) for h in args.horizons.split(",") if h]
     rotate_angles = None
     if args.rotate_test is not None:
         if args.rotate_test == "random":

@@ -245,6 +245,8 @@ def evaluate(
         raise ContractError("no trajectories to evaluate")
     horizons = sorted(int(h) for h in horizons)
     t_max = min(t.n_frames for t in trajectories) - 1
+    if horizons and horizons[0] < 1:
+        raise ContractError(f"horizon {horizons[0]} is below 1")
     if horizons and horizons[-1] > t_max:
         raise ContractError(f"horizon {horizons[-1]} exceeds last frame {t_max}")
     if rotate_angles is not None and len(rotate_angles) != len(trajectories):

@@ -97,7 +97,8 @@ def loop_build_edges(system: ParticleSystem, r: float) -> EdgeSets:
 
 
 def masked_sigmoid(x: np.ndarray) -> np.ndarray:
-    """Boolean-mask sigmoid: the reference for ``ad._sigmoid``."""
+    """Boolean-mask sigmoid, exp never overflowing: the accuracy reference for
+    ``ad.mlp``'s SiLU layers."""
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -114,11 +115,14 @@ def add_at_scatter(index: np.ndarray, values: np.ndarray, rows: int) -> np.ndarr
 
 
 def silu(a):
-    """A SiLU record on the masked sigmoid, whose backward keeps the forward
-    sigmoid."""
+    """A SiLU record ``x / d`` with ``d = 1 + exp(-x)``, whose backward is
+    ``g ((1 + x - y) / d)`` on its output ``y``: the reference for ``ad.mlp``'s
+    SiLU layers."""
     av = ad.value_of(a)
-    s = masked_sigmoid(av)
-    return ad.record(av * s, (a,), lambda g: (g * (s * (1.0 + av * (1.0 - s))),))
+    with np.errstate(over="ignore"):
+        d = 1.0 + np.exp(-av)
+    y = av / d
+    return ad.record(y, (a,), lambda g: (g * ((1.0 + av - y) / d),))
 
 
 def relu(a):

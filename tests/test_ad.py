@@ -170,35 +170,74 @@ def _sigmoid_inputs(rng):
     ]
 
 
-def test_sigmoid_matches_masked_form_bit_for_bit():
-    for x in _sigmoid_inputs(np.random.default_rng(40)):
-        assert _same_bits(ad._sigmoid(x), masked_sigmoid(x))
+def _silu_layer(x, g, layer=ad.mlp):
+    """One SiLU layer on the pre-activations ``x @ [[1]] + [-0]`` of each entry
+    of ``x``, taped: its value and the adjoint of ``x`` under the output
+    adjoint ``g``, both shaped as ``x``."""
+    tape = ad.Tape()
+    v = tape.var(x.reshape(-1, 1))
+    out = layer(v, [(np.ones((1, 1)), np.array([-0.0]), "silu")])
+    adj = tape.backward(out, g.reshape(-1, 1)).of(v)
+    return ad.value_of(out).reshape(x.shape), adj.reshape(x.shape)
 
 
-def test_sigmoid_raises_no_floating_point_error_on_finite_or_infinite_input():
+def test_silu_forward_and_backward_match_reference_bit_for_bit():
+    # ``ad.mlp``'s SiLU layers against the SiLU record of ``tests/helpers.py``
+    rng = np.random.default_rng(41)
+    with np.errstate(invalid="ignore"):  # -inf and nan give nan
+        for x in _sigmoid_inputs(rng):
+            g = rng.normal(size=x.shape)
+            got, want = _silu_layer(x, g), _silu_layer(x, g, chain_dense)
+            assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+            eager = ad.mlp(x.reshape(-1, 1), [(np.ones((1, 1)), np.array([-0.0]), "silu")])
+            assert _same_bits(eager.reshape(x.shape), got[0])
+
+
+def test_silu_forward_and_backward_are_accurate_against_masked_sigmoid():
+    rng = np.random.default_rng(40)
+    x = np.concatenate([rng.uniform(-760.0, 760.0, 60_000), rng.normal(scale=3.0, size=60_000)])
+    g = rng.normal(size=x.shape)
+    y, adj = _silu_layer(x, g)
+    s = masked_sigmoid(x)
+    want = x * s
+    eps = np.finfo(np.float64).eps
+    big = np.abs(want) > 1e-290
+    assert np.all(np.abs(y - want)[big] <= 4.0 * eps * np.abs(want[big]))
+    assert np.all(np.abs(y[~big]) <= 1e-290)
+    slope = s * (1.0 + x * (1.0 - s))
+    assert np.all(np.abs(adj - g * slope) <= 4.0 * eps * (1.0 + np.abs(x)) * np.abs(g))
+
+
+def test_silu_raises_no_floating_point_error_on_finite_input():
     big = np.finfo(np.float64).max
     tiny = np.finfo(np.float64).smallest_subnormal
     x = np.concatenate([
-        SPECIAL[~np.isnan(SPECIAL)],
-        [big, -big, tiny, -tiny, 709.0, -709.0, 710.0, -710.0, 1e308, -1e308],
+        SPECIAL[np.isfinite(SPECIAL)],
+        [big, -big, tiny, -tiny, 709.0, -709.0, 710.0, -710.0, 745.0, -745.0, 1e308, -1e308],
         np.random.default_rng(48).normal(scale=400.0, size=1000),
     ])
+    # adjoints above 1 catch a backward that multiplies by g before dividing by d
+    g = np.random.default_rng(49).normal(scale=1e3, size=x.shape)
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        s = ad._sigmoid(x)
-    assert np.all((s >= 0.0) & (s <= 1.0))
-    assert _same_bits(s, masked_sigmoid(x))
+        y, adj = _silu_layer(x, g)
+    assert np.isfinite(y).all() and np.isfinite(adj).all()
 
 
-def test_silu_forward_and_backward_match_masked_form_bit_for_bit():
-    # the forward product and the one-temporary derivative of ``ad.mlp``'s
-    # SiLU layers, against the expressions of a SiLU record
-    rng = np.random.default_rng(41)
+def test_silu_edge_values():
+    below = np.array([-709.79, -710.0, -745.0, -1e5, -np.finfo(np.float64).max])
+    y, _ = _silu_layer(below, np.ones_like(below))
+    assert _same_bits(y, np.full_like(below, -0.0))
     with np.errstate(invalid="ignore"):
-        for x in _sigmoid_inputs(rng):
-            g = rng.normal(size=x.shape)
-            s = masked_sigmoid(x)
-            assert _same_bits(x * ad._sigmoid(x), x * s)
-            assert _same_bits(ad._silu_grad(g, x, s), g * (s * (1.0 + x * (1.0 - s))))
+        y, _ = _silu_layer(np.array([np.inf, -np.inf, np.nan]), np.ones(3))
+    assert y[0] == np.inf and np.isnan(y[1:]).all()
+
+
+def test_silu_derivative_matches_central_differences():
+    # -1.2785 is near the derivative's zero
+    x = np.array([-40.0, -1.2785, 0.0, 3.0, 40.0])
+    _, adj = _silu_layer(x, np.ones_like(x))
+    fd = fd_grad(lambda: float(_silu_layer(x, np.ones_like(x))[0].sum()), x, range(x.size))
+    np.testing.assert_allclose(adj, fd, rtol=0.0, atol=1e-9)
 
 
 @pytest.mark.parametrize("tail", [(), (3, 2), (3, 0)], ids=["scalar", "3x2", "3x0"])

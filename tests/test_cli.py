@@ -155,6 +155,14 @@ def test_train_rejects_invalid_values_with_an_error_line(tiny_dataset, tmp_path,
     assert not ckpt.exists()
 
 
+def test_eval_rejects_a_horizon_that_is_not_an_integer_before_loading(tmp_path, capsys):
+    # the checkpoint does not exist: the horizons are checked first
+    assert main(["eval", str(tmp_path / "missing.sgnn"), "--data", str(tmp_path),
+                 "--horizons", "5,x", "--out", str(tmp_path / "eval")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --horizons") and "'x'" in err
+
+
 def test_eval_writes_metrics_with_rotation_columns(tiny_dataset, tmp_path, capsys):
     ckpt = tmp_path / "model.sgnn"
     assert main(_train_args(tiny_dataset, ckpt)) == 0

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from sgnn import ad
+from sgnn import ad, training
 from sgnn.baselines import BASELINE_VARIANTS, make_baseline
 from sgnn.errors import ContractError
 from sgnn.graph import build_edges
@@ -282,6 +282,17 @@ def test_evaluate_rejects_long_horizon():
     trajs = static_trajectories(1, frames=5)
     with pytest.raises(ContractError):
         evaluate(small_model(), trajs, [10])
+
+
+@pytest.mark.parametrize("horizons", [[-1, 3], [0], [3, -2]])
+def test_evaluate_rejects_horizon_below_one_before_any_rollout(monkeypatch, horizons):
+    def no_rollout(*args, **kwargs):
+        raise AssertionError("rolled out before checking the horizons")
+
+    monkeypatch.setattr(training, "rollout", no_rollout)
+    low = min(horizons)
+    with pytest.raises(ContractError, match=f"horizon {low} is below 1"):
+        evaluate(small_model(), static_trajectories(1, frames=5), horizons)
 
 
 def test_evaluate_mixed_object_counts_need_contact_pairs():
