@@ -135,15 +135,21 @@ def cmd_eval(args) -> int:
         horizons = [int(h) for h in args.horizons.split(",") if h]
     except ValueError as err:  # names the token
         raise ContractError(f"--horizons: {err}") from None
+    try:
+        angle = None if args.rotate_test in (None, "random") else float(args.rotate_test)
+    except ValueError:
+        angle = np.nan
+    if angle is not None and not np.isfinite(angle):
+        raise ContractError(f"--rotate-test: {args.rotate_test!r} is neither 'random' nor a "
+                            "finite angle in radians")
     model = load_model(args.checkpoint)
     trajs = _load_dir(args.data)
     rotate_angles = None
-    if args.rotate_test is not None:
-        if args.rotate_test == "random":
-            rng = np.random.default_rng(args.seed)
-            rotate_angles = list(rng.uniform(0.0, 2.0 * np.pi, size=len(trajs)))
-        else:
-            rotate_angles = [float(args.rotate_test)] * len(trajs)
+    if args.rotate_test == "random":
+        rng = np.random.default_rng(args.seed)
+        rotate_angles = list(rng.uniform(0.0, 2.0 * np.pi, size=len(trajs)))
+    elif angle is not None:
+        rotate_angles = [angle] * len(trajs)
 
     plain = evaluate(model, trajs, horizons, rigid=args.rigid,
                      contact_threshold=args.contact_threshold, seed=args.seed)

@@ -1,6 +1,8 @@
 """Binary tensor container and model checkpoint round trips."""
 
 import json
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,7 +11,9 @@ from sgnn.baselines import make_baseline
 from sgnn.checkpoint import read_tensors, write_tensors
 from sgnn.cli import main
 from sgnn.errors import CheckpointFormatError
+from sgnn.geometry import Gravity
 from sgnn.graph import ParticleSystem
+from sgnn.mlp import MLP
 from sgnn.model import make_sgnn_model
 from sgnn.modelio import load_model, save_model
 
@@ -78,33 +82,68 @@ def _system(rng, n=10):
     )
 
 
+_GRAVITY = Gravity(direction=np.array([0.6, 0.0, -0.8]), magnitude=4.5)
+
+
+def _assert_same_model(back, model):
+    """Every stored field and parameter of ``model`` came back."""
+    for name in ("variant", "cutoff", "velocity_scale", "zero_object_features", "shared_edges"):
+        assert getattr(back, name, None) == getattr(model, name, None), name
+    assert back.gravity.magnitude == model.gravity.magnitude
+    np.testing.assert_array_equal(back.gravity.direction, model.gravity.direction)
+    parts = ["params"] if hasattr(model, "params") else ["stage1", "stage2", "stage3"]
+    for part in parts:
+        got, want = getattr(back, part), getattr(model, part)
+        assert (got is None) == (want is None), part
+        for f in fields(want) if want is not None else ():
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if isinstance(b, MLP):
+                assert a.activations == b.activations and len(a.weights) == len(b.weights)
+                for x, y in zip(a.parameters(), b.parameters()):
+                    np.testing.assert_array_equal(x, y)
+            else:
+                assert a == b, (part, f.name)
+
+
 def test_sgnn_model_round_trip(tmp_path):
+    """Every written field differs from its default (``node_channels`` is
+    fixed by the layer's two-channel stacks)."""
     rng = np.random.default_rng(1)
-    model = make_sgnn_model(rng, 2, hidden=8, iterations=1, cutoff=0.1,
-                            zero_init_update=False, msg_extra=4)
-    model.stage1.aggregate = "mean"
+    model = make_sgnn_model(rng, 2, hidden=8, iterations=1, cutoff=0.1, gravity=_GRAVITY,
+                            zero_init_update=False, msg_channels=3, msg_extra=4,
+                            equivariant_only=True, zero_object_features=True, shared_edges=True)
+    model.velocity_scale = 0.025
+    for stage in (model.stage1, model.stage2, model.stage3):
+        stage.aggregate, stage.normalize = "mean", False
     sys_ = _system(rng)
     want = model.predict(sys_)
     path = tmp_path / "model.sgnn"
     save_model(path, model)
     back = load_model(path)
     np.testing.assert_array_equal(back.predict(sys_), want)
-    assert back.variant == "sgnn"
-    assert back.stage1.aggregate == "mean"
+    _assert_same_model(back, model)
+    assert back.stage1.aggregate == "mean" and back.stage2.use_objects is False
+
+
+_BASELINE_KWARGS = {"gns": {"msg_dim": 8}, "egnn": {"msg_dim": 8},
+                    "gmn": {"msg_channels": 3, "msg_extra": 4, "normalize": False}}
 
 
 @pytest.mark.parametrize("variant", ["gns", "egnn", "egnn_s", "gmn", "gmn_s"])
 def test_baseline_round_trip(tmp_path, variant):
+    """Every written field differs from its default; ``aggregate`` is not
+    written (see test_modelio)."""
     rng = np.random.default_rng(2)
-    model = make_baseline(variant, rng, 2, hidden=8, iterations=2, cutoff=0.1,
-                          zero_init_update=False)
+    model = make_baseline(variant, rng, 2, hidden=8, iterations=2, cutoff=0.1, gravity=_GRAVITY,
+                          zero_init_update=False, **_BASELINE_KWARGS[variant.removesuffix("_s")])
+    model.velocity_scale = 0.025
     sys_ = _system(rng)
     want = model.predict(sys_)
     path = tmp_path / f"{variant}.sgnn"
     save_model(path, model)
     back = load_model(path)
     np.testing.assert_array_equal(back.predict(sys_), want)
-    assert back.variant == variant
+    _assert_same_model(back, model)
 
 
 def test_gmn_checkpoint_keeps_v1_layout(tmp_path):
@@ -140,10 +179,41 @@ def _with_header(tmp_path, header: np.ndarray):
     return path
 
 
-@pytest.mark.parametrize("case", ["not_json", "not_utf8", "not_bytes", "gravity_mag",
-                                  "variant", "stages", "params", "aggregate",
-                                  "stage3_from_stage1"])
+def _stage1(key, value):
+    return lambda meta: meta["stages"]["stage1"].update({key: value})
+
+
+# case -> (edit of a valid sgnn header, text the error must contain)
+_HEADER_EDITS = {
+    "gravity_mag": (lambda m: m.pop("gravity_mag"), "header lacks keys ['gravity_mag']"),
+    "variant": (lambda m: m.pop("variant"), "unknown variant None"),
+    "stages": (lambda m: m.pop("stages"), "header lacks keys ['stages']"),
+    "params": (lambda m: m.update(variant="gns"), "header lacks keys ['params']"),
+    "aggregate": (_stage1("aggregate", "median"), "stages.stage1.aggregate 'median'"),
+    "stage3_from_stage1": (lambda m: m.update(stage3_from_stage1=True), "stage3_from_stage1"),
+    "iterations_string": (_stage1("iterations", "2"), "stages.stage1.iterations must be"),
+    "iterations_negative": (_stage1("iterations", -3), "stages.stage1.iterations must be"),
+    "iterations_bool": (_stage1("iterations", True), "stages.stage1.iterations must be"),
+    "use_objects_string": (_stage1("use_objects", "no"), "stages.stage1.use_objects must be"),
+    "msg_channels_width": (_stage1("msg_channels", 5), "MLP stage1/phi_sigma has shapes"),
+    "n_scalar_zero": (_stage1("n_scalar", 0), "stages.stage1 has dims no model allocates"),
+    "stage_extra_key": (_stage1("own_velocity", False), "has extra ['own_velocity']"),
+    "stage_missing_key": (lambda m: m["stages"]["stage1"].pop("normalize"),
+                          "stages.stage1 lacks keys ['normalize']"),
+    "top_extra_key": (lambda m: m.update(aggregate="sum"), "header lacks keys [], has extra"),
+    "cutoff_string": (lambda m: m.update(cutoff="0.1"), "header.cutoff must be a JSON float"),
+    "mlps_extra": (lambda m: m["mlps"].update(extra={"activations": ["linear"]}),
+                   "mlps lacks keys [], has extra ['extra']"),
+    "activation_unknown": (lambda m: m["mlps"]["stage1/phi_eta"].update(activations=["tanh"]),
+                           "mlps.stage1/phi_eta.activations"),
+    "activations_empty": (lambda m: m["mlps"]["stage1/phi_eta"].update(activations=[]),
+                          "mlps.stage1/phi_eta.activations"),
+}
+
+
+@pytest.mark.parametrize("case", ["not_json", "not_utf8", "not_bytes", *_HEADER_EDITS])
 def test_malformed_header_raises_typed_error(tmp_path, case):
+    match = None
     if case == "not_json":
         header = np.frombuffer(b"{not json", dtype=np.uint8).astype(np.float64)
     elif case == "not_utf8":
@@ -152,17 +222,30 @@ def test_malformed_header_raises_typed_error(tmp_path, case):
         header = np.array([123.5, 300.0, -1.0])
     else:
         meta = _header_meta(tmp_path)
-        if case == "params":
-            meta["variant"] = "gns"
-        elif case == "aggregate":
-            meta["stages"]["stage1"]["aggregate"] = "median"
-        elif case == "stage3_from_stage1":
-            meta[case] = True
-        else:
-            del meta[case]
+        edit, match = _HEADER_EDITS[case]
+        edit(meta)
         header = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8).astype(np.float64)
     path = _with_header(tmp_path, header)
-    with pytest.raises(CheckpointFormatError):
+    with pytest.raises(CheckpointFormatError, match=re.escape(match) if match else None):
+        load_model(path)
+
+
+@pytest.mark.parametrize("edit", ["extra", "missing", "bias_shape"])
+def test_tensors_must_be_exactly_those_the_header_names(tmp_path, edit):
+    path = tmp_path / "model.sgnn"
+    save_model(path, _small_sgnn())
+    tensors = read_tensors(path)
+    if edit == "extra":
+        tensors["stage2/phi_eta/w2"] = np.ones((1, 1))
+    elif edit == "missing":
+        del tensors["stage3/psi_eta/b1"]
+    else:
+        tensors["stage1/psi_eta/b0"] = tensors["stage1/psi_eta/b0"].reshape(-1, 1)
+    write_tensors(path, list(tensors.items()))
+    match = {"extra": "have extra ['stage2/phi_eta/w2']",
+             "missing": "tensors lack ['stage3/psi_eta/b1']",
+             "bias_shape": "MLP stage1/psi_eta has shapes"}[edit]
+    with pytest.raises(CheckpointFormatError, match=re.escape(match)):
         load_model(path)
 
 
@@ -190,3 +273,14 @@ def test_eval_exits_1_on_malformed_header(tmp_path, capsys):
     rc = main(["eval", str(path), "--data", str(tmp_path), "--out", str(tmp_path / "e")])
     assert rc == 1
     assert "header is not JSON" in capsys.readouterr().err
+
+
+def test_eval_exits_1_on_a_header_value_of_the_wrong_type(tmp_path, capsys):
+    meta = _header_meta(tmp_path)
+    meta["stages"]["stage1"]["iterations"] = "2"
+    header = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8).astype(np.float64)
+    path = _with_header(tmp_path, header)
+    rc = main(["eval", str(path), "--data", str(tmp_path), "--out", str(tmp_path / "e")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "stages.stage1.iterations must be a JSON int >= 0" in err

@@ -163,6 +163,16 @@ def test_eval_rejects_a_horizon_that_is_not_an_integer_before_loading(tmp_path, 
     assert err.startswith("error: --horizons") and "'x'" in err
 
 
+@pytest.mark.parametrize("angle", ["abc", "nan", "inf"])
+def test_eval_rejects_a_rotation_that_is_not_a_finite_angle_before_loading(tmp_path, capsys,
+                                                                           angle):
+    # the checkpoint does not exist: the rotation is checked first
+    assert main(["eval", str(tmp_path / "missing.sgnn"), "--data", str(tmp_path),
+                 "--rotate-test", angle, "--out", str(tmp_path / "eval")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --rotate-test") and repr(angle) in err
+
+
 def test_eval_writes_metrics_with_rotation_columns(tiny_dataset, tmp_path, capsys):
     ckpt = tmp_path / "model.sgnn"
     assert main(_train_args(tiny_dataset, ckpt)) == 0
