@@ -74,6 +74,8 @@ def _load_dir(data_dir: str):
 
 
 def _build_model(variant: str, args, n_scalar: int):
+    if not 0 < args.cutoff < np.inf:  # load_model accepts no other cutoff
+        raise ContractError(f"--cutoff must be finite and > 0, got {args.cutoff}")
     rng = np.random.default_rng(args.init_seed)
     if variant == "sgnn":
         model = make_sgnn_model(

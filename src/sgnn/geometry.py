@@ -84,13 +84,6 @@ def ominus(zi, zj):
     ))
 
 
-def _apply_sigma(sigma, x, tape, chan=(), out_channels=0, extra=0):
-    if not isinstance(sigma, MLP):
-        return sigma(x)
-    fold = sigma_fold(chan, sigma.in_dim - len(chan) ** 2, out_channels, extra) if chan else None
-    return mlp_forward(sigma, x, tape=tape, fold=fold)
-
-
 @lru_cache(maxsize=None)
 def triangle(m: int) -> tuple:
     """An (m, m) matrix's upper triangle in ``np.triu_indices`` order: its
@@ -153,8 +146,8 @@ def normalized_gram(z, normalize: bool = True, multiplicity=None):
 def scalarize_subequivariant(
     z,
     h,
-    sigma,
-    eta=None,
+    sigma: MLP,
+    eta: MLP | None = None,
     gravity: Gravity | None = None,
     *,
     out_channels: int = 1,
@@ -165,9 +158,9 @@ def scalarize_subequivariant(
 ):
     """Batched scalarization Z V with V = sigma(gram(Z), h), returning the
     (geometric, extras) pair for ``z`` of shape (B, 3, m) and ``h`` (B, n).
-    A callable sigma reads [triangle, h] (see ``normalized_gram``), an MLP
-    the same through a fold of its stored square layout (``sigma_fold``),
-    whose channel k is z's ``channels[k]``, the Gram norm counting repeats.
+    The MLP sigma stores the square layout [square Gram, h] and reads [triangle,
+    h] (see ``normalized_gram``) through its fold (``sigma_fold``), the stored
+    channel k being z's ``channels[k]``, the Gram norm counting repeats.
 
     With ``eta`` the gravity direction is appended as channel m with scale
     eta(h), so the output can leave the span of Z along the vertical axis
@@ -183,15 +176,17 @@ def scalarize_subequivariant(
     if eta is not None:
         if gravity is None:
             raise ContractError("a gravity gate needs the gravity direction")
-        scale = _apply_sigma(eta, h, tape)
+        scale = mlp_forward(eta, h, tape=tape)
         if ad.value_of(scale).shape[-1] != 1:
             raise ShapeError("eta must map the scalar features to one real")
         g_col = ad.mul(ad.reshape(scale, (B, 1, 1)), gravity.direction.reshape(3, 1))
         z = ad.concat([z, g_col], axis=-1) if m else g_col
         m += 1
     gram = normalized_gram(z, normalize, None if channels is None else np.bincount(channels))
-    out = _apply_sigma(sigma, ad.concat([gram, h], axis=-1), tape, channels or tuple(range(m)),
-                       out_channels, extra_channels)
+    chan = channels or tuple(range(m))
+    n_scalar = sigma.in_dim - len(chan) ** 2
+    fold = sigma_fold(chan, n_scalar, out_channels, extra_channels) if chan else None
+    out = mlp_forward(sigma, ad.concat([gram, h], axis=-1), tape=tape, fold=fold)
     width = ad.value_of(out).shape[-1]
     if width != m * out_channels + extra_channels:
         raise ShapeError(

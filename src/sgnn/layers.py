@@ -18,7 +18,7 @@ import numpy as np
 
 from . import ad
 from .errors import ContractError, ShapeError
-from .geometry import Gravity, _apply_sigma, ominus, scalarize_subequivariant, triangle
+from .geometry import Gravity, ominus, scalarize_subequivariant
 from .graph import ObjectFeatures, _receiver_mask
 from .mlp import MLP, mlp_init
 
@@ -39,10 +39,10 @@ class SompParams:
     update stack, which is the multichannel (GMN-style) layer.
     """
 
-    phi_sigma: MLP | object
-    phi_eta: MLP | object
-    psi_sigma: MLP | object
-    psi_eta: MLP | object
+    phi_sigma: MLP
+    phi_eta: MLP
+    psi_sigma: MLP
+    psi_eta: MLP
     iterations: int = 4
     msg_channels: int = 2
     msg_extra: int = 16
@@ -55,8 +55,7 @@ class SompParams:
     own_velocity: bool = False
 
     def mlps(self) -> list[MLP]:
-        nets = (self.phi_sigma, self.phi_eta, self.psi_sigma, self.psi_eta)
-        return [m for m in nets if isinstance(m, MLP)]
+        return [self.phi_sigma, self.phi_eta, self.psi_sigma, self.psi_eta]
 
 
 def make_somp_params(
@@ -197,39 +196,3 @@ def somp_forward(
         h = ad.add(h, ad.mul(dh, mask[:, None]))
     return z, h
 
-
-# ------------------------------------------------------------ mask wiring
-
-def masked_sigma(
-    inner,
-    keep_stack: list[int],
-    full_channels: int,
-    keep_scalars: list[int],
-    out_channels: int,
-    extra_channels: int,
-):
-    """Wrap a smaller layer's sigma so a wider layer reproduces it exactly.
-
-    The wrapper reads the kept stack channels' Gram triangle and scalar
-    entries, applies ``inner`` as the scalarization would, and embeds the
-    resulting mixing weights back into the full stack with zero rows
-    elsewhere: the dropped channels (gravity column, object offsets)
-    contribute nothing to the output.  Inference-only.
-    """
-    keep = np.asarray(keep_stack)
-    # flat columns: the kept Gram triangle and scalars read, the kept rows
-    # of the mixing weights and the extras written
-    kept = triangle(full_channels)[1][keep[:, None], keep][np.triu_indices(keep.size)]
-    read = np.append(kept, len(triangle(full_channels)[0])
-                     + np.asarray(keep_scalars, dtype=np.int64))
-    write = np.append(keep[:, None] * out_channels + np.arange(out_channels),
-                      full_channels * out_channels + np.arange(extra_channels))
-
-    def f(x):
-        inner_in = ad.value_of(x)[:, read]
-        out = ad.value_of(_apply_sigma(inner, inner_in, None, tuple(range(keep.size))))
-        full = np.zeros((out.shape[0], full_channels * out_channels + extra_channels))
-        full[:, write] = out
-        return full
-
-    return f

@@ -21,7 +21,7 @@ from .baselines import make_egnn_params, make_gmn_params, make_gns_params
 from .checkpoint import read_tensors, write_tensors
 from .errors import CheckpointFormatError, SgnnError
 from .geometry import Gravity
-from .layers import SompParams, make_somp_params
+from .layers import NODE_CHANNELS, SompParams, make_somp_params
 from .mlp import _ACTIVATIONS, MLP
 from .model import SGNNModel
 
@@ -57,7 +57,7 @@ _GMN = Family(SompParams, make_gmn_params,
               ("iterations", "msg_channels", "msg_extra", "n_scalar", "subequivariant", "normalize"),
               {"sigma_msg": "phi_sigma", "sigma_upd": "psi_sigma",
                "eta_msg": "phi_eta", "eta_upd": "psi_eta"},
-              fixed={"use_objects": False, "own_velocity": True, "node_channels": 2},
+              fixed={"use_objects": False, "own_velocity": True, "node_channels": NODE_CHANNELS},
               negated={"subequivariant": "equivariant_only"})
 # Baseline headers hold no `aggregate`, so baselines load with "sum".
 FAMILIES = {"sgnn": _STAGE, "egnn": _EGNN, "egnn_s": _EGNN, "gmn": _GMN, "gmn_s": _GMN,
@@ -113,8 +113,10 @@ def _load_params(path, where: str, fam: Family, cfg, prefix: str, tensors: dict,
     """One params object; its MLPs must have the shapes ``fam.make`` allocates."""
     defaults = {f.name: f.default for f in fields(fam.cls)}
     _check_keys(path, where, cfg, {k: type(defaults[fam.negated.get(k, k)]) for k in fam.keys})
-    if cfg.get("aggregate", "sum") not in ("sum", "mean"):
-        raise CheckpointFormatError(f"{path}: {where}.aggregate {cfg['aggregate']!r} is unknown")
+    for key, allowed in (("aggregate", ("sum", "mean")), ("node_channels", (NODE_CHANNELS,))):
+        if cfg.get(key, allowed[0]) not in allowed:  # the layer runs only these
+            raise CheckpointFormatError(f"{path}: {where}.{key} {cfg[key]!r} is not one of "
+                                        f"{list(allowed)}")
     hidden = tensors[f"{prefix}{next(iter(fam.mlps))}/w0"].shape[1]
     accepted = signature(fam.make).parameters
     try:
@@ -152,6 +154,10 @@ def load_model(path):
         raise CheckpointFormatError(f"{path}: unknown variant {variant!r}")
     fam, sgnn = FAMILIES[variant], variant == "sgnn"
     _check_keys(path, "header", meta, {**_TOP, **(_SGNN_TOP if sgnn else {"params": dict})})
+    for key in ("cutoff", "velocity_scale"):
+        if not 0 < meta[key] < np.inf:  # NaN, which Python's json reads, fails too
+            raise CheckpointFormatError(f"{path}: header.{key} must be finite and > 0, "
+                                        f"got {meta[key]!r}")
     if sgnn:
         if meta["stage3_from_stage1"]:
             raise CheckpointFormatError(f"{path}: stage3_from_stage1 must be false")

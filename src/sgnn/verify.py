@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ad
-from .baselines import egnn_forward, make_baseline, make_egnn_params, make_gmn_params
+from .baselines import (EGNNParams, egnn_forward, make_baseline, make_egnn_params,
+                        make_gmn_params)
 from .errors import ContractError, GramMismatchError
 from .geometry import (
     Gravity,
@@ -25,8 +26,8 @@ from .geometry import (
     scalarize_subequivariant,
 )
 from .graph import ParticleSystem, build_edges, pool_objects
-from .layers import SompParams, make_somp_params, masked_sigma, somp_forward
-from .mlp import MLP, adam_step, mlp_forward, mlp_grads, mlp_init
+from .layers import NODE_CHANNELS, SompParams, make_somp_params, somp_forward
+from .mlp import MLP, adam_step, mlp_grads, mlp_init
 from .model import make_sgnn_model, predict_step
 
 GRAVITY = Gravity()
@@ -321,89 +322,81 @@ def lemma5_suite(trials: int = 1000, seed: int = 0) -> list[PropertyResult]:
 
 # -------------------------------------------------------------- reductions
 
-def build_masked_somp_from_gmn(gmn: SompParams, n_scalar: int, rng):
-    """Object-aware layer whose mixing networks are masked wrappers of a
-    plain multichannel layer: gravity and object channels are zeroed, so the
-    forward collapses onto the smaller model exactly."""
-    mc, w, n = gmn.msg_channels, gmn.msg_extra, n_scalar
-    phi = masked_sigma(
-        gmn.phi_sigma,
-        keep_stack=[0, 2, 5],  # x_r - x_s, v_r and v_s of the 7+1 distinct channels
-        full_channels=8,
-        keep_scalars=list(range(n)) + list(range(2 * n, 3 * n)),
-        out_channels=mc,
-        extra_channels=w,
+def _zero_pad(outer: MLP, inner: MLP, channels: int, keep: list[int], scalars: list[int],
+              out_channels: int) -> MLP:
+    """``inner``, a sigma on the stored channels ``keep`` of ``outer``'s square
+    layout over ``channels`` channels and its scalar inputs ``scalars``, as a
+    net of ``outer``'s shapes whose other rows and output columns are zero."""
+    keep = np.asarray(keep)
+    extra = inner.weights[-1].shape[1] - keep.size * out_channels
+    rows = np.append(keep[:, None] * channels + keep, channels**2 + np.asarray(scalars))
+    cols = np.append(keep[:, None] * out_channels + np.arange(out_channels),
+                     channels * out_channels + np.arange(extra))
+    first, last, bias = (np.zeros_like(a) for a in (outer.weights[0], outer.weights[-1],
+                                                     outer.biases[-1]))
+    first[rows] = inner.weights[0]
+    last[:, cols] = inner.weights[-1]
+    bias[cols] = inner.biases[-1]
+    return MLP([first, *inner.weights[1:-1], last], [*inner.biases[:-1], bias],
+               list(inner.activations))
+
+
+def embed_gmn_in_somp(gmn: SompParams, rng) -> SompParams:
+    """Object-aware layer from ``make_somp_params`` with an equivariant,
+    unnormalized multichannel layer's sigmas zero-padded in: phi_sigma on the
+    stored z_r ⊖ z_s = [x_r - x_s, v_r, v_s] (6, 7, 8) and h_r, h_s, psi_sigma
+    on the messages, the own velocity (mc + 1) and [agg, h]."""
+    mc, w, n = gmn.msg_channels, gmn.msg_extra, gmn.n_scalar
+    somp = make_somp_params(rng, n, hidden=gmn.phi_sigma.weights[0].shape[1], msg_channels=mc,
+                            msg_extra=w, iterations=gmn.iterations, zero_init_update=False)
+    somp.normalize = False
+    somp.phi_sigma = _zero_pad(somp.phi_sigma, gmn.phi_sigma, 10, [6, 7, 8],
+                               list(range(n)) + list(range(2 * n, 3 * n)), mc)
+    somp.psi_sigma = _zero_pad(somp.psi_sigma, gmn.psi_sigma, mc + 4,
+                               list(range(mc)) + [mc + 1], list(range(w + n)), NODE_CHANNELS)
+    return somp
+
+
+def embed_egnn_in_gmn(egnn: EGNNParams, rng) -> SompParams:
+    """Equivariant, unnormalized one-channel layer from ``make_gmn_params``
+    running the distance layer's nets.  sigma_msg: phi_m on |x_r - x_s|^2, h_r,
+    h_s, a SiLU layer [W_x0 | I | -I], then [phi_x(m), 0, 0, silu(m) - silu(-m)].
+    sigma_upd: a block-diagonal SiLU layer over phi_v and phi_h, then V = (1, 1,
+    phi_v, phi_v - 1) for (message, velocity) x (position, velocity) and phi_h."""
+    w, n = egnn.msg_dim, egnn.n_scalar
+    gmn = make_gmn_params(rng, n, hidden=egnn.phi_m.weights[0].shape[1], msg_channels=1,
+                          msg_extra=w, iterations=egnn.iterations, normalize=False)
+    (wm, *m_mid), (wx0, wx1), (bx0, bx1) = egnn.phi_m.weights, egnn.phi_x.weights, egnn.phi_x.biases
+    first = np.zeros((9 + 2 * n, wm.shape[1]))
+    first[[0, *range(9, 9 + 2 * n)]] = wm  # square Gram entry (0, 0), then h_r, h_s
+    eye = np.eye(w)
+    out = np.zeros((wx1.shape[0] + 2 * w, 3 + w))
+    out[: wx1.shape[0], :1] = wx1
+    out[wx1.shape[0]:, 3:] = np.vstack([eye, -eye])
+    gmn.phi_sigma = MLP(
+        [first, *m_mid, np.hstack([wx0, eye, -eye]), out],
+        [*egnn.phi_m.biases, np.append(bx0, np.zeros(2 * w)), np.append(bx1, np.zeros(2 + w))],
+        [*egnn.phi_m.activations, "silu", "linear"],
     )
-    psi = masked_sigma(
-        gmn.psi_sigma,
-        keep_stack=list(range(mc)) + [mc + 1],  # messages plus own velocity
-        full_channels=mc + 4,
-        keep_scalars=list(range(w + n)),
-        out_channels=2,
-        extra_channels=n,
+    (wv0, wv1), (bv0, bv1) = egnn.phi_v.weights, egnn.phi_v.biases
+    (wh0, wh1), (bh0, bh1) = egnn.phi_h.weights, egnn.phi_h.biases
+    hv, hh = wv0.shape[1], wh0.shape[1]
+    first = np.zeros((4 + w + n, hv + hh))  # [square Gram, messages, h]
+    first[4 + w:, :hv] = wv0
+    first[4 + w:, hv:] = wh0[:n]
+    first[4:4 + w, hv:] = wh0[n:]
+    out = np.zeros((hv + hh, 4 + n))
+    out[:hv, 2:4] = wv1
+    out[hv:, 4:] = wh1
+    gmn.psi_sigma = MLP(
+        [first, out],
+        [np.append(bv0, bh0), np.concatenate([[1.0, 1.0], bv1, bv1 - 1.0, bh1])],
+        ["silu", "linear"],
     )
-    return SompParams(
-        phi_sigma=phi,
-        phi_eta=mlp_init(rng, [4 * n, 4, 1]),
-        psi_sigma=psi,
-        psi_eta=mlp_init(rng, [w + 2 * n, 4, 1]),
-        iterations=gmn.iterations,
-        msg_channels=mc,
-        msg_extra=w,
-        n_scalar=n,
-        use_objects=True,
-        normalize=False,
-        equivariant_only=False,
-    )
-
-
-def build_masked_gmn_from_egnn(egnn_params, n_scalar: int) -> SompParams:
-    """Multichannel layer reproducing the distance-scalarized layer: only the
-    squared-distance Gram entry is read, the coordinate weight fills the
-    pairwise-offset row, and the update recombines the aggregated message
-    with the gated own velocity."""
-    w, n = egnn_params.msg_dim, n_scalar
-
-    def sigma_msg(x):
-        xv = ad.value_of(x)
-        b = xv.shape[0]
-        d2 = xv[:, 0:1]  # entry (0, 0) of the raw 3x3 Gram's 6-entry triangle
-        hi = xv[:, 6 : 6 + n]
-        hj = xv[:, 6 + n : 6 + 2 * n]
-        m = ad.value_of(mlp_forward(egnn_params.phi_m, np.concatenate([d2, hi, hj], axis=-1)))
-        xw = ad.value_of(mlp_forward(egnn_params.phi_x, m))
-        zeros = np.zeros((b, 2))
-        return np.concatenate([xw, zeros, m], axis=-1)
-
-    def sigma_upd(x):
-        xv = ad.value_of(x)
-        b = xv.shape[0]
-        sm = xv[:, 3 : 3 + w]  # after the 2-channel stack's 3-entry triangle
-        hh = xv[:, 3 + w : 3 + w + n]
-        phiv = ad.value_of(mlp_forward(egnn_params.phi_v, hh))
-        ones = np.ones((b, 1))
-        dh = ad.value_of(mlp_forward(egnn_params.phi_h, np.concatenate([hh, sm], axis=-1)))
-        # V rows (message, velocity) x columns (position, velocity residual)
-        return np.concatenate([ones, ones, phiv, phiv - 1.0, dh], axis=-1)
-
-    return SompParams(
-        phi_sigma=sigma_msg,
-        phi_eta=None,
-        psi_sigma=sigma_upd,
-        psi_eta=None,
-        iterations=egnn_params.iterations,
-        msg_channels=1,
-        msg_extra=w,
-        n_scalar=n,
-        use_objects=False,
-        own_velocity=True,
-        normalize=False,
-        equivariant_only=True,
-    )
+    return gmn
 
 
 def reduction_suite(instances: int = 50, seed: int = 0) -> list[PropertyResult]:
-    rng = np.random.default_rng(seed)
     worst_gmn = 0.0
     worst_egnn = 0.0
     for k in range(instances):
@@ -415,7 +408,7 @@ def reduction_suite(instances: int = 50, seed: int = 0) -> list[PropertyResult]:
         gmn = make_gmn_params(case_rng, 2, hidden=8, iterations=2,
                               zero_init_update=False, normalize=False)
         z_g, h_g = somp_forward(gmn, sys_.geometric_stack(), sys_.attrs, edges, gravity=GRAVITY)
-        somp = build_masked_somp_from_gmn(gmn, 2, case_rng)
+        somp = embed_gmn_in_somp(gmn, case_rng)
         z_s, h_s = somp_forward(
             somp, sys_.geometric_stack(), sys_.attrs, edges,
             objects=feats, object_of=sys_.object_of, gravity=GRAVITY,
@@ -430,7 +423,7 @@ def reduction_suite(instances: int = 50, seed: int = 0) -> list[PropertyResult]:
         x_e, v_e, h_e = egnn_forward(
             egnn, sys_.positions, sys_.velocities, sys_.attrs, edges, gravity=GRAVITY
         )
-        gmn_e = build_masked_gmn_from_egnn(egnn, 2)
+        gmn_e = embed_egnn_in_gmn(egnn, case_rng)
         z_m, h_m = somp_forward(gmn_e, sys_.geometric_stack(), sys_.attrs, edges, gravity=GRAVITY)
         worst_egnn = max(
             worst_egnn,
@@ -439,8 +432,10 @@ def reduction_suite(instances: int = 50, seed: int = 0) -> list[PropertyResult]:
             float(np.max(np.abs(h_m - h_e))),
         )
     return [
-        PropertyResult("masked object-aware layer reproduces multichannel layer", worst_gmn, 1e-10, "max"),
-        PropertyResult("masked multichannel layer reproduces distance layer", worst_egnn, 1e-10, "max"),
+        PropertyResult("embedded object-aware layer reproduces multichannel layer", worst_gmn,
+                       1e-10, "max"),
+        PropertyResult("embedded multichannel layer reproduces distance layer", worst_egnn,
+                       1e-10, "max"),
     ]
 
 

@@ -73,7 +73,7 @@ def test_criterion_3_reduction():
     ok = all(r.passed for r in results)
     assert report(
         3, ok,
-        f"masked reductions (object-aware -> multichannel -> distance layer) "
+        f"weight-embedded reductions (object-aware -> multichannel -> distance layer) "
         f"match to {worst:.2e} < 1e-10 on 50 instances each",
     )
 

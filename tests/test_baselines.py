@@ -1,4 +1,4 @@
-"""Baseline layers: transcriptions, symmetry classes, masking reductions."""
+"""Baseline layers: transcriptions, symmetry classes, weight-embedding reductions."""
 
 import numpy as np
 import pytest
@@ -12,10 +12,10 @@ from sgnn.baselines import (
     make_gns_params,
 )
 from sgnn.geometry import Gravity, check_equivariance, random_subgroup_transform
-from sgnn.graph import ParticleSystem, build_edges
+from sgnn.graph import ParticleSystem, build_edges, pool_objects
 from sgnn.layers import somp_forward
-from sgnn.mlp import mlp_forward
-from sgnn.verify import reduction_suite
+from sgnn.mlp import MLP, mlp_forward
+from sgnn.verify import embed_egnn_in_gmn, embed_gmn_in_somp, reduction_suite
 
 GRAVITY = Gravity()
 
@@ -135,3 +135,25 @@ def test_gmn_zero_init_identity():
 def test_masking_reductions_to_1e10():
     for r in reduction_suite(instances=10, seed=3):
         assert r.passed, r.line()
+
+
+def test_reduction_models_are_mlps_that_run_the_shipped_sigma_path():
+    rng = np.random.default_rng(9)
+    sys_ = random_system(rng)
+    edges, feats = build_edges(sys_, 0.9).merged, pool_objects(sys_)
+    gmn = make_gmn_params(rng, 2, hidden=8, iterations=2, zero_init_update=False, normalize=False)
+    somp = embed_gmn_in_somp(gmn, rng)
+    egnn = make_egnn_params(rng, 2, hidden=8, iterations=2, zero_init_update=False)
+    for params in (somp, embed_egnn_in_gmn(egnn, rng)):
+        assert [type(net) for net in params.mlps()] == [MLP] * 4
+
+    def run():
+        return somp_forward(somp, sys_.geometric_stack(), sys_.attrs, edges, objects=feats,
+                            object_of=sys_.object_of, gravity=GRAVITY)[0]
+
+    # phi_sigma's stored channel 9 is the gravity column: a nonzero row of its
+    # (g, g) Gram entry reaches the output only through the stored layout's fold
+    base, row = run(), 9 * 10 + 9
+    assert not somp.phi_sigma.weights[0][row].any()
+    somp.phi_sigma.weights[0][row] = 1.0
+    assert np.abs(run() - base).max() > 1e-6

@@ -202,6 +202,18 @@ _HEADER_EDITS = {
                           "stages.stage1 lacks keys ['normalize']"),
     "top_extra_key": (lambda m: m.update(aggregate="sum"), "header lacks keys [], has extra"),
     "cutoff_string": (lambda m: m.update(cutoff="0.1"), "header.cutoff must be a JSON float"),
+    "cutoff_zero": (lambda m: m.update(cutoff=0.0), "header.cutoff must be finite and > 0"),
+    "cutoff_negative": (lambda m: m.update(cutoff=-0.1), "header.cutoff must be finite and > 0"),
+    "velocity_scale_zero": (lambda m: m.update(velocity_scale=0.0),
+                            "header.velocity_scale must be finite and > 0, got 0.0"),
+    "velocity_scale_negative": (lambda m: m.update(velocity_scale=-1.0),
+                                "header.velocity_scale must be finite and > 0, got -1.0"),
+    "velocity_scale_nan": (lambda m: m.update(velocity_scale=float("nan")),
+                           "header.velocity_scale must be finite and > 0, got nan"),
+    "velocity_scale_inf": (lambda m: m.update(velocity_scale=float("inf")),
+                           "header.velocity_scale must be finite and > 0, got inf"),
+    "node_channels": (_stage1("node_channels", 3),
+                      "stages.stage1.node_channels 3 is not one of [2]"),
     "mlps_extra": (lambda m: m["mlps"].update(extra={"activations": ["linear"]}),
                    "mlps lacks keys [], has extra ['extra']"),
     "activation_unknown": (lambda m: m["mlps"]["stage1/phi_eta"].update(activations=["tanh"]),
@@ -284,3 +296,14 @@ def test_eval_exits_1_on_a_header_value_of_the_wrong_type(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "stages.stage1.iterations must be a JSON int >= 0" in err
+
+
+def test_eval_exits_1_on_a_velocity_scale_that_is_not_positive(tmp_path, capsys):
+    meta = _header_meta(tmp_path)
+    meta["velocity_scale"] = -1.0
+    header = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8).astype(np.float64)
+    path = _with_header(tmp_path, header)
+    rc = main(["eval", str(path), "--data", str(tmp_path), "--out", str(tmp_path / "e")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "header.velocity_scale must be finite and > 0" in err

@@ -145,6 +145,7 @@ def test_ablation_flags_reject_baselines(tiny_dataset, tmp_path):
 @pytest.mark.parametrize("flag,value,key", [
     ("--batch-size", "0", "batch_size"), ("--lr", "-1", "lr"), ("--noise", "nan", "noise_scale"),
     ("--cutoff", "nan", "cutoff"), ("--hidden", "0", "dim"),
+    ("--cutoff", "inf", "--cutoff must be finite and > 0"),
 ])
 def test_train_rejects_invalid_values_with_an_error_line(tiny_dataset, tmp_path, capsys,
                                                          flag, value, key):

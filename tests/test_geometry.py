@@ -20,7 +20,7 @@ from sgnn.geometry import (
     scalarize_subequivariant,
     triangle,
 )
-from sgnn.mlp import mlp_forward, mlp_grads, mlp_init
+from sgnn.mlp import MLP, mlp_forward, mlp_grads, mlp_init
 
 from helpers import (
     adjoint_seed,
@@ -35,29 +35,16 @@ from helpers import (
 GRAVITY = Gravity()
 
 
-def constant_sigma(matrix: np.ndarray):
-    """sigma ignoring its input, returning a fixed flat output per row."""
-    flat = np.asarray(matrix, dtype=float).reshape(-1)
-
-    def f(x):
-        xv = ad.value_of(x)
-        return np.tile(flat, (xv.shape[0], 1))
-
-    return f
+def constant_mlp(values, in_dim: int) -> MLP:
+    """A zero-weight linear MLP: the flat ``values`` whatever its input."""
+    flat = np.asarray(values, dtype=float).reshape(-1)
+    return MLP([np.zeros((in_dim, flat.size))], [flat], ["linear"])
 
 
 def scalarize_one(z, h, sigma, eta=None, **kwargs):
     """One (3, m) stack through the batched scalarization."""
     y, _ = scalarize_subequivariant(z[None], h[None], sigma, eta, GRAVITY, **kwargs)
     return y[0]
-
-
-def constant_eta(value: float):
-    def f(x):
-        xv = ad.value_of(x)
-        return np.full((xv.shape[0], 1), value)
-
-    return f
 
 
 # ------------------------------------------------------------------- ominus
@@ -133,7 +120,7 @@ def test_ominus_is_one_record():
 def test_equivariant_identity_selector():
     rng = np.random.default_rng(2)
     z = rng.normal(size=(3, 2))
-    sigma = constant_sigma(np.array([[1.0], [0.0]]))
+    sigma = constant_mlp([[1.0], [0.0]], 2 * 2)
     out = scalarize_one(z, np.zeros(0), sigma, out_channels=1)
     np.testing.assert_allclose(out[:, 0], z[:, 0], atol=1e-14)
 
@@ -160,15 +147,15 @@ def test_equivariant_commutes_with_full_orthogonal_group():
 
 
 def test_subequivariant_pure_gravity_with_empty_stack():
-    sigma = constant_sigma(np.array([[1.0]]))
-    eta = constant_eta(0.7)
+    sigma = constant_mlp([[1.0]], 1 + 2)
+    eta = constant_mlp([0.7], 2)
     out = scalarize_one(np.zeros((3, 0)), np.ones(2), sigma, eta)
     np.testing.assert_allclose(out[:, 0], 0.7 * GRAVITY.direction, atol=1e-14)
 
 
 def test_subequivariant_channel_selector():
-    sigma = constant_sigma(np.array([[1.0], [0.0]]))  # keep channel 0, drop gravity
-    eta = constant_eta(1.0)
+    sigma = constant_mlp([[1.0], [0.0]], 2 * 2 + 1)  # keep channel 0, drop gravity
+    eta = constant_mlp([1.0], 1)
     z = np.array([[1.0], [0.0], [0.0]])
     out = scalarize_one(z, np.zeros(1), sigma, eta)
     np.testing.assert_allclose(out, z, atol=1e-14)
@@ -445,27 +432,29 @@ def test_square_layout_mlp_on_the_triangle_matches_the_full_square(gated):
     rng = np.random.default_rng(27)
     B, m, n = 7, 3, 2
     z, h = rng.normal(size=(B, 3, m)), rng.normal(size=(B, n))
-    eta = constant_eta(0.4) if gated else None
+    eta = constant_mlp([0.4], n) if gated else None
     m_aug = m + gated
     net = mlp_init(rng, [m_aug * m_aug + n, 16, 16, m_aug * 2 + 1])
     seed = rng.normal(size=(B, 3, 2))
 
-    def run(sigma):
+    def run(forward):
         tape = ad.Tape()
-        out, _ = scalarize_subequivariant(tape.var(z), h, sigma(tape), eta, GRAVITY,
-                                          out_channels=2, extra_channels=1)
+        out = forward(tape, tape.var(z))
         grads = tape.backward(out, seed)
         return ad.value_of(out), mlp_grads(tape, grads, net)
 
-    def square(tape):
-        def f(x):  # rebuild the augmented stack and feed its square Gram
-            aug = np.concatenate([z, np.broadcast_to(0.4 * GRAVITY.direction[:, None],
-                                                     (B, 3, 1))], axis=-1) if gated else z
-            return mlp_forward(net, np.concatenate([square_gram(aug).reshape(B, -1), h], axis=-1),
-                               tape=tape)
-        return f
+    def folded(tape, zt):
+        return scalarize_subequivariant(zt, h, net, eta, GRAVITY, out_channels=2,
+                                        extra_channels=1, tape=tape)[0]
 
-    got, got_grads = run(lambda tape: net)
+    def square(tape, zt):  # the augmented stack's square Gram fed to net, then Z V
+        aug = ad.concat([zt, np.broadcast_to(0.4 * GRAVITY.direction[:, None], (B, 3, 1))],
+                        axis=-1) if gated else zt
+        gram = square_gram(ad.value_of(aug)).reshape(B, -1)
+        out = mlp_forward(net, np.concatenate([gram, h], axis=-1), tape=tape)
+        return ad.matmul(aug, ad.reshape(ad.narrow(out, -1, 0, m_aug * 2), (B, m_aug, 2)))
+
+    got, got_grads = run(folded)
     want, want_grads = run(square)
     np.testing.assert_allclose(got, want, atol=1e-12, rtol=0.0)
     for g, w in zip(got_grads, want_grads):
