@@ -6,6 +6,7 @@ key table replaced the hand-listed headers, one file per variant, each from
 load-then-save must both reproduce them exactly.
 """
 
+import hashlib
 from dataclasses import fields
 from pathlib import Path
 
@@ -56,6 +57,59 @@ def test_fixture_loads_and_rewrites_byte_for_byte(tmp_path, name):
     out = np.asarray(model.predict(system))
     assert out.shape == (n, 3)
     assert np.isfinite(out).all()
+
+
+# SHA-256 of each v1 fixture's prediction on ``_parity_frame``, with every
+# zero-initialized last layer filled by ``_fill_zero_last_layers`` so that each
+# net reaches the output.  Measured with numpy on OpenBLAS 0.3.31 (x86-64,
+# Haswell kernels); another BLAS may round the matmuls differently.
+V1_PREDICTIONS = {
+    "sgnn": "66e3c9c6876171c8735e4a2c8aa89def12a885d1889876ecae7a6d30255270df",
+    "sgnn_no_hierarchy": "a367bf0857e9ce0da468397ca0ccfd3a707ff4f1c1f99685fe00810b79301923",
+    "gns": "a23671e60abac6d5694f38f25c289b3421fa8cee565888647de9064a51e815a8",
+    "egnn": "44a8792bc696a5662860152e66201ec9e0479ab52cfe47a7fa4a969e4fa0c64c",
+    "egnn_s": "fc03ece0d62a34fadad400ee03b6faa14e41e7fc673cee003101cd6fab3d9cf1",
+    "gmn": "e67b8fd1f20e4f3dbf022b97d4579faea1d241174073bd2235932b6472f4d108",
+    "gmn_s": "12fb7403a8eba40bcf25770d12ee2e1a5a22051fd858e2ab658abe5c3a422f65",
+}
+
+
+def _parity_frame():
+    rng = np.random.default_rng(0)
+    n = 8
+    return ParticleSystem(positions=rng.uniform(-0.04, 0.04, size=(n, 3)),
+                          velocities=0.01 * rng.normal(size=(n, 3)),
+                          attrs=rng.normal(size=(n, 2)), object_of=np.arange(n) % 2)
+
+
+def _fill_zero_last_layers(model):
+    """Zero-initialized last layers (the residual updates) make a fresh
+    model predict its input, whatever its other nets hold.  Their shapes do
+    not depend on the format, so the same fixed values fill them in each."""
+    for net in model.mlps():
+        w = net.weights[-1]
+        if not w.any():
+            w[:] = 0.5 * np.cos(np.arange(w.size) + 0.25).reshape(w.shape)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_v1_fixture_predicts_bit_for_bit_as_before(name):
+    model = load_model(DATA / f"{name}.sgnn")
+    _fill_zero_last_layers(model)
+    system = _parity_frame()
+    out = np.asarray(model.predict(system))
+    assert np.abs(out - system.positions).max() > 1e-4  # the filled nets are read
+    assert hashlib.sha256(out.tobytes()).hexdigest() == V1_PREDICTIONS[name]
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_v1_fixture_loads_as_the_fixture_model(name):
+    got, want = load_model(DATA / f"{name}.sgnn").mlps(), _fixture_model(name).mlps()
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.activations == b.activations
+        assert [p.shape for p in a.parameters()] == [p.shape for p in b.parameters()]
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(a.parameters(), b.parameters()))
 
 
 @pytest.mark.parametrize("variant,unwritten", [
