@@ -215,28 +215,20 @@ def matmul(a, b):
     ))
 
 
-def mlp(x, layers: Sequence[tuple], fold: tuple | None = None):
+def mlp(x, layers: Sequence[tuple]):
     """``act(x @ w + b)`` for each ``(w, b, act)`` of ``layers`` in turn (``act``
     in silu, relu, linear; a 1-D ``x`` runs as one row), as one record.
 
     Each layer runs the numpy operations of a matmul, bias-add and activation
     record in their order, forward and backward, so values and adjoints match
     that chain bit for bit.  The backward walks the layers in reverse and
-    drops each one's arrays once its partials are out.  ``fold = (rows,
-    cols)``, 0/1 tables (``cols`` may be None), runs it on the first weight
-    ``rows @ w`` and last weight and bias ``w @ cols.T``, ``cols @ b``: each
-    summed stored entry gets the partial of its sum.
+    drops each one's arrays once its partials are out.
     """
     xv = value_of(x)
     h = xv.reshape(1, -1) if xv.ndim == 1 else xv
     args = [x] + [a for w, b, _ in layers for a in (w, b)]
     wants = [isinstance(a, Var) for a in args]
-    values = [[value_of(w), value_of(b), act] for w, b, act in layers]
-    rows, cols = fold or (None, None)
-    if rows is not None:
-        values[0][0] = rows @ values[0][0]
-    if cols is not None:
-        values[-1][0], values[-1][1] = values[-1][0] @ cols.T, cols @ values[-1][1]
+    values = [(value_of(w), value_of(b), act) for w, b, act in layers]
     saved = []  # per layer: input, pre-activation (ReLU: output), SiLU's 1 + e^-x, w, b's shape, act
     for wv, bv, act in values:
         pre = np.matmul(h, wv)
@@ -277,10 +269,6 @@ def mlp(x, layers: Sequence[tuple], fold: tuple | None = None):
             if k > lo or wants[0]:
                 g = _unbroadcast(g @ np.swapaxes(wv, -1, -2), hk.shape)
         grads[0] = g.reshape(xv.shape) if wants[0] else None
-        if rows is not None and wants[1]:
-            grads[1] = rows.T @ grads[1]
-        if cols is not None and wants[-1]:
-            grads[-2], grads[-1] = grads[-2] @ cols, grads[-1] @ cols
         return grads
 
     return record(h.reshape(-1) if xv.ndim == 1 else h, args, bwd)

@@ -19,7 +19,7 @@ from . import ad
 from .errors import ShapeError
 from .geometry import Gravity
 from .graph import ParticleSystem, _receiver_mask, build_edges
-from .layers import ETA_HIDDEN, ETA_INIT, SompParams, somp_forward
+from .layers import ETA_HIDDEN, ETA_INIT, SompParams, fold_v1_sigmas, somp_forward
 from .mlp import MLP, mlp_forward, mlp_init
 
 
@@ -193,32 +193,26 @@ def make_gmn_params(
     zero_init_update: bool = True,
     normalize: bool = True,
 ) -> SompParams:
-    """Multichannel layer on the pairwise stack [x_i - x_j, v_i, v_j]; the
-    gravity gates are live only with ``subequivariant``."""
+    """Multichannel layer on the pairwise stack [x_i - x_j, v_i, v_j]; the gravity
+    gates are live only with ``subequivariant``.  Sigmas are drawn square, then folded."""
     aug = 1 if subequivariant else 0
-    sigma_msg = mlp_init(
-        rng,
-        [(3 + aug) ** 2 + 2 * n_scalar, hidden, hidden, (3 + aug) * msg_channels + msg_extra],
-        activation=activation,
-    )
+    sigma_msg = mlp_init(rng, [(3 + aug) ** 2 + 2 * n_scalar, hidden, hidden,
+                               (3 + aug) * msg_channels + msg_extra], activation=activation)
     m_upd = msg_channels + 1
-    sigma_upd = mlp_init(
-        rng,
-        [(m_upd + aug) ** 2 + msg_extra + n_scalar, hidden, hidden, (m_upd + aug) * 2 + n_scalar],
-        activation=activation,
-        zero_last=zero_init_update,
-    )
+    sigma_upd = mlp_init(rng, [(m_upd + aug) ** 2 + msg_extra + n_scalar, hidden, hidden,
+                               (m_upd + aug) * 2 + n_scalar], activation=activation,
+                         zero_last=zero_init_update)
     eta_msg = mlp_init(rng, [2 * n_scalar, ETA_HIDDEN, 1], activation=activation, zero_last=True)
     eta_upd = mlp_init(rng, [msg_extra + n_scalar, ETA_HIDDEN, 1], activation=activation,
                        zero_last=True)
     eta_msg.biases[-1][:] = ETA_INIT
     eta_upd.biases[-1][:] = ETA_INIT
-    return SompParams(
+    return fold_v1_sigmas(SompParams(
         phi_sigma=sigma_msg, phi_eta=eta_msg, psi_sigma=sigma_upd, psi_eta=eta_upd,
         iterations=iterations, msg_channels=msg_channels, msg_extra=msg_extra,
         n_scalar=n_scalar, use_objects=False, own_velocity=True, normalize=normalize,
         equivariant_only=not subequivariant,
-    )
+    ))
 
 
 # ----------------------------------------------------------- model wrappers

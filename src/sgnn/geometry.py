@@ -95,21 +95,6 @@ def triangle(m: int) -> tuple:
     return rows * m + cols, index, 2.0 - (rows == cols), 1.0 + (rows == cols)
 
 
-@lru_cache(maxsize=None)
-def sigma_fold(chan: tuple, n_scalar: int, out_channels: int, extra: int) -> tuple:
-    """``ad.mlp``'s 0/1 fold of a sigma stored on the square Gram of a stack
-    whose channel k is distinct channel ``chan[k]``, then ``n_scalar``
-    scalars: its rows onto [distinct triangle, scalars] and, unless ``chan`` is
-    the identity, its columns onto ``out_channels`` per channel and ``extra``."""
-    c, m = np.asarray(chan), max(chan) + 1
-    rows = np.append(triangle(m)[1][c[:, None], c],
-                     m * (m + 1) // 2 + np.arange(n_scalar))
-    cols = np.append(c[:, None] * out_channels + np.arange(out_channels),
-                     m * out_channels + np.arange(extra))
-    rows, cols = (np.eye(p.max(initial=-1) + 1)[:, p] for p in (rows, cols))
-    return rows, None if chan == tuple(range(m)) else cols
-
-
 def normalized_gram(z, normalize: bool = True, multiplicity=None):
     """Upper triangle T (see ``triangle``) of the Gram matrix G of the stack
     over |G|, with channel a repeated c_a = ``multiplicity[a]`` times (once by
@@ -153,14 +138,14 @@ def scalarize_subequivariant(
     out_channels: int = 1,
     extra_channels: int = 0,
     normalize: bool = True,
-    channels: tuple | None = None,
+    multiplicity: np.ndarray | None = None,
     tape: ad.Tape | None = None,
 ):
     """Batched scalarization Z V with V = sigma(gram(Z), h), returning the
     (geometric, extras) pair for ``z`` of shape (B, 3, m) and ``h`` (B, n).
-    The MLP sigma stores the square layout [square Gram, h] and reads [triangle,
-    h] (see ``normalized_gram``) through its fold (``sigma_fold``), the stored
-    channel k being z's ``channels[k]``, the Gram norm counting repeats.
+    The MLP sigma reads [triangle, h] (see ``normalized_gram``), m(m+1)/2 + n
+    inputs, and writes ``out_channels`` columns of V per channel, then the
+    extras.  ``multiplicity`` weights z's channels in the Gram's norm (gravity's is 1).
 
     With ``eta`` the gravity direction is appended as channel m with scale
     eta(h), so the output can leave the span of Z along the vertical axis
@@ -182,16 +167,13 @@ def scalarize_subequivariant(
         g_col = ad.mul(ad.reshape(scale, (B, 1, 1)), gravity.direction.reshape(3, 1))
         z = ad.concat([z, g_col], axis=-1) if m else g_col
         m += 1
-    gram = normalized_gram(z, normalize, None if channels is None else np.bincount(channels))
-    chan = channels or tuple(range(m))
-    n_scalar = sigma.in_dim - len(chan) ** 2
-    fold = sigma_fold(chan, n_scalar, out_channels, extra_channels) if chan else None
-    out = mlp_forward(sigma, ad.concat([gram, h], axis=-1), tape=tape, fold=fold)
+        multiplicity = None if multiplicity is None else np.append(multiplicity, 1.0)
+    gram = normalized_gram(z, normalize, multiplicity)
+    out = mlp_forward(sigma, ad.concat([gram, h], axis=-1), tape=tape)
     width = ad.value_of(out).shape[-1]
     if width != m * out_channels + extra_channels:
-        raise ShapeError(
-            f"sigma output width {width} != channels {m}*{out_channels} + extra {extra_channels}"
-        )
+        raise ShapeError(f"sigma output width {width} != channels {m}*{out_channels} "
+                         f"+ extra {extra_channels}")
     v = ad.reshape(ad.narrow(out, -1, 0, m * out_channels), (B, m, out_channels))
     return ad.matmul(z, v), ad.narrow(out, -1, m * out_channels, extra_channels)
 

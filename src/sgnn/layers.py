@@ -18,7 +18,7 @@ import numpy as np
 
 from . import ad
 from .errors import ContractError, ShapeError
-from .geometry import Gravity, ominus, scalarize_subequivariant
+from .geometry import Gravity, ominus, scalarize_subequivariant, triangle
 from .graph import ObjectFeatures, _receiver_mask
 from .mlp import MLP, mlp_init
 
@@ -28,6 +28,8 @@ ETA_HIDDEN = 16
 ETA_INIT = 0.05
 # node stacks are [x, v]
 NODE_CHANNELS = 2
+# the object-aware edge stack's Gram norm counts v_r and v_s twice (format 1 stored them twice)
+EDGE_MULTIPLICITY = np.array([1.0, 1.0, 2.0, 1.0, 1.0, 2.0, 1.0])
 
 
 @dataclass
@@ -70,7 +72,7 @@ def make_somp_params(
     equivariant_only: bool = False,
     zero_init_update: bool = True,
 ) -> SompParams:
-    """Allocate SiLU MLPs with dimensions matching the layer's channel arithmetic."""
+    """Allocate SiLU MLPs for the layer's channel arithmetic (sigmas drawn square, then folded)."""
     if n_scalar < 1:
         raise ContractError("need at least one scalar feature channel")
     pair = 2 * NODE_CHANNELS - 1  # z_i ominus z_j
@@ -78,33 +80,54 @@ def make_somp_params(
     m_edge = pair + 2 * offset if use_objects else pair
     h_edge = (4 if use_objects else 2) * n_scalar
     aug = 0 if equivariant_only else 1
-    phi_sigma = mlp_init(
-        rng,
-        [(m_edge + aug) ** 2 + h_edge, hidden, hidden, (m_edge + aug) * msg_channels + msg_extra],
-    )
+    phi_sigma = mlp_init(rng, [(m_edge + aug) ** 2 + h_edge, hidden, hidden,
+                               (m_edge + aug) * msg_channels + msg_extra])
     phi_eta = mlp_init(rng, [h_edge, ETA_HIDDEN, 1], zero_last=True)
     phi_eta.biases[-1][:] = ETA_INIT
     m_upd = msg_channels + (offset if use_objects else 0)
     s_upd = msg_extra + n_scalar + (n_scalar if use_objects else 0)
-    psi_sigma = mlp_init(
-        rng,
-        [(m_upd + aug) ** 2 + s_upd, hidden, hidden, (m_upd + aug) * NODE_CHANNELS + n_scalar],
-        zero_last=zero_init_update,
-    )
+    psi_sigma = mlp_init(rng, [(m_upd + aug) ** 2 + s_upd, hidden, hidden,
+                               (m_upd + aug) * NODE_CHANNELS + n_scalar], zero_last=zero_init_update)
     psi_eta = mlp_init(rng, [s_upd, ETA_HIDDEN, 1], zero_last=True)
     psi_eta.biases[-1][:] = ETA_INIT
-    return SompParams(
-        phi_sigma=phi_sigma,
-        phi_eta=phi_eta,
-        psi_sigma=psi_sigma,
-        psi_eta=psi_eta,
-        iterations=iterations,
-        msg_channels=msg_channels,
-        msg_extra=msg_extra,
-        n_scalar=n_scalar,
-        use_objects=use_objects,
-        equivariant_only=equivariant_only,
-    )
+    return fold_v1_sigmas(SompParams(
+        phi_sigma=phi_sigma, phi_eta=phi_eta, psi_sigma=psi_sigma, psi_eta=psi_eta,
+        iterations=iterations, msg_channels=msg_channels, msg_extra=msg_extra,
+        n_scalar=n_scalar, use_objects=use_objects, equivariant_only=equivariant_only,
+    ))
+
+
+def fold_square_sigma(net: MLP, chan: tuple, out_channels: int) -> MLP:
+    """``net`` on format 1's square layout (rows for every Gram entry (a, b) of a
+    stack whose channel k is distinct channel ``chan[k]``, then the scalars; V's
+    columns per stored channel, then the extras), folded onto the layer's by the
+    0/1 products ``rows @ W_0``, ``W_L @ cols^T``, ``cols @ b_L`` format 1 ran per call."""
+    c, m = np.asarray(chan), max(chan) + 1
+    tri, n_scalar = m * (m + 1) // 2, net.in_dim - c.size**2
+    extra = net.weights[-1].shape[1] - c.size * out_channels
+    if min(n_scalar, extra) < 0:
+        raise ShapeError(f"a sigma of {net.in_dim} inputs is too narrow for {c.size} channels")
+    rows = np.append(triangle(m)[1][c[:, None], c], tri + np.arange(n_scalar))
+    weights, biases = list(net.weights), list(net.biases)
+    weights[0] = np.eye(tri + n_scalar)[:, rows] @ weights[0]
+    if chan != tuple(range(m)):
+        cols = np.append(c[:, None] * out_channels + np.arange(out_channels),
+                         m * out_channels + np.arange(extra))
+        cols = np.eye(m * out_channels + extra)[:, cols]
+        weights[-1], biases[-1] = weights[-1] @ cols.T, cols @ biases[-1]
+    return MLP(weights, biases, list(net.activations))
+
+
+def fold_v1_sigmas(params: SompParams) -> SompParams:
+    """Fold ``params``' sigmas from the first checkpoint format, in place.
+    Its object-aware edge stack [z_r ⊖ C_r, z_s ⊖ C_s, z_r ⊖ z_s, g] held v_r
+    and v_s twice: stored channel k is channel ``edge[k]`` of the layer's."""
+    aug = 0 if params.equivariant_only else 1
+    edge = (1, 2, 3, 4, 5, 6, 0, 2, 5, 7)[:9 + aug] if params.use_objects else range(3 + aug)
+    upd = params.msg_channels + 3 * params.use_objects + params.own_velocity + aug
+    params.phi_sigma = fold_square_sigma(params.phi_sigma, tuple(edge), params.msg_channels)
+    params.psi_sigma = fold_square_sigma(params.psi_sigma, tuple(range(upd)), params.node_channels)
+    return params
 
 
 def somp_forward(
@@ -147,17 +170,14 @@ def somp_forward(
     phi_eta = None if params.equivariant_only else params.phi_eta
     psi_eta = None if params.equivariant_only else params.psi_eta
 
-    # phi_sigma stores [z_r ⊖ C_r, z_s ⊖ C_s, z_r ⊖ z_s, g], channel k being channel
-    # chan[k] of the edge stack [x_r - x_s, z_r ⊖ C_r, z_s ⊖ C_s, g] (v_r, v_s twice)
-    chan = None
-    if params.use_objects and edge_features is None:
-        chan = (1, 2, 3, 4, 5, 6, 0, 2, 5, 7)[: 9 if params.equivariant_only else 10]
+    # phi_sigma reads the edge stack's Gram triangle, gravity included, then the scalars
+    multiplicity = EDGE_MULTIPLICITY if params.use_objects and edge_features is None else None
 
     def aggregated_messages(z_edge, h_edge):
         msg_geo, msg_sca = scalarize_subequivariant(
             z_edge, h_edge, params.phi_sigma, phi_eta, gravity,
             out_channels=params.msg_channels, extra_channels=params.msg_extra,
-            normalize=params.normalize, channels=chan, tape=tape,
+            normalize=params.normalize, multiplicity=multiplicity, tape=tape,
         )
         return (ad.segment_sum(msg_geo, recv, n_nodes, divisor),
                 ad.segment_sum(msg_sca, recv, n_nodes, divisor))

@@ -79,9 +79,8 @@ def mlp_init(
     return MLP(weights=weights, biases=biases, activations=acts)
 
 
-def mlp_forward(params: MLP, x, tape: ad.Tape | None = None, fold: tuple | None = None):
-    """Apply the network to ``x`` of shape (..., in_dim), or with ``fold``
-    (see ``ad.mlp``) to ``x`` of the folded first layer's width.
+def mlp_forward(params: MLP, x, tape: ad.Tape | None = None):
+    """Apply the network to ``x`` of shape (..., in_dim).
 
     With a tape (or a Var input) the call is one ``ad.mlp`` record; parameter
     arrays are wrapped through ``tape.param`` so adjoints accumulate across
@@ -90,13 +89,12 @@ def mlp_forward(params: MLP, x, tape: ad.Tape | None = None, fold: tuple | None 
     if tape is None and isinstance(x, ad.Var):
         tape = x.tape
     xv = ad.value_of(x)
-    in_dim = params.in_dim if fold is None else fold[0].shape[0]
-    if xv.shape[-1] != in_dim:
-        raise ShapeError(f"input dim {xv.shape[-1]} != first layer in dim {in_dim}")
+    if xv.shape[-1] != params.in_dim:
+        raise ShapeError(f"input dim {xv.shape[-1]} != first layer in dim {params.in_dim}")
     layers = zip(params.weights, params.biases, params.activations)
     if tape is not None:
         layers = [(tape.param(w), tape.param(b), act) for w, b, act in layers]
-    return ad.mlp(x, list(layers), fold)
+    return ad.mlp(x, list(layers))
 
 
 def mlp_grads(tape: ad.Tape, grads: ad.Grads, params: MLP) -> list[np.ndarray]:

@@ -2,9 +2,9 @@
 
 The header section is a JSON config stored byte-per-float in a reserved
 tensor, followed by the gravity direction; parameter tensors follow, one
-pair of weight/bias records per layer per named MLP.  ``FAMILIES``, the
-format-v1 key table, drives both ``save_model`` and ``load_model``: a file
-must hold exactly the keys and tensors it names, at every level.
+pair of weight/bias records per layer per named MLP.  ``FAMILIES``, the key
+table, drives both ``save_model`` and ``load_model``: a file must hold exactly
+the keys and tensors it names.  Files of format 1 (no ``format`` key) fold at load.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ import numpy as np
 from .baselines import BaselineModel, EGNNParams, GNSParams
 from .baselines import make_egnn_params, make_gmn_params, make_gns_params
 from .checkpoint import read_tensors, write_tensors
-from .errors import CheckpointFormatError, SgnnError
+from .errors import CheckpointFormatError, SgnnError, ShapeError
 from .geometry import Gravity
-from .layers import NODE_CHANNELS, SompParams, make_somp_params
+from .layers import NODE_CHANNELS, SompParams, fold_v1_sigmas, make_somp_params
 from .mlp import _ACTIVATIONS, MLP
 from .model import SGNNModel
 
@@ -31,7 +31,7 @@ _GRAVITY_KEY = "header/gravity_dir"
 
 @dataclass(frozen=True)
 class Family:
-    """How one params class is stored in format v1."""
+    """How one params class is stored."""
 
     cls: type
     make: Callable  # the constructor whose MLP shapes a stored file must match
@@ -52,7 +52,7 @@ _STAGE = Family(SompParams, make_somp_params,
                 fixed={"own_velocity": False})
 _EGNN = Family(EGNNParams, make_egnn_params, ("iterations", "msg_dim", "n_scalar", "subequivariant"),
                {n: n for n in ("phi_m", "phi_x", "phi_v", "phi_h", "phi_g")})
-# the multichannel (GMN) baseline keeps its format-v1 tensor names
+# the multichannel (GMN) baseline keeps its first tensor names
 _GMN = Family(SompParams, make_gmn_params,
               ("iterations", "msg_channels", "msg_extra", "n_scalar", "subequivariant", "normalize"),
               {"sigma_msg": "phi_sigma", "sigma_upd": "psi_sigma",
@@ -63,20 +63,21 @@ _GMN = Family(SompParams, make_gmn_params,
 FAMILIES = {"sgnn": _STAGE, "egnn": _EGNN, "egnn_s": _EGNN, "gmn": _GMN, "gmn_s": _GMN,
             "gns": Family(GNSParams, make_gns_params, ("iterations", "msg_dim", "n_scalar"),
                           {"phi": "phi", "psi": "psi"})}
+FORMAT = 2
 _TOP = {"variant": str, "gravity_mag": float, "cutoff": float, "velocity_scale": float, "mlps": dict}
-_SGNN_TOP = {"stage3_from_stage1": bool, "no_hierarchy": bool, "zero_object_features": bool,
-             "shared_edges": bool, "stages": dict}
+_SGNN_TOP = {"no_hierarchy": bool, "zero_object_features": bool, "shared_edges": bool,
+             "stages": dict}
 
 
 def save_model(path, model) -> None:
     fam = FAMILIES[model.variant]
-    meta: dict = {"variant": model.variant, "gravity_mag": model.gravity.magnitude,
-                  "cutoff": model.cutoff, "velocity_scale": model.velocity_scale, "mlps": {}}
+    meta: dict = {"format": FORMAT, "variant": model.variant,
+                  "gravity_mag": model.gravity.magnitude, "cutoff": model.cutoff,
+                  "velocity_scale": model.velocity_scale, "mlps": {}}
     if isinstance(model, SGNNModel):
         names = ("stage1",) if model.no_hierarchy else ("stage1", "stage2", "stage3")
         stages = {k: getattr(model, k) for k in names}
-        meta.update(stage3_from_stage1=False,  # v1 key: the third stage reads the frame's states
-                    no_hierarchy=model.no_hierarchy, zero_object_features=model.zero_object_features,
+        meta.update(no_hierarchy=model.no_hierarchy, zero_object_features=model.zero_object_features,
                     shared_edges=model.shared_edges,
                     stages={k: fam.header(v) for k, v in stages.items()})
         parts = {f"{k}/": v for k, v in stages.items()}
@@ -109,8 +110,8 @@ def _check_keys(path, where: str, cfg, types: dict) -> None:
                                         f"{' >= 0' if want is int else ''}, got {cfg[key]!r}")
 
 
-def _load_params(path, where: str, fam: Family, cfg, prefix: str, tensors: dict, mlps: dict):
-    """One params object; its MLPs must have the shapes ``fam.make`` allocates."""
+def _load_params(path, where: str, fam: Family, cfg, prefix: str, tensors, mlps, version: int):
+    """One params object; its (folded) MLPs must have the shapes ``fam.make`` allocates."""
     defaults = {f.name: f.default for f in fields(fam.cls)}
     _check_keys(path, where, cfg, {k: type(defaults[fam.negated.get(k, k)]) for k in fam.keys})
     for key, allowed in (("aggregate", ("sum", "mean")), ("node_channels", (NODE_CHANNELS,))):
@@ -124,18 +125,30 @@ def _load_params(path, where: str, fam: Family, cfg, prefix: str, tensors: dict,
                             **{k: v for k, v in cfg.items() if k in accepted})
     except SgnnError as err:
         raise CheckpointFormatError(f"{path}: {where} has dims no model allocates ({err})") from None
+
     nets = {}
     for name, attr in fam.mlps.items():
         key, acts = prefix + name, mlps[prefix + name]["activations"]
-        ws = [tensors[f"{key}/w{k}"] for k in range(len(acts))]
-        bs = [tensors[f"{key}/b{k}"] for k in range(len(acts))]
-        got, net = [a.shape for a in ws + bs], getattr(template, attr)
-        if got != [w.shape for w in net.weights] + [(1, b.size) for b in net.biases]:
-            raise CheckpointFormatError(f"{path}: MLP {key} has shapes {got}, not those of "
-                                        f"{where} at hidden width {hidden}")
-        nets[attr] = MLP(ws, [b.reshape(-1) for b in bs], list(acts))
-    return fam.cls(**nets, **fam.fixed, **{fam.negated.get(k, k): not v if k in fam.negated
-                                           else v for k, v in cfg.items()})
+        ws, bs = ([tensors[f"{key}/{t}{k}"] for k in range(len(acts))] for t in "wb")
+        try:  # each bias is stored as one row
+            nets[attr] = MLP(ws, [b[0] if b.shape[0] == 1 else b for b in bs], list(acts))
+        except ShapeError as err:
+            raise CheckpointFormatError(f"{path}: MLP {key} has shapes "
+                                        f"{[a.shape for a in ws + bs]} ({err})") from None
+    params = fam.cls(**nets, **fam.fixed, **{fam.negated.get(k, k): not v if k in fam.negated
+                                             else v for k, v in cfg.items()})
+    if version == 1 and fam.cls is SompParams:
+        try:
+            fold_v1_sigmas(params)
+        except ShapeError as err:
+            raise CheckpointFormatError(f"{path}: {where} is not format 1's square sigma layout "
+                                        f"({err})") from None
+    for name, attr in fam.mlps.items():
+        got, want = ([a.shape for a in getattr(p, attr).parameters()] for p in (params, template))
+        if got != want:
+            raise CheckpointFormatError(f"{path}: MLP {prefix}{name} has shapes {got}, not those "
+                                        f"of {where} at hidden width {hidden}")
+    return params
 
 
 def load_model(path):
@@ -152,15 +165,17 @@ def load_model(path):
     variant = meta.get("variant") if type(meta) is dict else None
     if type(variant) is not str or variant not in FAMILIES:
         raise CheckpointFormatError(f"{path}: unknown variant {variant!r}")
+    if type(version := meta.pop("format", 1)) is not int or version not in (1, FORMAT):
+        raise CheckpointFormatError(f"{path}: unknown header.format {version!r}")
     fam, sgnn = FAMILIES[variant], variant == "sgnn"
+    if sgnn and version == 1 and meta.pop("stage3_from_stage1", None) is not False:
+        raise CheckpointFormatError(f"{path}: a format 1 header needs stage3_from_stage1 false")
     _check_keys(path, "header", meta, {**_TOP, **(_SGNN_TOP if sgnn else {"params": dict})})
     for key in ("cutoff", "velocity_scale"):
         if not 0 < meta[key] < np.inf:  # NaN, which Python's json reads, fails too
             raise CheckpointFormatError(f"{path}: header.{key} must be finite and > 0, "
                                         f"got {meta[key]!r}")
     if sgnn:
-        if meta["stage3_from_stage1"]:
-            raise CheckpointFormatError(f"{path}: stage3_from_stage1 must be false")
         names = ("stage1",) if meta["no_hierarchy"] else ("stage1", "stage2", "stage3")
         if set(meta["stages"]) != set(names):
             raise CheckpointFormatError(f"{path}: no_hierarchy={meta['no_hierarchy']} "
@@ -181,7 +196,7 @@ def load_model(path):
     if set(tensors) != want:
         raise CheckpointFormatError(f"{path}: tensors lack {sorted(want - set(tensors))}, "
                                     f"have extra {sorted(set(tensors) - want)}")
-    params = {p: _load_params(path, where, fam, cfg, p, tensors, mlps)
+    params = {p: _load_params(path, where, fam, cfg, p, tensors, mlps, version)
               for p, (where, cfg) in cfgs.items()}
     common = dict(cutoff=meta["cutoff"], velocity_scale=meta["velocity_scale"],
                   gravity=Gravity(tensors[_GRAVITY_KEY].reshape(-1), meta["gravity_mag"]))

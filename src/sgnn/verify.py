@@ -24,9 +24,10 @@ from .geometry import (
     lemma5_witness,
     random_subgroup_transform,
     scalarize_subequivariant,
+    triangle,
 )
 from .graph import ParticleSystem, build_edges, pool_objects
-from .layers import NODE_CHANNELS, SompParams, make_somp_params, somp_forward
+from .layers import NODE_CHANNELS, SompParams, fold_square_sigma, make_somp_params, somp_forward
 from .mlp import MLP, adam_step, mlp_grads, mlp_init
 from .model import make_sgnn_model, predict_step
 
@@ -105,7 +106,7 @@ def equivariance_suite(trials: int = 200, seed: int = 0) -> list[PropertyResult]
     results = []
 
     # gravity-augmented scalarization commutes with the axis subgroup
-    sigma = mlp_init(rng, [(2 + 1) ** 2 + 2, 16, (2 + 1) * 2])
+    sigma = mlp_init(rng, [6 + 2, 16, (2 + 1) * 2])  # the triangle of 3 channels, 2 scalars
     eta = mlp_init(rng, [2, 8, 1])
     z0 = rng.normal(size=(3, 2))
     h0 = rng.normal(size=2)
@@ -324,12 +325,13 @@ def lemma5_suite(trials: int = 1000, seed: int = 0) -> list[PropertyResult]:
 
 def _zero_pad(outer: MLP, inner: MLP, channels: int, keep: list[int], scalars: list[int],
               out_channels: int) -> MLP:
-    """``inner``, a sigma on the stored channels ``keep`` of ``outer``'s square
-    layout over ``channels`` channels and its scalar inputs ``scalars``, as a
-    net of ``outer``'s shapes whose other rows and output columns are zero."""
+    """``inner``, a sigma on the channels ``keep`` of the ``channels``-channel
+    stack that ``outer`` reads and on its scalar inputs ``scalars``, as a net
+    of ``outer``'s shapes whose other rows and output columns are zero."""
     keep = np.asarray(keep)
+    rows = np.append(triangle(channels)[1][keep[:, None], keep][np.triu_indices(keep.size)],
+                     channels * (channels + 1) // 2 + np.asarray(scalars))
     extra = inner.weights[-1].shape[1] - keep.size * out_channels
-    rows = np.append(keep[:, None] * channels + keep, channels**2 + np.asarray(scalars))
     cols = np.append(keep[:, None] * out_channels + np.arange(out_channels),
                      channels * out_channels + np.arange(extra))
     first, last, bias = (np.zeros_like(a) for a in (outer.weights[0], outer.weights[-1],
@@ -344,13 +346,13 @@ def _zero_pad(outer: MLP, inner: MLP, channels: int, keep: list[int], scalars: l
 def embed_gmn_in_somp(gmn: SompParams, rng) -> SompParams:
     """Object-aware layer from ``make_somp_params`` with an equivariant,
     unnormalized multichannel layer's sigmas zero-padded in: phi_sigma on the
-    stored z_r ⊖ z_s = [x_r - x_s, v_r, v_s] (6, 7, 8) and h_r, h_s, psi_sigma
-    on the messages, the own velocity (mc + 1) and [agg, h]."""
+    edge stack's x_r - x_s, v_r and v_s (channels 0, 2 and 5) and h_r, h_s,
+    psi_sigma on the messages, the own velocity (mc + 1) and [agg, h]."""
     mc, w, n = gmn.msg_channels, gmn.msg_extra, gmn.n_scalar
     somp = make_somp_params(rng, n, hidden=gmn.phi_sigma.weights[0].shape[1], msg_channels=mc,
                             msg_extra=w, iterations=gmn.iterations, zero_init_update=False)
     somp.normalize = False
-    somp.phi_sigma = _zero_pad(somp.phi_sigma, gmn.phi_sigma, 10, [6, 7, 8],
+    somp.phi_sigma = _zero_pad(somp.phi_sigma, gmn.phi_sigma, 8, [0, 2, 5],
                                list(range(n)) + list(range(2 * n, 3 * n)), mc)
     somp.psi_sigma = _zero_pad(somp.psi_sigma, gmn.psi_sigma, mc + 4,
                                list(range(mc)) + [mc + 1], list(range(w + n)), NODE_CHANNELS)
@@ -367,8 +369,8 @@ def embed_egnn_in_gmn(egnn: EGNNParams, rng) -> SompParams:
     gmn = make_gmn_params(rng, n, hidden=egnn.phi_m.weights[0].shape[1], msg_channels=1,
                           msg_extra=w, iterations=egnn.iterations, normalize=False)
     (wm, *m_mid), (wx0, wx1), (bx0, bx1) = egnn.phi_m.weights, egnn.phi_x.weights, egnn.phi_x.biases
-    first = np.zeros((9 + 2 * n, wm.shape[1]))
-    first[[0, *range(9, 9 + 2 * n)]] = wm  # square Gram entry (0, 0), then h_r, h_s
+    first = np.zeros((6 + 2 * n, wm.shape[1]))
+    first[[0, *range(6, 6 + 2 * n)]] = wm  # Gram entry (0, 0) of the triangle, then h_r, h_s
     eye = np.eye(w)
     out = np.zeros((wx1.shape[0] + 2 * w, 3 + w))
     out[: wx1.shape[0], :1] = wx1
@@ -381,10 +383,10 @@ def embed_egnn_in_gmn(egnn: EGNNParams, rng) -> SompParams:
     (wv0, wv1), (bv0, bv1) = egnn.phi_v.weights, egnn.phi_v.biases
     (wh0, wh1), (bh0, bh1) = egnn.phi_h.weights, egnn.phi_h.biases
     hv, hh = wv0.shape[1], wh0.shape[1]
-    first = np.zeros((4 + w + n, hv + hh))  # [square Gram, messages, h]
-    first[4 + w:, :hv] = wv0
-    first[4 + w:, hv:] = wh0[:n]
-    first[4:4 + w, hv:] = wh0[n:]
+    first = np.zeros((3 + w + n, hv + hh))  # [Gram triangle, messages, h]
+    first[3 + w:, :hv] = wv0
+    first[3 + w:, hv:] = wh0[:n]
+    first[3:3 + w, hv:] = wh0[n:]
     out = np.zeros((hv + hh, 4 + n))
     out[:hv, 2:4] = wv1
     out[hv:, 4:] = wh1
@@ -461,7 +463,8 @@ def expressivity_separation(
     hs = rng.normal(size=(samples, 1))
     target = np.tile(GRAVITY.direction.reshape(1, 3, 1), (samples, 1, 1))
 
-    sigma = mlp_init(rng, [(2 + 1) ** 2 + 1, 32, (2 + 1) * 1])
+    # drawn on the square layout and folded, as the layer constructors draw
+    sigma = fold_square_sigma(mlp_init(rng, [(2 + 1) ** 2 + 1, 32, (2 + 1) * 1]), (0, 1, 2), 1)
     eta = mlp_init(rng, [1, 8, 1])
     lr = 1e-2
     for step in range(steps):

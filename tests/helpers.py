@@ -6,7 +6,7 @@ import numpy as np
 
 from sgnn import ad
 from sgnn.errors import ContractError, GenerationError
-from sgnn.geometry import GRAM_NORM_EPS, Gravity, ominus, scalarize_subequivariant
+from sgnn.geometry import GRAM_NORM_EPS, Gravity, ominus
 from sgnn.graph import EdgeSets, ParticleSystem, _receiver_mask
 from sgnn.mlp import MLP, mlp_forward, mlp_grads
 from sgnn.model import RigidFit
@@ -417,17 +417,20 @@ def naive_ominus(zi: np.ndarray, zj: np.ndarray) -> np.ndarray:
 
 
 def naive_scalarize(sigma, eta, stack, scalars, out_channels, extra,
-                    normalize=True, gravity=GRAVITY):
-    """Single-instance gravity-augmented scalarization, written straight."""
+                    normalize=True, gravity=GRAVITY, multiplicity=None):
+    """Single-instance gravity-augmented scalarization, written straight:
+    sigma reads the Gram's upper triangle row by row, then the scalars.
+    The norm counts channel a of the stack ``multiplicity[a]`` times."""
     scale = float(np.asarray(mlp_forward(eta, scalars)).reshape(-1)[0])
     aug = np.concatenate([stack, scale * gravity.direction.reshape(3, 1)], axis=1)
     gram = aug.T @ aug
+    k = aug.shape[1]
     if normalize:
-        nrm = np.linalg.norm(gram)
+        c = np.append(np.ones(k - 1) if multiplicity is None else multiplicity, 1.0)
+        nrm = np.sqrt(np.sum(gram * gram * np.outer(c, c)))
         if nrm >= 1e-12:
             gram = gram / nrm
-    out = mlp_forward(sigma, np.concatenate([gram.reshape(-1), scalars]))
-    k = aug.shape[1]
+    out = mlp_forward(sigma, np.concatenate([gram[np.triu_indices(k)], scalars]))
     v = out[: k * out_channels].reshape(k, out_channels)
     return aug @ v, out[k * out_channels:]
 
@@ -442,6 +445,7 @@ def naive_somp(params, z, h, edges, feats=None, object_of=None,
         msgs_geo: dict[int, list] = {}
         msgs_sca: dict[int, list] = {}
         for idx, (i, j) in enumerate(edges):
+            multiplicity = None
             if edge_features is not None:
                 stack = edge_features[0][idx]
                 scalars = edge_features[1][idx]
@@ -449,12 +453,13 @@ def naive_somp(params, z, h, edges, feats=None, object_of=None,
                 oi, oj = object_of[i], object_of[j]
                 stack = np.concatenate(
                     [
+                        z[i][:, :1] - z[j][:, :1],
                         naive_ominus(z[i], feats.C[oi]),
                         naive_ominus(z[j], feats.C[oj]),
-                        naive_ominus(z[i], z[j]),
                     ],
                     axis=1,
                 )
+                multiplicity = np.array([1, 1, 2, 1, 1, 2, 1])  # v_i and v_j count twice
                 scalars = np.concatenate([h[i], feats.c[oi], h[j], feats.c[oj]])
             else:
                 stack = naive_ominus(z[i], z[j])
@@ -462,7 +467,7 @@ def naive_somp(params, z, h, edges, feats=None, object_of=None,
             m_geo, m_sca = naive_scalarize(
                 params.phi_sigma, params.phi_eta, stack, scalars,
                 params.msg_channels, params.msg_extra,
-                normalize=params.normalize, gravity=gravity,
+                normalize=params.normalize, gravity=gravity, multiplicity=multiplicity,
             )
             msgs_geo.setdefault(i, []).append(m_geo)
             msgs_sca.setdefault(i, []).append(m_sca)
@@ -493,11 +498,47 @@ def naive_somp(params, z, h, edges, feats=None, object_of=None,
     return z, h
 
 
+def square_scalarize(z, h, sigma, eta, gravity, out_channels, extra, normalize, tape):
+    """The first checkpoint format's scalarization, as a record chain: sigma
+    reads every entry (a, b) of the square Gram of ``z`` plus the gated
+    gravity column, over its Frobenius norm, then ``h``."""
+    B, _, m = ad.value_of(z).shape
+    if eta is not None:
+        scale = ad.reshape(mlp_forward(eta, h, tape=tape), (B, 1, 1))
+        z = ad.concat([z, ad.mul(scale, gravity.direction.reshape(3, 1))], axis=-1)
+        m += 1
+    gram = ad.reshape(ad.matmul(swap_last2(z), z), (B, m * m))
+    if normalize:
+        sq = ad.matmul(ad.mul(gram, gram), np.ones((m * m, 1)))
+        mask = (ad.value_of(sq) >= GRAM_NORM_EPS**2).astype(np.float64)
+        norm = sqrt(ad.add(ad.mul(sq, mask), 1.0 - mask))
+        gram = ad.div(gram, ad.add(ad.mul(norm, mask), 1.0 - mask))
+    out = mlp_forward(sigma, ad.concat([gram, h], axis=-1), tape=tape)
+    v = ad.reshape(ad.narrow(out, -1, 0, m * out_channels), (B, m, out_channels))
+    return ad.matmul(z, v), ad.narrow(out, -1, m * out_channels, extra)
+
+
+def square_layout_index(chan, n_scalar: int, out_channels: int, extra: int):
+    """The first format's square sigma layout over a stack whose channel k is
+    distinct channel ``chan[k]``: the row of each stored first-layer row in
+    the [distinct Gram triangle, scalars] layout, and the column of each
+    stored output column in the one with ``out_channels`` per distinct
+    channel, then ``extra``."""
+    c, m = np.asarray(chan), max(chan) + 1
+    rows, cols = np.triu_indices(m)
+    place = np.empty((m, m), dtype=np.int64)
+    place[rows, cols] = place[cols, rows] = np.arange(rows.size)
+    return (np.append(place[c[:, None], c], rows.size + np.arange(n_scalar)),
+            np.append(c[:, None] * out_channels + np.arange(out_channels),
+                      m * out_channels + np.arange(extra)))
+
+
 def full_layout_somp(params, z, h, edges, objects, object_of, gravity=GRAVITY, tape=None):
-    """The object-aware layer on the stored ten-channel edge stack
-    ``[z_r ⊖ C_r, z_s ⊖ C_s, z_r ⊖ z_s]`` plus gravity, repeated channels and
-    all, taped: the reference for ``layers.somp_forward``'s distinct-channel
-    stack and folded message network."""
+    """The object-aware layer of the first checkpoint format, taped: the
+    ten-channel edge stack ``[z_r ⊖ C_r, z_s ⊖ C_s, z_r ⊖ z_s]`` plus gravity,
+    repeated channels and all, and sigmas on its square Gram
+    (``square_scalarize``).  With the square draws, the reference for
+    ``layers.somp_forward`` on the same draws folded."""
     n_nodes = ad.value_of(z).shape[0]
     recv, send = edges[:, 0], edges[:, 1]
     mask, divisor = _receiver_mask(recv, n_nodes, params.aggregate)
@@ -511,17 +552,16 @@ def full_layout_somp(params, z, h, edges, objects, object_of, gravity=GRAVITY, t
         z_edge = ad.concat([ad.gather(offset, recv), ad.gather(offset, send),
                             ominus(ad.gather(z, recv), ad.gather(z, send))], axis=-1)
         h_edge = ad.concat([ad.gather(hc, recv), ad.gather(hc, send)], axis=-1)
-        msg_geo, msg_sca = scalarize_subequivariant(
-            z_edge, h_edge, params.phi_sigma, phi_eta, gravity,
-            out_channels=params.msg_channels, extra_channels=params.msg_extra,
-            normalize=params.normalize, tape=tape,
+        msg_geo, msg_sca = square_scalarize(
+            z_edge, h_edge, params.phi_sigma, phi_eta, gravity, params.msg_channels,
+            params.msg_extra, params.normalize, tape,
         )
         agg_geo = ad.segment_sum(msg_geo, recv, n_nodes, divisor)
         agg_sca = ad.segment_sum(msg_sca, recv, n_nodes, divisor)
-        dz, dh = scalarize_subequivariant(
+        dz, dh = square_scalarize(
             ad.concat([agg_geo, offset], axis=-1), ad.concat([agg_sca, hc], axis=-1),
-            params.psi_sigma, psi_eta, gravity, out_channels=params.node_channels,
-            extra_channels=params.n_scalar, normalize=params.normalize, tape=tape,
+            params.psi_sigma, psi_eta, gravity, params.node_channels, params.n_scalar,
+            params.normalize, tape,
         )
         z = ad.add(z, ad.mul(dz, mask[:, None, None]))
         h = ad.add(h, ad.mul(dh, mask[:, None]))

@@ -151,9 +151,10 @@ def test_reduction_models_are_mlps_that_run_the_shipped_sigma_path():
         return somp_forward(somp, sys_.geometric_stack(), sys_.attrs, edges, objects=feats,
                             object_of=sys_.object_of, gravity=GRAVITY)[0]
 
-    # phi_sigma's stored channel 9 is the gravity column: a nonzero row of its
-    # (g, g) Gram entry reaches the output only through the stored layout's fold
-    base, row = run(), 9 * 10 + 9
+    # phi_sigma's channel 7 is the gravity column: a nonzero row of its (g, g)
+    # Gram entry, the last of the 8-channel triangle, reaches the output only
+    # through the gated object-aware sigma path
+    base, row = run(), 8 * 9 // 2 - 1
     assert not somp.phi_sigma.weights[0][row].any()
     somp.phi_sigma.weights[0][row] = 1.0
     assert np.abs(run() - base).max() > 1e-6

@@ -120,21 +120,21 @@ def test_ominus_is_one_record():
 def test_equivariant_identity_selector():
     rng = np.random.default_rng(2)
     z = rng.normal(size=(3, 2))
-    sigma = constant_mlp([[1.0], [0.0]], 2 * 2)
+    sigma = constant_mlp([[1.0], [0.0]], 3)  # the triangle of 2 channels
     out = scalarize_one(z, np.zeros(0), sigma, out_channels=1)
     np.testing.assert_allclose(out[:, 0], z[:, 0], atol=1e-14)
 
 
 def test_equivariant_zero_stack_gives_zero():
     sigma_rng = np.random.default_rng(3)
-    net = mlp_init(sigma_rng, [2 * 2 + 1, 8, 2 * 1])
+    net = mlp_init(sigma_rng, [3 + 1, 8, 2 * 1])
     out = scalarize_one(np.zeros((3, 2)), np.ones(1), net)
     np.testing.assert_array_equal(out, np.zeros((3, 1)))
 
 
 def test_equivariant_commutes_with_full_orthogonal_group():
     rng = np.random.default_rng(4)
-    net = mlp_init(rng, [3 * 3 + 2, 16, 3 * 2])
+    net = mlp_init(rng, [6 + 2, 16, 3 * 2])
     z0 = rng.normal(size=(3, 3))
     h0 = rng.normal(size=2)
 
@@ -154,7 +154,7 @@ def test_subequivariant_pure_gravity_with_empty_stack():
 
 
 def test_subequivariant_channel_selector():
-    sigma = constant_mlp([[1.0], [0.0]], 2 * 2 + 1)  # keep channel 0, drop gravity
+    sigma = constant_mlp([[1.0], [0.0]], 3 + 1)  # keep channel 0, drop gravity
     eta = constant_mlp([1.0], 1)
     z = np.array([[1.0], [0.0], [0.0]])
     out = scalarize_one(z, np.zeros(1), sigma, eta)
@@ -162,7 +162,7 @@ def test_subequivariant_channel_selector():
 
 
 def _random_sub_block(rng, m=2, nh=2, out_channels=1):
-    sigma = mlp_init(rng, [(m + 1) * (m + 1) + nh, 16, (m + 1) * out_channels])
+    sigma = mlp_init(rng, [(m + 1) * (m + 2) // 2 + nh, 16, (m + 1) * out_channels])
     eta = mlp_init(rng, [nh, 8, 1])
     return sigma, eta
 
@@ -353,7 +353,7 @@ def test_gram_adjoint_is_orthogonal_to_the_stack(case):
 
 
 # (shape, zero stacks, per-channel multiplicity); the last is the object-aware
-# edge stack's, whose v_r and v_s channels stand twice in the stored layout
+# edge stack's with gravity, whose norm counts v_r and v_s twice
 WEIGHTED_GRAM_CASES = {
     "batched": ((6, 3, 4), (), (1, 2, 1, 3)),
     "unbatched": ((3, 3), (), (2, 1, 1)),
@@ -426,36 +426,43 @@ def test_triangle_is_the_square_grams_upper_triangle_over_its_full_norm(case, we
 
 @pytest.mark.parametrize("gated", [False, True], ids=["plain", "gravity"])
 def test_square_layout_mlp_on_the_triangle_matches_the_full_square(gated):
-    # an MLP sigma stores the square layout and runs folded on the triangle:
-    # the same function as on the full square Gram, outputs to 1e-12 and
-    # every weight gradient to 1e-10 of its tensor's scale
+    # sigma reads the triangle: the same function as the square-layout net
+    # that holds its rows at the upper entries (a <= b) and zeros below, on
+    # the full square Gram.  Outputs to 1e-12, and every weight gradient, the
+    # upper rows of the square first layer, to 1e-10 of its tensor's scale
     rng = np.random.default_rng(27)
     B, m, n = 7, 3, 2
     z, h = rng.normal(size=(B, 3, m)), rng.normal(size=(B, n))
     eta = constant_mlp([0.4], n) if gated else None
     m_aug = m + gated
-    net = mlp_init(rng, [m_aug * m_aug + n, 16, 16, m_aug * 2 + 1])
+    net = mlp_init(rng, [m_aug * (m_aug + 1) // 2 + n, 16, 16, m_aug * 2 + 1])
+    rows, cols = np.triu_indices(m_aug)
+    upper = np.append(rows * m_aug + cols, m_aug * m_aug + np.arange(n))
+    first = np.zeros((m_aug * m_aug + n, 16))
+    first[upper] = net.weights[0]
+    square_net = MLP([first, *net.weights[1:]], list(net.biases), list(net.activations))
     seed = rng.normal(size=(B, 3, 2))
 
-    def run(forward):
+    def run(forward, sigma):
         tape = ad.Tape()
-        out = forward(tape, tape.var(z))
+        out = forward(tape, tape.var(z), sigma)
         grads = tape.backward(out, seed)
-        return ad.value_of(out), mlp_grads(tape, grads, net)
+        return ad.value_of(out), mlp_grads(tape, grads, sigma)
 
-    def folded(tape, zt):
-        return scalarize_subequivariant(zt, h, net, eta, GRAVITY, out_channels=2,
+    def triangle_layout(tape, zt, sigma):
+        return scalarize_subequivariant(zt, h, sigma, eta, GRAVITY, out_channels=2,
                                         extra_channels=1, tape=tape)[0]
 
-    def square(tape, zt):  # the augmented stack's square Gram fed to net, then Z V
+    def square(tape, zt, sigma):  # the augmented stack's square Gram fed to sigma, then Z V
         aug = ad.concat([zt, np.broadcast_to(0.4 * GRAVITY.direction[:, None], (B, 3, 1))],
                         axis=-1) if gated else zt
         gram = square_gram(ad.value_of(aug)).reshape(B, -1)
-        out = mlp_forward(net, np.concatenate([gram, h], axis=-1), tape=tape)
+        out = mlp_forward(sigma, np.concatenate([gram, h], axis=-1), tape=tape)
         return ad.matmul(aug, ad.reshape(ad.narrow(out, -1, 0, m_aug * 2), (B, m_aug, 2)))
 
-    got, got_grads = run(folded)
-    want, want_grads = run(square)
+    got, got_grads = run(triangle_layout, net)
+    want, want_grads = run(square, square_net)
+    want_grads[0] = want_grads[0][upper]
     np.testing.assert_allclose(got, want, atol=1e-12, rtol=0.0)
     for g, w in zip(got_grads, want_grads):
         assert g.shape == w.shape
@@ -595,7 +602,7 @@ def test_zero_stack_gradients_stay_finite():
     from sgnn.mlp import mlp_grads
 
     rng = np.random.default_rng(18)
-    net = mlp_init(rng, [2 * 2 + 1, 8, 2 * 1])
+    net = mlp_init(rng, [3 + 1, 8, 2 * 1])
     tape = ad.Tape()
     z = tape.var(np.zeros((1, 3, 2)))
     out, _ = scalarize_subequivariant(z, np.ones((1, 1)), net, tape=tape)

@@ -1,15 +1,17 @@
 """Object-aware layer: transcription oracle, symmetry, masking reduction."""
 
+import copy
+
 import numpy as np
 import pytest
 
-from sgnn import ad, geometry
+from sgnn import ad, geometry, layers
 from sgnn.geometry import Gravity, check_equivariance, normalized_gram
 from sgnn.graph import ObjectFeatures, ParticleSystem, build_edges, pool_objects
 from sgnn.layers import make_somp_params, somp_forward
 from sgnn.mlp import mlp_grads
 
-from helpers import check_mlp_grads_fd, full_layout_somp, naive_somp
+from helpers import check_mlp_grads_fd, full_layout_somp, naive_somp, square_layout_index
 
 GRAVITY = Gravity()
 
@@ -184,18 +186,23 @@ def test_gradient_flow_matches_finite_differences():
     assert worst < 1e-4
 
 
-def _parity_case(stage, aggregate, equivariant_only, zero_objects, seed=11):
+def _parity_case(stage, aggregate, equivariant_only, zero_objects, monkeypatch, seed=11):
+    # the square draws, and the folded params the layer runs
     rng = np.random.default_rng(seed)
-    params = make_somp_params(rng, 2, hidden=12, iterations=2, zero_init_update=False,
-                              msg_extra=4, equivariant_only=equivariant_only)
-    params.aggregate = aggregate
+    with monkeypatch.context() as patch:
+        patch.setattr(layers, "fold_v1_sigmas", lambda params: params)
+        square = make_somp_params(rng, 2, hidden=12, iterations=2, zero_init_update=False,
+                                  msg_extra=4, equivariant_only=equivariant_only)
+    square.aggregate = aggregate
+    params = layers.fold_v1_sigmas(copy.deepcopy(square))
     sys_ = random_instance(rng, n=10, objects=3)
     feats = pool_objects(sys_)
     if zero_objects:
         feats = ObjectFeatures(C=np.zeros_like(feats.C), c=np.zeros_like(feats.c))
     sets = build_edges(sys_, 0.6)
     edges = sets.inter if stage == "stage1" else sets.inner
-    return params, sys_, feats, edges, [rng.normal(size=(10, 3, 2)), rng.normal(size=(10, 2))]
+    projections = [rng.normal(size=(10, 3, 2)), rng.normal(size=(10, 2))]
+    return square, params, sys_, feats, edges, projections
 
 
 def _taped_layer(layer, params, sys_, feats, edges, projections, stage):
@@ -211,9 +218,19 @@ def _taped_layer(layer, params, sys_, feats, edges, projections, stage):
                    tape=tape)
     loss = ad.add(ad.sum_(ad.mul(z2, projections[0])), ad.sum_(ad.mul(h2, projections[1])))
     grads = tape.backward(loss, np.array(1.0))
-    inputs = [grads.of(v) for v in inputs]
-    params_grads = [g for net in params.mlps() for g in mlp_grads(tape, grads, net)]
-    return (z2.value, h2.value), inputs + params_grads
+    return (z2.value, h2.value), [grads.of(v) for v in inputs], [
+        mlp_grads(tape, grads, net) for net in params.mlps()]
+
+
+def _at_square_places(grads, rows, cols):
+    """A folded sigma's adjoints, each at the places of its square-layout
+    copies: first-layer rows, and last-layer columns and bias entries."""
+    layers_ = len(grads) // 2
+    out = list(grads)
+    out[0] = out[0][rows]
+    out[layers_ - 1] = out[layers_ - 1][:, cols]
+    out[-1] = out[-1][cols]
+    return out
 
 
 @pytest.mark.parametrize("zero_objects", [False, True], ids=["pooled", "zero_objects"])
@@ -223,11 +240,12 @@ def _taped_layer(layer, params, sys_, feats, edges, projections, stage):
 def test_distinct_channel_stack_matches_full_layout(stage, aggregate, equivariant_only,
                                                     zero_objects, monkeypatch):
     # the layer's edge Gram has the 7 distinct channels plus gravity (the
-    # update's has fewer), and the layer computes the stored ten-channel function: outputs to 1e-12, and
-    # every entry of every gradient, the repeated channels' rows and columns
-    # of phi_sigma included, to 1e-10 of its tensor's scale
-    params, sys_, feats, edges, projections = _parity_case(
-        stage, aggregate, equivariant_only, zero_objects)
+    # update's has fewer), and on the folded draws the layer computes the
+    # first format's ten-channel function of the square draws: outputs to
+    # 1e-12, and every entry of every gradient, each square-layout copy of a
+    # folded row or column of the sigmas included, to 1e-10 of its tensor's scale
+    square, params, sys_, feats, edges, projections = _parity_case(
+        stage, aggregate, equivariant_only, zero_objects, monkeypatch)
     assert edges.shape[0] > 0
     widths = []
 
@@ -236,16 +254,26 @@ def test_distinct_channel_stack_matches_full_layout(stage, aggregate, equivarian
         return normalized_gram(z, *args, **kwargs)
 
     monkeypatch.setattr(geometry, "normalized_gram", spy)
-    out, grads = _taped_layer(somp_forward, params, sys_, feats, edges, projections, stage)
+    out, grads, net_grads = _taped_layer(somp_forward, params, sys_, feats, edges, projections,
+                                         stage)
     message_channels = 7 if equivariant_only else 8
     assert (3, message_channels) in widths
     assert all(w[1] <= message_channels for w in widths)
     monkeypatch.undo()
-    want_out, want_grads = _taped_layer(full_layout_somp, params, sys_, feats, edges,
-                                        projections, stage)
+    want_out, want_grads, want_net_grads = _taped_layer(full_layout_somp, square, sys_, feats,
+                                                        edges, projections, stage)
     for got, want in zip(out, want_out):
         np.testing.assert_allclose(got, want, atol=1e-12, rtol=0.0)
-    assert len(grads) == len(want_grads)
-    for got, want in zip(grads, want_grads):
+    aug = 0 if equivariant_only else 1
+    edge = (1, 2, 3, 4, 5, 6, 0, 2, 5, 7)[:9 + aug]  # stored channel k is distinct edge[k]
+    update = tuple(range(params.msg_channels + 3 + aug))
+    net_grads[0] = _at_square_places(net_grads[0], *square_layout_index(
+        edge, square.phi_sigma.in_dim - len(edge) ** 2, params.msg_channels, params.msg_extra))
+    net_grads[2] = _at_square_places(net_grads[2], *square_layout_index(
+        update, square.psi_sigma.in_dim - len(update) ** 2, 2, params.n_scalar))
+    got_all = grads + [g for net in net_grads for g in net]
+    want_all = want_grads + [g for net in want_net_grads for g in net]
+    assert len(got_all) == len(want_all)
+    for got, want in zip(got_all, want_all):
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()

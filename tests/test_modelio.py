@@ -1,12 +1,15 @@
 """The checkpoint codec's key table, and checkpoints written before it.
 
-``tests/data/*.sgnn`` were written by ``save_model`` as it stood before the
-key table replaced the hand-listed headers, one file per variant, each from
-``_fixture_model(name)``.  Their bytes pin format v1: a fresh save and a
-load-then-save must both reproduce them exactly.
+``tests/data/*.sgnn`` pin format 1, ``tests/data/v2/*.sgnn`` format 2: one
+file per variant in each, from ``_fixture_model(name)``.  A fresh save writes
+the format-2 bytes, and a format-1 or format-2 fixture loads and rewrites to
+them exactly.  Format 1 stored the sigmas on the square layout, which the
+loader folds once; its files must still predict bit for bit as they did.
 """
 
 import hashlib
+import json
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -14,12 +17,15 @@ import numpy as np
 import pytest
 
 from sgnn.baselines import make_baseline
+from sgnn.checkpoint import read_tensors, write_tensors
+from sgnn.errors import CheckpointFormatError
 from sgnn.graph import ParticleSystem
 from sgnn.mlp import MLP
 from sgnn.model import make_sgnn_model
 from sgnn.modelio import FAMILIES, load_model, save_model
 
 DATA = Path(__file__).parent / "data"
+V2 = DATA / "v2"
 FIXTURES = ("sgnn", "sgnn_no_hierarchy", "gns", "egnn", "egnn_s", "gmn", "gmn_s")
 
 
@@ -39,24 +45,66 @@ def _fixture_model(name: str):
 def test_save_writes_the_fixture_bytes(tmp_path, name):
     path = tmp_path / f"{name}.sgnn"
     save_model(path, _fixture_model(name))
-    assert path.read_bytes() == (DATA / f"{name}.sgnn").read_bytes()
+    assert path.read_bytes() == (V2 / f"{name}.sgnn").read_bytes()
 
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_fixture_loads_and_rewrites_byte_for_byte(tmp_path, name):
-    fixture = DATA / f"{name}.sgnn"
-    model = load_model(fixture)
+    # format 1 rewrites to format 2, and format 2 to itself
     path = tmp_path / f"{name}.sgnn"
-    save_model(path, model)
-    assert path.read_bytes() == fixture.read_bytes()
-    rng = np.random.default_rng(0)
-    n = 8
-    system = ParticleSystem(positions=rng.uniform(-0.04, 0.04, size=(n, 3)),
-                            velocities=0.01 * rng.normal(size=(n, 3)),
-                            attrs=rng.normal(size=(n, 2)), object_of=np.arange(n) % 2)
-    out = np.asarray(model.predict(system))
-    assert out.shape == (n, 3)
-    assert np.isfinite(out).all()
+    for fixture in (DATA / f"{name}.sgnn", V2 / f"{name}.sgnn"):
+        model = load_model(fixture)
+        save_model(path, model)
+        assert path.read_bytes() == (V2 / f"{name}.sgnn").read_bytes()
+        out = np.asarray(model.predict(_parity_frame()))
+        assert out.shape == (8, 3)
+        assert np.isfinite(out).all()
+
+
+def _sgnn_with(tmp_path, fixture, edit) -> Path:
+    """The sgnn ``fixture`` with ``edit`` applied to its header and tensors."""
+    tensors = read_tensors(fixture)
+    meta = json.loads(bytes(tensors["header/config_utf8"].reshape(-1).astype(np.uint8)))
+    edit(meta, tensors)
+    header = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8).astype(np.float64)
+    tensors["header/config_utf8"] = header.reshape(1, -1)
+    path = tmp_path / "edited.sgnn"
+    write_tensors(path, list(tensors.items()))
+    return path
+
+
+def _sigmas_of(other: Path):
+    """An edit that swaps in the stage-1 phi_sigma tensors of ``other``."""
+    def edit(meta, tensors):
+        for key, value in read_tensors(other).items():
+            if key.startswith("stage1/phi_sigma/"):
+                tensors[key] = value
+    return edit
+
+
+# case -> (fixture, edit, text the error must contain)
+_LAYOUT_EDITS = {
+    "v1_not_square": (DATA / "sgnn.sgnn", _sigmas_of(V2 / "sgnn.sgnn"),
+                      "stages.stage1 is not format 1's square sigma layout (a sigma of 44 inputs"),
+    "v2_square": (V2 / "sgnn.sgnn", _sigmas_of(DATA / "sgnn.sgnn"),
+                  "MLP stage1/phi_sigma has shapes [(108, 4)"),
+    "unknown_format": (V2 / "sgnn.sgnn", lambda meta, tensors: meta.update(format=3),
+                       "unknown header.format 3"),
+    "format_string": (V2 / "sgnn.sgnn", lambda meta, tensors: meta.update(format="2"),
+                      "unknown header.format '2'"),
+    "v2_as_format_1": (V2 / "sgnn.sgnn", lambda meta, tensors: meta.update(format=1),
+                       "a format 1 header needs stage3_from_stage1 false"),
+    "v1_without_v1_key": (DATA / "sgnn.sgnn",
+                          lambda meta, tensors: meta.pop("stage3_from_stage1"),
+                          "a format 1 header needs stage3_from_stage1 false"),
+}
+
+
+@pytest.mark.parametrize("case", list(_LAYOUT_EDITS))
+def test_a_sigma_layout_or_format_that_does_not_match_raises(tmp_path, case):
+    fixture, edit, match = _LAYOUT_EDITS[case]
+    with pytest.raises(CheckpointFormatError, match=re.escape(match)):
+        load_model(_sgnn_with(tmp_path, fixture, edit))
 
 
 # SHA-256 of each v1 fixture's prediction on ``_parity_frame``, with every

@@ -128,9 +128,10 @@ def test_sgnn_sample_tape_record_budget():
     iteration, 293 while each ``ominus`` took six records, 267 while each
     mean aggregation took two, 255 while each dense layer took one (an MLP
     takes one now), 222 while the object-aware edge stack took six
-    records and repeated two channels (five now, and the message network's
-    fold happens inside its MLP record), and 221 while each of the 11
-    scalarizations reshaped its square Gram (sigma reads the triangle now)."""
+    records and repeated two channels (five now, and each distinct channel
+    has its own rows and columns in the message network's weights), and 221
+    while each of the 11 scalarizations reshaped its square Gram (each sigma
+    stores first-layer rows for the Gram triangle and reads it now)."""
     traj = generate_scene(SceneConfig(objects=3, frames=12, push_speed=0.25,
                                       drop_height=0.12, seed=0))
     model = make_sgnn_model(np.random.default_rng(0), traj.attrs.shape[1], hidden=32,
