@@ -8,7 +8,6 @@ loader folds once; its files must still predict bit for bit as they did.
 """
 
 import hashlib
-import json
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -61,50 +60,20 @@ def test_fixture_loads_and_rewrites_byte_for_byte(tmp_path, name):
         assert np.isfinite(out).all()
 
 
-def _sgnn_with(tmp_path, fixture, edit) -> Path:
-    """The sgnn ``fixture`` with ``edit`` applied to its header and tensors."""
+@pytest.mark.parametrize("fixture,donor,match", [
+    (DATA / "sgnn.sgnn", V2 / "sgnn.sgnn",
+     "stages.stage1 is not format 1's square sigma layout (a sigma of 44 inputs"),
+    (V2 / "sgnn.sgnn", DATA / "sgnn.sgnn", "MLP stage1/phi_sigma has shapes [(108, 4)"),
+], ids=["v1_not_square", "v2_square"])
+def test_a_sigma_of_the_other_format_raises(tmp_path, fixture, donor, match):
+    # the fixture with stage 1's phi_sigma swapped for the other format's
     tensors = read_tensors(fixture)
-    meta = json.loads(bytes(tensors["header/config_utf8"].reshape(-1).astype(np.uint8)))
-    edit(meta, tensors)
-    header = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8).astype(np.float64)
-    tensors["header/config_utf8"] = header.reshape(1, -1)
+    tensors.update({k: v for k, v in read_tensors(donor).items()
+                    if k.startswith("stage1/phi_sigma/")})
     path = tmp_path / "edited.sgnn"
     write_tensors(path, list(tensors.items()))
-    return path
-
-
-def _sigmas_of(other: Path):
-    """An edit that swaps in the stage-1 phi_sigma tensors of ``other``."""
-    def edit(meta, tensors):
-        for key, value in read_tensors(other).items():
-            if key.startswith("stage1/phi_sigma/"):
-                tensors[key] = value
-    return edit
-
-
-# case -> (fixture, edit, text the error must contain)
-_LAYOUT_EDITS = {
-    "v1_not_square": (DATA / "sgnn.sgnn", _sigmas_of(V2 / "sgnn.sgnn"),
-                      "stages.stage1 is not format 1's square sigma layout (a sigma of 44 inputs"),
-    "v2_square": (V2 / "sgnn.sgnn", _sigmas_of(DATA / "sgnn.sgnn"),
-                  "MLP stage1/phi_sigma has shapes [(108, 4)"),
-    "unknown_format": (V2 / "sgnn.sgnn", lambda meta, tensors: meta.update(format=3),
-                       "unknown header.format 3"),
-    "format_string": (V2 / "sgnn.sgnn", lambda meta, tensors: meta.update(format="2"),
-                      "unknown header.format '2'"),
-    "v2_as_format_1": (V2 / "sgnn.sgnn", lambda meta, tensors: meta.update(format=1),
-                       "a format 1 header needs stage3_from_stage1 false"),
-    "v1_without_v1_key": (DATA / "sgnn.sgnn",
-                          lambda meta, tensors: meta.pop("stage3_from_stage1"),
-                          "a format 1 header needs stage3_from_stage1 false"),
-}
-
-
-@pytest.mark.parametrize("case", list(_LAYOUT_EDITS))
-def test_a_sigma_layout_or_format_that_does_not_match_raises(tmp_path, case):
-    fixture, edit, match = _LAYOUT_EDITS[case]
     with pytest.raises(CheckpointFormatError, match=re.escape(match)):
-        load_model(_sgnn_with(tmp_path, fixture, edit))
+        load_model(path)
 
 
 # SHA-256 of each v1 fixture's prediction on ``_parity_frame``, with every
