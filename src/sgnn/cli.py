@@ -154,14 +154,14 @@ def cmd_eval(args) -> int:
         rotate_angles = [angle] * len(trajs)
 
     plain = evaluate(model, trajs, horizons, rigid=args.rigid,
-                     contact_threshold=args.contact_threshold, seed=args.seed)
+                     contact_threshold=args.contact_threshold)
     rows = plain["rows"]
     header = ["horizon", "mse_mean", "mse_std", "contact_accuracy"]
     rotated = None
     if rotate_angles is not None:
         rotated = evaluate(model, trajs, horizons, rigid=args.rigid,
                            contact_threshold=args.contact_threshold,
-                           rotate_angles=rotate_angles, seed=args.seed)
+                           rotate_angles=rotate_angles)
         header += ["mse_mean_rotated", "mse_std_rotated", "gap"]
 
     out = Path(args.out)
@@ -269,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'random' or an angle in radians; adds rotated-test columns")
     e.add_argument("--rigid", action="store_true")
     e.add_argument("--contact-threshold", type=float, default=None)
-    e.add_argument("--seed", type=int, default=0)
+    e.add_argument("--seed", type=int, default=0,
+                   help="seed of the --rotate-test random angles")
     e.add_argument("--out", required=True)
     e.set_defaults(fn=cmd_eval)
 

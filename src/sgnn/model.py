@@ -148,12 +148,6 @@ def predict_step(model: SGNNModel, system: ParticleSystem, edges: EdgeSets,
 
 # ------------------------------------------------------------------ rollout
 
-# RANSAC hypotheses per rigid fit, and the distance (m) within which a
-# particle counts as an inlier of one
-RANSAC_ITERATIONS = 20
-INLIER_THRESHOLD = 0.01
-
-
 @dataclass
 class RigidFit:
     """Result of projecting a predicted cloud onto a rigid motion of the
@@ -163,78 +157,18 @@ class RigidFit:
     rotation: np.ndarray
     translation: np.ndarray
     translation_only: bool = False
+    # always None; kept because perfbench's rigid-fit observer still reads it
     inlier_mask: np.ndarray | None = None
 
 
-def _kabsch(reference: np.ndarray, predicted: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Least-squares proper rigid motions of a batch of (H, k, 3) point sets.
-
-    Returns rotations (H, 3, 3), translations (H, 3) and a (H,) flag for
-    collinear references, whose rotation is underdetermined: those get the
-    identity and the centroid shift.  LAPACK runs once per matrix, so every
-    fit rounds exactly as it would alone.
-    """
-    ref_c = reference.mean(axis=1)
-    pred_c = predicted.mean(axis=1)
-    a = reference - ref_c[:, None]
-    b = predicted - pred_c[:, None]
-    svals = np.linalg.svd(a, compute_uv=False)
-    degenerate = svals[:, 1] <= 1e-9 * np.maximum(svals[:, 0], 1e-12)
-    R = np.tile(np.eye(3), (a.shape[0], 1, 1))
-    t = pred_c - ref_c
-    ok = ~degenerate
-    if ok.any():
-        u, _, vt = np.linalg.svd(np.swapaxes(a[ok], 1, 2) @ b[ok])
-        v = np.swapaxes(vt, 1, 2)
-        ut = np.swapaxes(u, 1, 2)
-        flip = np.tile(np.eye(3), (v.shape[0], 1, 1))
-        flip[:, 2, 2] = np.sign(np.linalg.det(v @ ut))
-        R[ok] = v @ flip @ ut
-        t[ok] = pred_c[ok] - (R[ok] @ ref_c[ok][:, :, None])[:, :, 0]
-    return R, t, degenerate
-
-
-def _ransac_inliers(predicted: np.ndarray, reference: np.ndarray, seed: int) -> np.ndarray:
-    """Inlier mask of the first best of ``RANSAC_ITERATIONS`` random 4-point
-    fits, or every particle when all subsets are collinear or the best keeps
-    fewer than 3.  All subsets are fitted and scored as one batch."""
-    n = predicted.shape[0]
-    if RANSAC_ITERATIONS > 0:
-        rng = np.random.default_rng(seed)
-        idx = np.stack([
-            rng.choice(n, size=min(4, n), replace=False) for _ in range(RANSAC_ITERATIONS)
-        ])
-        R, t, degenerate = _kabsch(reference[idx], predicted[idx])
-        moved = reference @ np.swapaxes(R, 1, 2) + t[:, None]
-        masks = np.linalg.norm(moved - predicted, axis=2) < INLIER_THRESHOLD
-        if not degenerate.all():
-            # argmax takes the first maximum, as a loop keeping only strict gains
-            best = masks[np.argmax(np.where(degenerate, -1, masks.sum(axis=1)))]
-            if best.sum() >= 3:
-                return best
-    return np.ones(n, dtype=bool)
-
-
-def rigid_project(
-    predicted: np.ndarray,
-    reference: np.ndarray,
-    ransac: bool = False,
-    seed: int = 0,
-) -> RigidFit:
-    """Least-squares rigid motion of ``reference`` matching ``predicted``.
+def rigid_project(predicted: np.ndarray, reference: np.ndarray) -> RigidFit:
+    """Least-squares rigid motion of ``reference`` matching ``predicted``:
+    one Kabsch fit over all points, DPI-Net's shape matching.
 
     Proper rotations only (the smallest singular direction is flipped when
-    the determinant is negative).  Collinear references fall back to a
-    translation-only fit, flagged on the result.
-
-    With ``ransac`` the fit is consensus-first: the all-points fit is
-    returned with an all-true ``inlier_mask`` when every particle lies
-    within ``INLIER_THRESHOLD`` of it, and no subset is drawn.  Otherwise
-    it is redone on the inliers of the best of ``RANSAC_ITERATIONS`` random
-    4-point subsets drawn from ``seed``, which discards grossly displaced
-    particles.  This equals plain RANSAC whenever its best consensus is
-    every particle; where the all-points fit keeps every particle but no
-    sampled subset does, the all-points fit wins as the larger consensus.
+    the determinant is negative).  Collinear references, whose rotation is
+    underdetermined, fall back to the identity and the centroid shift,
+    flagged on the result.
 
     Raises ``ContractError`` on mismatched shapes, fewer than 3 points, or
     non-finite ``predicted`` or ``reference``.
@@ -246,22 +180,20 @@ def rigid_project(
     for name, points in (("predicted", predicted), ("reference", reference)):
         if not np.isfinite(points).all():
             raise ContractError(f"rigid_project: {name} holds non-finite values")
-    R, t, degenerate = _kabsch(reference[None], predicted[None])
-    positions = reference @ R[0].T + t[0]
-    inliers = None
-    if ransac:
-        inliers = np.linalg.norm(positions - predicted, axis=1) < INLIER_THRESHOLD
-        if not inliers.all():
-            inliers = _ransac_inliers(predicted, reference, seed)
-            R, t, degenerate = _kabsch(reference[None, inliers], predicted[None, inliers])
-            positions = reference @ R[0].T + t[0]
-    return RigidFit(
-        positions=positions,
-        rotation=R[0],
-        translation=t[0],
-        translation_only=bool(degenerate[0]),
-        inlier_mask=inliers,
-    )
+    ref_c = reference.mean(axis=0)
+    pred_c = predicted.mean(axis=0)
+    a = reference - ref_c
+    svals = np.linalg.svd(a, compute_uv=False)
+    degenerate = bool(svals[1] <= 1e-9 * max(svals[0], 1e-12))
+    R = np.eye(3)
+    t = pred_c - ref_c
+    if not degenerate:
+        u, _, vt = np.linalg.svd(a.T @ (predicted - pred_c))
+        flip = np.diag([1.0, 1.0, np.sign(np.linalg.det(vt.T @ u.T))])
+        R = vt.T @ flip @ u.T
+        t = pred_c - R @ ref_c
+    return RigidFit(positions=reference @ R.T + t, rotation=R, translation=t,
+                    translation_only=degenerate)
 
 
 def rollout(
@@ -272,14 +204,14 @@ def rollout(
     rigid: bool = False,
     rigid_objects: np.ndarray | None = None,
     dt: float = 1.0,
-    seed: int = 0,
 ) -> Trajectory:
     """Autoregressive prediction for ``steps`` frames from ``initial``.
 
     Edges are rebuilt every step; next-frame velocities are the one-frame
     position differences.  With ``rigid``, each tagged object's predicted
     cloud is replaced by the rigid motion of its layout in ``initial``
-    that ``rigid_project(..., ransac=True)`` fits, before the next step.
+    that ``rigid_project`` fits, before the next step; ``rigid_objects``
+    (one flag per object, default all) says which objects are tagged.
     Raises ``RolloutError`` on non-finite states.
     """
     if steps < 1:
@@ -287,6 +219,9 @@ def rollout(
     n_obj = initial.n_objects
     if rigid_objects is None:
         rigid_objects = np.ones(n_obj, dtype=bool)
+    elif np.shape(rigid_objects) != (n_obj,):
+        raise ContractError(f"rigid_objects must have shape ({n_obj},), "
+                            f"got {np.shape(rigid_objects)}")
     references = [
         initial.positions[initial.object_of == k] for k in range(n_obj)
     ] if rigid else None
@@ -304,11 +239,7 @@ def rollout(
                 if not rigid_objects[k]:
                     continue
                 members = system.object_of == k
-                fit = rigid_project(
-                    nxt[members], references[k], ransac=True,
-                    seed=seed * 100003 + step * 31 + k,
-                )
-                nxt[members] = fit.positions
+                nxt[members] = rigid_project(nxt[members], references[k]).positions
         vel = nxt - system.positions
         system = ParticleSystem(
             positions=nxt, velocities=vel, attrs=system.attrs, object_of=system.object_of

@@ -261,50 +261,28 @@ def object_level_ominus(z: np.ndarray, edges: EdgeSets, k: int, l: int) -> np.nd
     return np.mean(np.stack(stacks, axis=0), axis=0)
 
 
-def _single_kabsch(reference: np.ndarray, predicted: np.ndarray):
+def loop_rigid_project(predicted, reference) -> RigidFit:
+    """One all-points Kabsch fit, written out step by step: the reference
+    for ``model.rigid_project``."""
+    predicted = np.asarray(predicted, dtype=np.float64)
+    reference = np.asarray(reference, dtype=np.float64)
     ref_c = reference.mean(axis=0)
     pred_c = predicted.mean(axis=0)
     a = reference - ref_c
     b = predicted - pred_c
     svals = np.linalg.svd(a, compute_uv=False)
     if svals[1] <= 1e-9 * max(svals[0], 1e-12):
-        return np.eye(3), pred_c - ref_c, True
-    H = a.T @ b
-    u, _, vt = np.linalg.svd(H)
-    v = vt.T
-    d = np.sign(np.linalg.det(v @ u.T))
-    R = v @ np.diag([1.0, 1.0, d]) @ u.T
-    t = pred_c - R @ ref_c
-    return R, t, False
-
-
-def loop_rigid_project(predicted, reference, ransac=False, seed=0,
-                       inlier_threshold=0.01, ransac_iterations=20) -> RigidFit:
-    """One Kabsch fit per RANSAC hypothesis in a loop: the reference for
-    ``model.rigid_project``."""
-    predicted = np.asarray(predicted, dtype=np.float64)
-    reference = np.asarray(reference, dtype=np.float64)
-    n = predicted.shape[0]
-    if not ransac:
-        R, t, degenerate = _single_kabsch(reference, predicted)
-        return RigidFit(positions=reference @ R.T + t, rotation=R, translation=t,
-                        translation_only=degenerate)
-    rng = np.random.default_rng(seed)
-    best_mask = None
-    for _ in range(ransac_iterations):
-        idx = rng.choice(n, size=min(4, n), replace=False)
-        R, t, degenerate = _single_kabsch(reference[idx], predicted[idx])
-        if degenerate:
-            continue
-        residual = np.linalg.norm(reference @ R.T + t - predicted, axis=1)
-        mask = residual < inlier_threshold
-        if best_mask is None or mask.sum() > best_mask.sum():
-            best_mask = mask
-    if best_mask is None or best_mask.sum() < 3:
-        best_mask = np.ones(n, dtype=bool)
-    R, t, degenerate = _single_kabsch(reference[best_mask], predicted[best_mask])
+        R, t, degenerate = np.eye(3), pred_c - ref_c, True
+    else:
+        H = a.T @ b
+        u, _, vt = np.linalg.svd(H)
+        v = vt.T
+        d = np.sign(np.linalg.det(v @ u.T))
+        R = v @ np.diag([1.0, 1.0, d]) @ u.T
+        t = pred_c - R @ ref_c
+        degenerate = False
     return RigidFit(positions=reference @ R.T + t, rotation=R, translation=t,
-                    translation_only=degenerate, inlier_mask=best_mask)
+                    translation_only=degenerate)
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sgnn import model as model_module
+from sgnn import ad
 from sgnn.errors import ContractError, RolloutError
 from sgnn.geometry import Gravity, check_equivariance, random_subgroup_transform
 from sgnn.graph import ObjectFeatures, ParticleSystem, build_edges, pool_objects
@@ -198,6 +198,48 @@ def test_rollout_equivariance_over_40_steps():
     assert dev < 1e-7
 
 
+def test_rigid_rollout_projects_each_tagged_object_with_the_all_points_fit():
+    """Each tagged object's frame is the all-points fit of the model's raw
+    prediction onto its initial layout; an untagged object keeps the raw
+    prediction.  Some fits leave a particle more than 0.01 away."""
+    rng = np.random.default_rng(0)
+    model = make_sgnn_model(rng, 2, hidden=10, iterations=1, cutoff=0.1,
+                            zero_init_update=False, msg_extra=4)
+    sys_ = contact_system(rng, n=18, objects=3)
+    raw, predict = [], model.predict
+
+    def recording_predict(system, edges):
+        raw.append(np.array(ad.value_of(predict(system, edges))))
+        return raw[-1].copy()
+
+    model.predict = recording_predict
+    tagged = np.array([True, False, True])
+    traj = rollout(model, sys_, 4, rigid=True, rigid_objects=tagged)
+    assert len(raw) == 4
+    worst = 0.0
+    for step, pred in enumerate(raw):
+        for k in range(3):
+            members = sys_.object_of == k
+            got = traj.frames[step + 1][members]
+            if tagged[k]:
+                fit = loop_rigid_project(pred[members], sys_.positions[members])
+                assert got.tobytes() == fit.positions.tobytes(), (step, k)
+                worst = max(worst, np.linalg.norm(fit.positions - pred[members], axis=1).max())
+            else:
+                assert got.tobytes() == pred[members].tobytes(), (step, k)
+    assert worst > 0.01
+
+
+@pytest.mark.parametrize("flags", [[True, False], [True] * 4, [[True, True, True]]],
+                         ids=["short", "long", "row"])
+def test_rollout_rejects_rigid_objects_of_the_wrong_shape(flags):
+    rng = np.random.default_rng(12)
+    model = make_sgnn_model(rng, 2, hidden=8, iterations=1, cutoff=0.1)
+    sys_ = contact_system(rng, n=9, objects=3)
+    with pytest.raises(ContractError, match=r"rigid_objects must have shape \(3,\)"):
+        rollout(model, sys_, 2, rigid=True, rigid_objects=np.array(flags))
+
+
 # ------------------------------------------------------------ rigid projection
 
 def test_rigid_project_identity():
@@ -230,24 +272,6 @@ def test_rigid_project_recovers_known_motion():
     np.testing.assert_allclose(fit.translation, t0, atol=1e-9)
 
 
-def test_rigid_project_ransac_rejects_outlier(monkeypatch):
-    rng = np.random.default_rng(14)
-    ref = rng.normal(size=(20, 3))
-    R0 = _proper_rotation(rng)
-    t0 = 0.5 * rng.normal(size=3)
-    moved = ref @ R0.T + t0
-    corrupted = moved.copy()
-    corrupted[7] += np.array([0.1, -0.1, 0.1])  # 10x the inlier threshold
-    # the all-points fit rejects a particle, so subsets are drawn
-    seeds, real_rng = [], np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: seeds.append(seed) or real_rng(seed))
-    fit = rigid_project(corrupted, ref, ransac=True, seed=3)
-    assert seeds == [3]
-    np.testing.assert_allclose(fit.rotation, R0, atol=1e-6)
-    np.testing.assert_allclose(fit.translation, t0, atol=1e-6)
-    assert fit.inlier_mask.tolist() == (np.arange(20) != 7).tolist()
-
-
 def test_rigid_project_collinear_falls_back_to_translation():
     ref = np.stack([np.linspace(0, 1, 5), np.zeros(5), np.zeros(5)], axis=1)
     pred = ref + np.array([0.0, 0.5, 0.0])
@@ -273,13 +297,10 @@ def test_rigid_project_requires_three_points():
 
 
 def _same_fit(a, b):
-    for name in ("positions", "rotation", "translation", "inlier_mask"):
+    for name in ("positions", "rotation", "translation"):
         x, y = getattr(a, name), getattr(b, name)
-        if x is None or y is None:
-            assert x is None and y is None, name
-        else:
-            assert x.shape == y.shape and x.dtype == y.dtype, name
-            assert x.tobytes() == y.tobytes(), name
+        assert x.shape == y.shape and x.dtype == y.dtype, name
+        assert x.tobytes() == y.tobytes(), name
     assert a.translation_only == b.translation_only
 
 
@@ -302,8 +323,8 @@ def _rigid_cases(rng):
 
 
 def _two_motions(rng):
-    """Particles 0-3 and 4-7 moved by two different rigid motions: a subset
-    from either half has exactly that half as inliers, so the two tie."""
+    """Particles 0-3 and 4-7 moved by two different rigid motions, which no
+    one motion of the whole set fits."""
     ref = rng.normal(size=(8, 3))
     pred = np.concatenate([
         ref[:4] @ _proper_rotation(rng).T,
@@ -313,104 +334,19 @@ def _two_motions(rng):
 
 
 @pytest.mark.parametrize("case", ["noisy", "outliers", "collinear", "three-points", "tied"])
-@pytest.mark.parametrize("iterations", [200, 20, 1, 0])
-def test_rigid_project_matches_loop_bit_for_bit(case, iterations, monkeypatch):
-    """Batched RANSAC gives the positions, pose and inlier mask of the
-    one-hypothesis-at-a-time loop, bit for bit."""
-    monkeypatch.setattr(model_module, "RANSAC_ITERATIONS", iterations)
-    rng = np.random.default_rng(17)
-    pred, ref = _rigid_cases(rng)[case]
-    for seed in range(5):
-        for ransac in (True, False):
-            _same_fit(rigid_project(pred, ref, ransac=ransac, seed=seed),
-                      loop_rigid_project(pred, ref, ransac=ransac, seed=seed,
-                                         ransac_iterations=iterations))
+@pytest.mark.parametrize("draw", [200, 20, 1, 0])
+def test_rigid_project_matches_loop_bit_for_bit(case, draw):
+    """The fit gives the positions and pose of the single-set loop
+    reference, bit for bit, on four random draws of each case."""
+    pred, ref = _rigid_cases(np.random.default_rng(draw))[case]
+    _same_fit(rigid_project(pred, ref), loop_rigid_project(pred, ref))
 
 
-def test_rigid_project_ties_pick_first_best_hypothesis(monkeypatch):
-    monkeypatch.setattr(model_module, "RANSAC_ITERATIONS", 200)
-    pred, ref = _two_motions(np.random.default_rng(17))
-    halves = {(0, 1, 2, 3): np.arange(8) < 4, (4, 5, 6, 7): np.arange(8) >= 4}
-    for seed in range(10):
-        # replay the draws: the first subset lying in one half sets the mask
-        rng = np.random.default_rng(seed)
-        draws = [tuple(sorted(rng.choice(8, size=4, replace=False))) for _ in range(200)]
-        pure = [d for d in draws if d in halves]
-        assert set(pure) == set(halves)
-        fit = rigid_project(pred, ref, ransac=True, seed=seed)
-        assert fit.inlier_mask.tolist() == halves[pure[0]].tolist()
-
-
-def test_rigid_project_all_hypotheses_degenerate():
-    line = np.outer(np.arange(5.0), [1.0, 2.0, 0.5])
-    fit = rigid_project(line + 0.25, line, ransac=True, seed=3)
-    assert fit.translation_only
-    assert fit.inlier_mask.all()
-    np.testing.assert_allclose(fit.positions, line + 0.25, atol=1e-12)
-
-
-def _noisy_motion(rng, noise):
-    ref = rng.normal(scale=0.05, size=(27, 3))
-    moved = ref @ _proper_rotation(rng).T + rng.normal(size=3)
-    return moved + noise * rng.normal(size=ref.shape), ref
-
-
-def test_consensus_first_equals_loop_when_its_consensus_is_every_particle():
-    """Whenever plain RANSAC's best consensus is every particle, its refit is
-    the all-points fit, which the consensus-first path returns as is."""
-    rng = np.random.default_rng(19)
-    compared = dict.fromkeys((0.0, 1e-3, 3e-3, 5e-3), 0)
-    for noise in compared:
-        for trial in range(4):
-            pred, ref = _noisy_motion(rng, noise)
-            for seed in range(3):
-                want = loop_rigid_project(pred, ref, ransac=True, seed=seed)
-                if want.inlier_mask.all():
-                    _same_fit(rigid_project(pred, ref, ransac=True, seed=seed), want)
-                    compared[noise] += 1
-    # the quiet motions are always compared, the noisy ones only sometimes
-    assert compared[0.0] == compared[1e-3] == 12
-    assert 0 < compared[3e-3] + compared[5e-3] < 24
-
-
-def test_consensus_first_keeps_all_points_fit_over_a_smaller_sampled_consensus(monkeypatch):
-    """One sampled subset may keep fewer particles than the all-points fit,
-    which then wins as the strictly larger consensus."""
-    monkeypatch.setattr(model_module, "RANSAC_ITERATIONS", 1)
-    pred, ref = _noisy_motion(np.random.default_rng(21), 3e-3)
-    plain = rigid_project(pred, ref)
-    assert (np.linalg.norm(plain.positions - pred, axis=1) < model_module.INLIER_THRESHOLD).all()
-    smaller = [s for s in range(10)
-               if not loop_rigid_project(pred, ref, ransac=True, seed=s,
-                                         ransac_iterations=1).inlier_mask.all()]
-    assert smaller
-    for seed in smaller:
-        fit = rigid_project(pred, ref, ransac=True, seed=seed)
-        assert fit.inlier_mask.dtype == bool and fit.inlier_mask.all()
-        for name in ("positions", "rotation", "translation"):
-            assert getattr(fit, name).tobytes() == getattr(plain, name).tobytes(), name
-
-
-def test_consensus_first_draws_no_subsets_for_a_clean_motion(monkeypatch):
-    rng = np.random.default_rng(23)
-    ref = rng.normal(size=(12, 3))
-    R0, t0 = _proper_rotation(rng), rng.normal(size=3)
-
-    def no_rng(*args, **kwargs):
-        raise AssertionError("a clean rigid motion drew RANSAC subsets")
-
-    monkeypatch.setattr(np.random, "default_rng", no_rng)
-    fit = rigid_project(ref @ R0.T + t0, ref, ransac=True, seed=5)
-    assert fit.inlier_mask.all()
-    np.testing.assert_allclose(fit.rotation, R0, atol=1e-9)
-    np.testing.assert_allclose(fit.translation, t0, atol=1e-9)
-
-
-@pytest.mark.parametrize("ransac", [True, False])
+@pytest.mark.parametrize("infinite", [True, False])
 @pytest.mark.parametrize("name", ["predicted", "reference"])
-def test_rigid_project_rejects_non_finite_points(name, ransac):
+def test_rigid_project_rejects_non_finite_points(name, infinite):
     ref = np.random.default_rng(24).normal(size=(8, 3))
     points = {"predicted": ref + 0.1, "reference": ref.copy()}
-    points[name][3, 1] = np.nan
+    points[name][3, 1] = np.inf if infinite else np.nan
     with pytest.raises(ContractError, match=name):
-        rigid_project(points["predicted"], points["reference"], ransac=ransac)
+        rigid_project(points["predicted"], points["reference"])
