@@ -8,6 +8,7 @@ finite.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -34,40 +35,47 @@ def write_tensors(path, named: list[tuple[str, np.ndarray]]) -> None:
             f.write(arr.astype("<f8").tobytes())
 
 
+class _Reader:
+    """Bounds-checked reads at a moving offset into one file's bytes.  A read
+    past the end raises ``truncated(offset, what)``, so each format keeps
+    its own error type and message."""
+
+    def __init__(self, data: bytes, truncated):
+        self.data, self.offset, self.truncated = data, 0, truncated
+
+    def take(self, size: int, what: str) -> bytes:
+        if self.offset + size > len(self.data):
+            raise self.truncated(self.offset, what)
+        self.offset += size
+        return self.data[self.offset - size : self.offset]
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def floats(self, shape: tuple, what: str) -> np.ndarray:
+        """A little-endian float64 payload of ``shape``, as native floats."""
+        raw = self.take(8 * math.prod(shape), what)
+        return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+
+
 def read_tensors(path) -> dict[str, np.ndarray]:
-    data = Path(path).read_bytes()
-    if len(data) < 8 or data[:4] != MAGIC:
+    cur = _Reader(Path(path).read_bytes(),
+                  lambda at, what: CheckpointFormatError(f"{path}: truncated {what} at {at}"))
+    if len(cur.data) < 8 or cur.take(4, "magic") != MAGIC:
         raise CheckpointFormatError(f"{path}: bad magic")
-    (version,) = struct.unpack_from("<I", data, 4)
+    (version,) = cur.unpack("<I", "version")
     if version != VERSION:
         raise CheckpointFormatError(f"{path}: unsupported version {version}")
     out: dict[str, np.ndarray] = {}
-    offset = 8
-    while offset < len(data):
-        if offset + 4 > len(data):
-            raise CheckpointFormatError(f"{path}: truncated record header at {offset}")
-        (name_len,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        if offset + name_len + 8 > len(data):
-            raise CheckpointFormatError(f"{path}: truncated record at {offset}")
+    while cur.offset < len(cur.data):
+        (name_len,) = cur.unpack("<I", "record header")
+        at = cur.offset
+        record = cur.take(name_len + 8, "record")  # the name, then rows and cols
         try:
-            name = data[offset : offset + name_len].decode("utf-8")
+            name = record[:name_len].decode("utf-8")
         except UnicodeDecodeError:
-            raise CheckpointFormatError(
-                f"{path}: tensor name at {offset} is not UTF-8"
-            ) from None
-        offset += name_len
-        rows, cols = struct.unpack_from("<II", data, offset)
-        offset += 8
-        nbytes = rows * cols * 8
-        if offset + nbytes > len(data):
-            raise CheckpointFormatError(f"{path}: truncated payload for {name!r} at {offset}")
-        out[name] = (
-            np.frombuffer(data, dtype="<f8", count=rows * cols, offset=offset)
-            .reshape(rows, cols)
-            .astype(np.float64)
-        )
+            raise CheckpointFormatError(f"{path}: tensor name at {at} is not UTF-8") from None
+        out[name] = cur.floats(struct.unpack_from("<II", record, name_len), f"payload for {name!r}")
         if not np.isfinite(out[name]).all():
             raise CheckpointFormatError(f"{path}: tensor {name!r} holds non-finite values")
-        offset += nbytes
     return out

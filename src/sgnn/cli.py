@@ -42,6 +42,8 @@ def _echo_config(command: str, values: dict) -> None:
 
 
 def cmd_generate(args) -> int:
+    if args.count < 1:
+        raise ContractError(f"--count must be >= 1, got {args.count}")
     cfg = parse_scene_config(Path(args.config).read_text()) if args.config else SceneConfig()
     if args.seed is not None:
         cfg = SceneConfig(**{**cfg.__dict__, "seed": args.seed})

@@ -94,6 +94,14 @@ def _receiver_mask(recv: np.ndarray, n_nodes: int, mode: str):
     return (counts > 0).astype(np.float64), divisor
 
 
+def _edge_inputs(z, h, pairs: np.ndarray):
+    """Inputs of the directed (receiver r, sender s) ``pairs``: the stacks
+    z_r ⊖ z_s and the scalars [h_r, h_s]."""
+    r, s = pairs[:, 0], pairs[:, 1]
+    return (ominus(ad.gather(z, r), ad.gather(z, s)),
+            ad.concat([ad.gather(h, r), ad.gather(h, s)], axis=-1))
+
+
 # Cell keys are folded into one int64 code of 21 bits per axis.  Folding
 # wraps keys that differ by a multiple of 2**21 onto the same code, so a code
 # match only nominates a candidate pair; the exact key test below decides.
@@ -203,14 +211,7 @@ def pooled_object_edge_features(z, h, edges: EdgeSets):
     n_obj_edges = edges.obj.shape[0]
     if n_obj_edges == 0:
         raise ContractError("no object edges to pool")
-    src = edges.inter[:, 0]
-    dst = edges.inter[:, 1]
-    zi = ad.gather(z, src)
-    zj = ad.gather(z, dst)
-    per_edge = ominus(zi, zj)
-    hi = ad.gather(h, src)
-    hj = ad.gather(h, dst)
-    per_edge_h = ad.concat([hi, hj], axis=-1)
+    per_edge, per_edge_h = _edge_inputs(z, h, edges.inter)
     _, divisor = _receiver_mask(edges.inter_to_obj, n_obj_edges, "mean")
     return (ad.segment_sum(per_edge, edges.inter_to_obj, n_obj_edges, divisor),
             ad.segment_sum(per_edge_h, edges.inter_to_obj, n_obj_edges, divisor))

@@ -19,7 +19,7 @@ import numpy as np
 from . import ad
 from .errors import ContractError, ShapeError
 from .geometry import Gravity, ominus, scalarize_subequivariant, triangle
-from .graph import ObjectFeatures, _receiver_mask
+from .graph import ObjectFeatures, _edge_inputs, _receiver_mask
 from .mlp import MLP, mlp_init
 
 # Gravity gates are small MLPs whose output bias starts at ETA_INIT: starting
@@ -165,7 +165,6 @@ def somp_forward(
         return z, h
 
     recv = edges[:, 0]
-    send = edges[:, 1]
     mask, divisor = _receiver_mask(recv, n_nodes, params.aggregate)
     phi_eta = None if params.equivariant_only else params.phi_eta
     psi_eta = None if params.equivariant_only else params.psi_eta
@@ -197,9 +196,7 @@ def somp_forward(
             nodes = ad.concat([ad.narrow(z, -1, 0, 1), offset], axis=-1)
             hc = ad.concat([h, c_of], axis=-1)
         if edge_features is None:
-            z_edge = ominus(ad.gather(nodes, recv), ad.gather(nodes, send))
-            h_edge = ad.concat([ad.gather(hc, recv), ad.gather(hc, send)], axis=-1)
-            agg_geo, agg_sca = aggregated_messages(z_edge, h_edge)
+            agg_geo, agg_sca = aggregated_messages(*_edge_inputs(nodes, hc, edges))
 
         if params.use_objects:
             upd_stack = ad.concat([agg_geo, offset], axis=-1)

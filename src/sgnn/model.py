@@ -58,9 +58,51 @@ class SGNNModel:
 
     def predict(self, system: ParticleSystem, edges: EdgeSets | None = None,
                 tape: ad.Tape | None = None):
+        """One-frame position prediction via the three-stage hierarchy, or via
+        stage 1 alone over all edges for a model without one.
+
+        Velocity channels (particle and pooled) are divided by the model's
+        ``velocity_scale`` on the way in; only the position channel is read out,
+        so the scale is a pure input normalization.  ``edges`` defaults to the
+        cutoff graph of ``system``.
+        """
         if edges is None:
             edges = build_edges(system, self.cutoff)
-        return predict_step(self, system, edges, tape=tape)
+        vs = self.velocity_scale
+        # the frame's inputs stay off the tape: input-only work runs eagerly
+        z = np.stack([system.positions, system.velocities / vs], axis=-1)
+        h = system.attrs
+        feats = pool_objects(system)
+        feats = ObjectFeatures(
+            C=np.stack([feats.C[:, :, 0], feats.C[:, :, 1] / vs], axis=-1), c=feats.c
+        )
+        if self.zero_object_features:
+            feats = ObjectFeatures(C=np.zeros_like(feats.C), c=np.zeros_like(feats.c))
+        object_of = system.object_of
+        n = system.n_particles
+
+        e1 = edges.merged if self.no_hierarchy or self.shared_edges else edges.inter
+        z1, h1 = somp_forward(
+            self.stage1, z, h, e1, objects=feats, object_of=object_of,
+            gravity=self.gravity, tape=tape,
+        )
+        if self.no_hierarchy:
+            return ad.reshape(ad.narrow(z1, -1, 0, 1), (n, 3))
+
+        if edges.obj.shape[0]:
+            C2, c2 = somp_forward(
+                self.stage2, feats.C, feats.c, edges.obj,
+                gravity=self.gravity, edge_features=pooled_object_edge_features(z1, h1, edges),
+                tape=tape,
+            )
+            feats = ObjectFeatures(C=C2, c=c2)
+
+        e3 = edges.merged if self.shared_edges else edges.inner
+        z3, _ = somp_forward(
+            self.stage3, z, h, e3, objects=feats, object_of=object_of,
+            gravity=self.gravity, tape=tape,
+        )
+        return ad.reshape(ad.narrow(z3, -1, 0, 1), (n, 3))
 
 
 def make_sgnn_model(
@@ -98,52 +140,6 @@ def make_sgnn_model(
         zero_object_features=zero_object_features,
         shared_edges=shared_edges,
     )
-
-
-def predict_step(model: SGNNModel, system: ParticleSystem, edges: EdgeSets,
-                 tape: ad.Tape | None = None):
-    """One-frame position prediction via the three-stage hierarchy, or via
-    stage 1 alone over all edges for a model without one.
-
-    Velocity channels (particle and pooled) are divided by the model's
-    ``velocity_scale`` on the way in; only the position channel is read out,
-    so the scale is a pure input normalization.
-    """
-    vs = model.velocity_scale
-    # the frame's inputs stay off the tape: input-only work runs eagerly
-    z = np.stack([system.positions, system.velocities / vs], axis=-1)
-    h = system.attrs
-    feats = pool_objects(system)
-    feats = ObjectFeatures(
-        C=np.stack([feats.C[:, :, 0], feats.C[:, :, 1] / vs], axis=-1), c=feats.c
-    )
-    if model.zero_object_features:
-        feats = ObjectFeatures(C=np.zeros_like(feats.C), c=np.zeros_like(feats.c))
-    object_of = system.object_of
-    n = system.n_particles
-
-    e1 = edges.merged if model.no_hierarchy or model.shared_edges else edges.inter
-    z1, h1 = somp_forward(
-        model.stage1, z, h, e1, objects=feats, object_of=object_of,
-        gravity=model.gravity, tape=tape,
-    )
-    if model.no_hierarchy:
-        return ad.reshape(ad.narrow(z1, -1, 0, 1), (n, 3))
-
-    if edges.obj.shape[0]:
-        C2, c2 = somp_forward(
-            model.stage2, feats.C, feats.c, edges.obj,
-            gravity=model.gravity, edge_features=pooled_object_edge_features(z1, h1, edges),
-            tape=tape,
-        )
-        feats = ObjectFeatures(C=C2, c=c2)
-
-    e3 = edges.merged if model.shared_edges else edges.inner
-    z3, _ = somp_forward(
-        model.stage3, z, h, e3, objects=feats, object_of=object_of,
-        gravity=model.gravity, tape=tape,
-    )
-    return ad.reshape(ad.narrow(z3, -1, 0, 1), (n, 3))
 
 
 # ------------------------------------------------------------------ rollout

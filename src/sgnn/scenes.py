@@ -19,7 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import _Reader
 from .errors import ContractError, GenerationError, ShapeError, TrajectoryParseError
+from .geometry import Gravity
 from .graph import ParticleSystem, _check_object_of
 
 TRAJ_MAGIC = b"SGTJ"
@@ -143,6 +145,8 @@ class Trajectory:
             raise ShapeError("object_of must be (N,)")
         if self.attrs.shape[0] != n:
             raise ShapeError("attrs must have N rows")
+        if n == 0:
+            raise ContractError("a trajectory needs at least one particle")
         if not np.isfinite(self.frames).all():
             raise ContractError("non-finite frame positions")
         _check_object_of(self.object_of)
@@ -392,9 +396,9 @@ def _transform_bodies(bodies: _Bodies, transform) -> None:
     """Rotate (properly, about the vertical axis) and translate initial body
     states in place.  Reflections cannot be folded into an orientation
     quaternion and are rejected."""
-    O = np.asarray(transform.O, dtype=np.float64)
-    t = np.asarray(transform.t, dtype=np.float64)
-    if np.max(np.abs(O @ _UP - _UP)) > 1e-12 or np.linalg.det(O) < 0.0:
+    transform.validate(Gravity())
+    O, t = transform.O, transform.t
+    if np.linalg.det(O) < 0.0:
         raise ContractError("initial-condition transform must be a proper rotation about the vertical axis")
     theta = float(np.arctan2(O[1, 0], O[0, 0]))
     q_rot = _quat_from_axis_angle(_UP[None], np.array([theta]))[0]
@@ -504,42 +508,20 @@ def save_trajectory(traj: Trajectory, path) -> None:
         f.write(np.ascontiguousarray(traj.frames, dtype="<f8").tobytes())
 
 
-class _Cursor:
-    def __init__(self, data: bytes, path):
-        self.data = data
-        self.offset = 0
-        self.path = path
-
-    def take(self, size: int, what: str) -> bytes:
-        if self.offset + size > len(self.data):
-            raise TrajectoryParseError(self.offset, f"{self.path}: truncated {what}")
-        chunk = self.data[self.offset : self.offset + size]
-        self.offset += size
-        return chunk
-
-
 def load_trajectory(path) -> Trajectory:
-    cur = _Cursor(Path(path).read_bytes(), path)
+    cur = _Reader(Path(path).read_bytes(),
+                  lambda at, what: TrajectoryParseError(at, f"{path}: truncated {what}"))
     if cur.take(4, "magic") != TRAJ_MAGIC:
         raise TrajectoryParseError(0, f"{path}: bad magic")
-    (version,) = struct.unpack("<I", cur.take(4, "version"))
+    (version,) = cur.unpack("<I", "version")
     if version != TRAJ_VERSION:
         raise TrajectoryParseError(4, f"{path}: unsupported version {version}")
-    n, t = struct.unpack("<II", cur.take(8, "counts"))
-    (dt,) = struct.unpack("<d", cur.take(8, "dt"))
+    n, t = cur.unpack("<II", "counts")
+    (dt,) = cur.unpack("<d", "dt")
     object_of = np.frombuffer(cur.take(4 * n, "object table"), dtype="<u4").astype(np.int64)
-    (n_attrs,) = struct.unpack("<I", cur.take(4, "attr dims"))
-    attrs = np.frombuffer(cur.take(8 * n * n_attrs, "attr payload"), dtype="<f8").reshape(
-        n, n_attrs
-    )
-    frames = np.frombuffer(cur.take(8 * t * n * 3, "frame payload"), dtype="<f8").reshape(
-        t, n, 3
-    )
+    (n_attrs,) = cur.unpack("<I", "attr dims")
+    attrs = cur.floats((n, n_attrs), "attr payload")
+    frames = cur.floats((t, n, 3), "frame payload")
     if cur.offset != len(cur.data):
         raise TrajectoryParseError(cur.offset, f"{path}: trailing bytes")
-    return Trajectory(
-        frames=frames.astype(np.float64),
-        object_of=object_of,
-        attrs=attrs.astype(np.float64),
-        dt=dt,
-    )
+    return Trajectory(frames=frames, object_of=object_of, attrs=attrs, dt=dt)

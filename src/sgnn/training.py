@@ -49,7 +49,7 @@ class TrainConfig:
             raise ContractError("patience values must be >= 1")
         if self.noise_mode not in ("relative", "absolute"):
             raise ContractError("noise_mode must be 'relative' or 'absolute'")
-        for key in ("batch_size", "max_steps_per_epoch"):  # the latter may be None
+        for key in ("batch_size", "max_epochs", "max_steps_per_epoch"):  # the last may be None
             if getattr(self, key) is not None and getattr(self, key) < 1:
                 raise ContractError(f"{key} must be >= 1")
         for key in ("lr", "noise_scale"):  # an lr of 0 keeps the model frozen
@@ -251,6 +251,8 @@ def evaluate(
         raise ContractError(f"horizon {horizons[-1]} exceeds last frame {t_max}")
     if rotate_angles is not None and len(rotate_angles) != len(trajectories):
         raise ContractError("need one rotation angle per trajectory")
+    if contact_threshold is not None and not 0.0 < contact_threshold < np.inf:
+        raise ContractError(f"contact_threshold must be finite and > 0, got {contact_threshold}")
     if contact_pairs is None:
         object_counts = {int(t.object_of.max()) + 1 for t in trajectories}
         if len(object_counts) > 1:

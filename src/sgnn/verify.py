@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import ad
-from .baselines import (EGNNParams, egnn_forward, make_baseline, make_egnn_params,
-                        make_gmn_params)
+from .baselines import (BASELINE_VARIANTS, EGNNParams, egnn_forward, make_baseline,
+                        make_egnn_params, make_gmn_params)
 from .errors import ContractError, GramMismatchError
 from .geometry import (
     Gravity,
@@ -29,7 +30,7 @@ from .geometry import (
 from .graph import ParticleSystem, build_edges, pool_objects
 from .layers import NODE_CHANNELS, SompParams, fold_square_sigma, make_somp_params, somp_forward
 from .mlp import MLP, adam_step, mlp_grads, mlp_init
-from .model import make_sgnn_model, predict_step
+from .model import make_sgnn_model
 
 GRAVITY = Gravity()
 
@@ -221,7 +222,6 @@ def _fd_check(make_loss, mlps: list[MLP], rng, coords_per_tensor=2, h=1e-5,
 
 
 def gradient_suite(instances: int = 100, seed: int = 0) -> list[PropertyResult]:
-    rng = np.random.default_rng(seed)
     results = []
 
     def somp_case(case_rng):
@@ -242,43 +242,27 @@ def gradient_suite(instances: int = 100, seed: int = 0) -> list[PropertyResult]:
 
         return make_loss, params.mlps()
 
-    def baseline_case(variant):
+    def model_case(make, n, **kw):
+        """A model, a random system with its edges, a projection and a summed loss."""
         def build(case_rng):
-            b = make_baseline(variant, case_rng, 2, hidden=8, iterations=1,
-                              zero_init_update=False, cutoff=0.9, activation="silu")
-            sys_ = _random_system(case_rng, n=6, objects=2)
-            proj = case_rng.normal(size=(sys_.n_particles, 3))
+            net = make(case_rng, 2, hidden=8, iterations=1, zero_init_update=False,
+                       cutoff=0.9, **kw)
+            sys_ = _random_system(case_rng, n=n, objects=2)
+            edges = build_edges(sys_, net.cutoff)
+            proj = case_rng.normal(size=(n, 3))
 
             def make_loss(tape):
-                out = b.predict(sys_, tape=tape)
-                return ad.sum_(ad.mul(out, proj))
+                return ad.sum_(ad.mul(net.predict(sys_, edges, tape=tape), proj))
 
-            return make_loss, b.mlps()
+            return make_loss, net.mlps()
 
         return build
 
-    def sgnn_case(case_rng):
-        model = make_sgnn_model(case_rng, 2, hidden=8, iterations=1,
-                                zero_init_update=False, msg_extra=4)
-        sys_ = _random_system(case_rng, n=8, objects=2)
-        edges = build_edges(sys_, 0.9)
-        proj = case_rng.normal(size=(sys_.n_particles, 3))
-
-        def make_loss(tape):
-            out = predict_step(model, sys_, edges, tape=tape)
-            return ad.sum_(ad.mul(out, proj))
-
-        return make_loss, model.mlps()
-
     cases = [
         ("message passing layer", somp_case),
-        ("full model", sgnn_case),
-        ("gns", baseline_case("gns")),
-        ("egnn", baseline_case("egnn")),
-        ("egnn_s", baseline_case("egnn_s")),
-        ("gmn", baseline_case("gmn")),
-        ("gmn_s", baseline_case("gmn_s")),
-    ]
+        ("full model", model_case(make_sgnn_model, 8, msg_extra=4)),
+    ] + [(v, model_case(partial(make_baseline, v), 6, activation="silu"))
+         for v in BASELINE_VARIANTS]
     per_case = max(1, instances)
     for name, builder in cases:
         worst = 0.0

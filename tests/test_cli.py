@@ -1,5 +1,6 @@
 """CLI surface: exit codes, reproducibility, file outputs."""
 
+import struct
 import subprocess
 import sys
 
@@ -8,7 +9,7 @@ import pytest
 
 from sgnn.cli import main
 from sgnn.modelio import load_model
-from sgnn.scenes import load_trajectory
+from sgnn.scenes import TRAJ_MAGIC, TRAJ_VERSION, load_trajectory
 
 
 def write_scene_config(path, **overrides):
@@ -51,6 +52,14 @@ def test_generate_rejects_invalid_config_values(tmp_path, bad):
     out = tmp_path / "out"
     assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 1
     assert not list(out.glob("*.sgtj"))
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_generate_rejects_a_count_below_one(tmp_path, capsys, count):
+    out = tmp_path / "out"
+    assert main(["generate", "--count", count, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: --count must be >= 1")
+    assert not out.exists()
 
 
 def test_generate_writes_files_and_manifest(tmp_path, capsys):
@@ -145,7 +154,8 @@ def test_ablation_flags_reject_baselines(tiny_dataset, tmp_path):
 @pytest.mark.parametrize("flag,value,key", [
     ("--batch-size", "0", "batch_size"), ("--lr", "-1", "lr"), ("--noise", "nan", "noise_scale"),
     ("--cutoff", "nan", "cutoff"), ("--hidden", "0", "dim"),
-    ("--cutoff", "inf", "--cutoff must be finite and > 0"),
+    ("--cutoff", "inf", "--cutoff must be finite and > 0"), ("--epochs", "-1", "max_epochs"),
+    ("--epochs", "0", "max_epochs"),
 ])
 def test_train_rejects_invalid_values_with_an_error_line(tiny_dataset, tmp_path, capsys,
                                                          flag, value, key):
@@ -192,6 +202,41 @@ def test_eval_writes_metrics_with_rotation_columns(tiny_dataset, tmp_path, capsy
     for line in lines[1:]:
         cells = line.split(",")
         assert abs(float(cells[1]) - float(cells[4])) < 1e-7
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tiny_dataset, tmp_path_factory):
+    ckpt = tmp_path_factory.mktemp("cli_model") / "model.sgnn"
+    assert main(_train_args(tiny_dataset, ckpt)) == 0
+    return ckpt
+
+
+@pytest.mark.parametrize("threshold", ["nan", "-1", "0", "inf"])
+def test_eval_rejects_a_contact_threshold_that_is_not_finite_and_positive(
+        tiny_dataset, tiny_checkpoint, tmp_path, capsys, threshold):
+    assert main(["eval", str(tiny_checkpoint), "--data", str(tiny_dataset), "--horizons", "3",
+                 "--contact-threshold", threshold, "--out", str(tmp_path / "eval")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: contact_threshold must be finite and > 0")
+
+
+def _write_empty_trajectory(data):
+    """A well-formed trajectory file of two frames and no particles."""
+    data.mkdir()
+    (data / "traj_00000.sgtj").write_bytes(
+        TRAJ_MAGIC + struct.pack("<IIIdI", TRAJ_VERSION, 0, 2, 0.02, 2))
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_an_empty_trajectory_is_refused_with_an_error_line(tiny_checkpoint, tmp_path, capsys,
+                                                           command):
+    empty = tmp_path / "empty"
+    _write_empty_trajectory(empty)
+    argv = (_train_args(empty, tmp_path / "model.sgnn") if command == "train" else
+            ["eval", str(tiny_checkpoint), "--data", str(empty), "--horizons", "1",
+             "--out", str(tmp_path / "eval")])
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: a trajectory needs at least one particle")
 
 
 def test_eval_checkpoint_mismatch_errors(tiny_dataset, tmp_path):

@@ -11,8 +11,9 @@ import json
 import numpy as np
 import pytest
 
+from sgnn.baselines import make_baseline
 from sgnn.checkpoint import read_tensors, write_tensors
-from sgnn.errors import SgnnError
+from sgnn.errors import CheckpointFormatError, SgnnError, TrajectoryParseError
 from sgnn.model import make_sgnn_model
 from sgnn.modelio import load_model, save_model
 from sgnn.scenes import Trajectory, load_trajectory, save_trajectory
@@ -64,6 +65,29 @@ def test_corrupted_files_raise_only_typed_errors(tmp_path, write, load, seed):
         except Exception as err:  # noqa: BLE001 - the test is that none escape
             escaped.append(f"variant {k}: {type(err).__name__}: {err}")
     assert not escaped, "\n".join(escaped)
+
+
+def _write_small_checkpoint(path):
+    save_model(path, make_baseline("gns", np.random.default_rng(0), 1, hidden=2, iterations=1,
+                                   cutoff=0.1))
+
+
+@pytest.mark.parametrize("write,load,error", [
+    (_write_trajectory, load_trajectory, TrajectoryParseError),
+    (_write_small_checkpoint, load_model, CheckpointFormatError),
+], ids=["trajectory", "checkpoint"])
+def test_every_truncation_raises_the_format_error(tmp_path, write, load, error):
+    """Cut at every byte offset, a file raises its own format's error, and a
+    trajectory's names an offset no later than the cut."""
+    original = tmp_path / "original"
+    write(original)
+    data = original.read_bytes()
+    path = tmp_path / "cut"
+    for cut in range(len(data)):
+        path.write_bytes(data[:cut])
+        with pytest.raises(error) as info:
+            load(path)
+        assert getattr(info.value, "offset", cut) <= cut, (cut, info.value)
 
 
 @pytest.mark.parametrize("field,value", [

@@ -8,7 +8,7 @@ from sgnn.errors import ContractError, RolloutError
 from sgnn.geometry import Gravity, check_equivariance, random_subgroup_transform
 from sgnn.graph import ObjectFeatures, ParticleSystem, build_edges, pool_objects
 from sgnn.layers import somp_forward
-from sgnn.model import make_sgnn_model, predict_step, rigid_project, rollout
+from sgnn.model import make_sgnn_model, rigid_project, rollout
 
 from helpers import loop_rigid_project, naive_ominus, naive_somp
 
@@ -42,7 +42,7 @@ def test_zero_init_model_is_identity():
     model = make_sgnn_model(rng, 2, hidden=16, iterations=2, cutoff=0.1)
     sys_ = contact_system(rng)
     edges = build_edges(sys_, model.cutoff)
-    out = predict_step(model, sys_, edges)
+    out = model.predict(sys_, edges)
     np.testing.assert_array_equal(out, sys_.positions)
 
 
@@ -53,7 +53,7 @@ def test_isolated_object_only_inner_stage_contributes():
     sys_ = two_cluster_system(rng, gap=0.5)
     edges = build_edges(sys_, model.cutoff)
     assert edges.inter.shape[0] == 0 and edges.obj.shape[0] == 0
-    out = predict_step(model, sys_, edges)
+    out = model.predict(sys_, edges)
     feats = pool_objects(sys_)
     z3, _ = somp_forward(
         model.stage3, sys_.geometric_stack(), sys_.attrs, edges.inner,
@@ -67,11 +67,11 @@ def test_object_isolation_bit_identical():
     model = make_sgnn_model(rng, 2, hidden=12, iterations=2, cutoff=0.1,
                             zero_init_update=False, msg_extra=4)
     sys_ = two_cluster_system(rng, gap=0.6)
-    out = predict_step(model, sys_, build_edges(sys_, model.cutoff))
+    out = model.predict(sys_)
     moved = sys_.positions.copy()
     moved[4:] += rng.normal(size=(4, 3)) * 0.05  # perturb the far object only
     sys2 = ParticleSystem(moved, sys_.velocities, sys_.attrs, sys_.object_of)
-    out2 = predict_step(model, sys2, build_edges(sys2, model.cutoff))
+    out2 = model.predict(sys2)
     np.testing.assert_array_equal(out[:4], out2[:4])
 
 
@@ -84,7 +84,7 @@ def test_predict_matches_naive_transcription(trial):
     edges = build_edges(sys_, model.cutoff)
     if edges.obj.shape[0] == 0:
         pytest.skip("no object contact in this draw")
-    got = predict_step(model, sys_, edges)
+    got = model.predict(sys_, edges)
 
     # straight-line transcription of the three stages
     feats = pool_objects(sys_)
@@ -119,7 +119,7 @@ def test_end_to_end_axis_equivariance():
     def fn(geo, sca):
         z = geo[0]
         system = ParticleSystem(z[:, :, 0], z[:, :, 1], sca[0], sys_.object_of)
-        out = predict_step(model, system, build_edges(system, model.cutoff))
+        out = model.predict(system)
         return [out[:, :, None]], []
 
     dev = check_equivariance(
@@ -140,7 +140,7 @@ def test_ablation_variants_run():
     ):
         model = make_sgnn_model(np.random.default_rng(7), 2, hidden=8, iterations=1,
                                 cutoff=0.1, zero_init_update=False, msg_extra=4, **flags)
-        out = predict_step(model, sys_, build_edges(sys_, model.cutoff))
+        out = model.predict(sys_)
         assert np.isfinite(out).all()
 
 
@@ -152,7 +152,7 @@ def test_rollout_single_step_equals_predict():
                             zero_init_update=False, msg_extra=4)
     sys_ = contact_system(rng)
     traj = rollout(model, sys_, 1, dt=0.02)
-    want = predict_step(model, sys_, build_edges(sys_, model.cutoff))
+    want = model.predict(sys_)
     np.testing.assert_array_equal(traj.frames[0], sys_.positions)
     np.testing.assert_array_equal(traj.frames[1], want)
     assert traj.n_frames == 2

@@ -161,6 +161,16 @@ def test_oracle_rejects_reflection_ics():
         generate_scene(cfg, ic_transform=SubgroupTransform(O=O))
 
 
+@pytest.mark.parametrize("O,message", [
+    (np.diag([2.0, 2.0, 1.0]), "not orthogonal"),
+    (np.full((3, 3), np.nan), "non-finite"),
+], ids=["scaling", "nan"])
+def test_oracle_rejects_ics_that_are_not_rotations(O, message):
+    cfg = SceneConfig(objects=2, frames=2, seed=0)
+    with pytest.raises(ContractError, match=message):
+        generate_scene(cfg, ic_transform=SubgroupTransform(O=O))
+
+
 def test_energy_non_increasing_in_free_flight():
     # fine steps so the per-step dissipation of the scheme stays tiny
     cfg = SceneConfig(objects=1, ground=False, frames=3, seed=5, dt=2e-4,
