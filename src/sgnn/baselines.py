@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ad
-from .errors import ShapeError
+from .errors import ContractError, ShapeError
 from .geometry import Gravity
 from .graph import ParticleSystem, _receiver_mask, build_edges
 from .layers import ETA_HIDDEN, ETA_INIT, SompParams, fold_v1_sigmas, somp_forward
-from .mlp import MLP, mlp_forward, mlp_init
+from .mlp import MLP, mlp_forward, mlp_init, mlp_layers
 
 
 # ----------------------------------------------------------------- GNS-style
@@ -48,6 +48,8 @@ def make_gns_params(
     activation: str = "relu",
     zero_init_update: bool = True,
 ) -> GNSParams:
+    if iterations < 1:
+        raise ContractError(f"iterations must be >= 1, got {iterations}")
     phi = mlp_init(rng, [9 + 2 * n_scalar, hidden, hidden, msg_dim], activation=activation)
     psi = mlp_init(
         rng,
@@ -60,12 +62,15 @@ def make_gns_params(
 
 def gns_forward(params: GNSParams, x, v, h, edges: np.ndarray, tape: ad.Tape | None = None):
     """Raw-coordinate message passing: relative positions and velocities are
-    fed to the MLP directly, so only translation symmetry is preserved."""
+    fed to the MLP directly, so only translation symmetry is preserved.  φ's
+    linear last layer commutes with the sum, so it runs once per node after the
+    aggregation, its bias weighted by in-degree / divisor."""
     n = ad.value_of(x).shape[0]
     if edges.shape[0] == 0:
         return x, v, h
     recv, send = edges[:, 0], edges[:, 1]
     mask, divisor = _receiver_mask(recv, n, params.aggregate)
+    bias_w = ad.segment_sum(np.ones((len(recv), 1)), recv, n, divisor)
     mask = mask[:, None]
     for _ in range(params.iterations):
         rel = ad.sub(ad.gather(x, recv), ad.gather(x, send))
@@ -73,8 +78,9 @@ def gns_forward(params: GNSParams, x, v, h, edges: np.ndarray, tape: ad.Tape | N
             [rel, ad.gather(v, recv), ad.gather(v, send), ad.gather(h, recv), ad.gather(h, send)],
             axis=-1,
         )
-        msg = mlp_forward(params.phi, feats, tape=tape)
-        agg = ad.segment_sum(msg, recv, n, divisor)
+        *hidden, (w, b, _) = mlp_layers(params.phi, tape or getattr(feats, "tape", None))
+        hid = ad.segment_sum(ad.mlp(feats, hidden), recv, n, divisor)
+        agg = ad.add(ad.matmul(hid, w), ad.mul(bias_w, b))
         upd = mlp_forward(params.psi, ad.concat([agg, v, h], axis=-1), tape=tape)
         dx = ad.narrow(upd, -1, 0, 3)
         dv = ad.narrow(upd, -1, 3, 3)
@@ -115,6 +121,8 @@ def make_egnn_params(
     subequivariant: bool = False,
     zero_init_update: bool = True,
 ) -> EGNNParams:
+    if iterations < 1:
+        raise ContractError(f"iterations must be >= 1, got {iterations}")
     phi_m = mlp_init(rng, [1 + 2 * n_scalar, hidden, hidden, msg_dim], activation=activation)
     phi_x = mlp_init(rng, [msg_dim, hidden, 1], activation=activation, zero_last=zero_init_update)
     phi_v = mlp_init(rng, [n_scalar, hidden, 1], activation=activation, zero_last=zero_init_update)
@@ -195,6 +203,8 @@ def make_gmn_params(
 ) -> SompParams:
     """Multichannel layer on the pairwise stack [x_i - x_j, v_i, v_j]; the gravity
     gates are live only with ``subequivariant``.  Sigmas are drawn square, then folded."""
+    if iterations < 1:
+        raise ContractError(f"iterations must be >= 1, got {iterations}")
     aug = 1 if subequivariant else 0
     sigma_msg = mlp_init(rng, [(3 + aug) ** 2 + 2 * n_scalar, hidden, hidden,
                                (3 + aug) * msg_channels + msg_extra], activation=activation)

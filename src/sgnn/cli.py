@@ -139,6 +139,8 @@ def cmd_eval(args) -> int:
         horizons = [int(h) for h in args.horizons.split(",") if h]
     except ValueError as err:  # names the token
         raise ContractError(f"--horizons: {err}") from None
+    if not horizons or len(set(horizons)) < len(horizons):
+        raise ContractError(f"--horizons: {args.horizons!r} must list distinct horizons")
     try:
         angle = None if args.rotate_test in (None, "random") else float(args.rotate_test)
     except ValueError:

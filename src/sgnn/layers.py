@@ -75,6 +75,8 @@ def make_somp_params(
     """Allocate SiLU MLPs for the layer's channel arithmetic (sigmas drawn square, then folded)."""
     if n_scalar < 1:
         raise ContractError("need at least one scalar feature channel")
+    if iterations < 1:
+        raise ContractError(f"iterations must be >= 1, got {iterations}")
     pair = 2 * NODE_CHANNELS - 1  # z_i ominus z_j
     offset = NODE_CHANNELS + 1  # a node's ominus from its object's pooled stack
     m_edge = pair + 2 * offset if use_objects else pair

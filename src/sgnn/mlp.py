@@ -91,10 +91,16 @@ def mlp_forward(params: MLP, x, tape: ad.Tape | None = None):
     xv = ad.value_of(x)
     if xv.shape[-1] != params.in_dim:
         raise ShapeError(f"input dim {xv.shape[-1]} != first layer in dim {params.in_dim}")
+    return ad.mlp(x, mlp_layers(params, tape))
+
+
+def mlp_layers(params: MLP, tape: ad.Tape | None = None) -> list[tuple]:
+    """The ``(w, b, act)`` list ``ad.mlp`` runs, parameters wrapped through
+    ``tape.param`` when a tape is given."""
     layers = zip(params.weights, params.biases, params.activations)
     if tape is not None:
-        layers = [(tape.param(w), tape.param(b), act) for w, b, act in layers]
-    return ad.mlp(x, list(layers))
+        return [(tape.param(w), tape.param(b), act) for w, b, act in layers]
+    return list(layers)
 
 
 def mlp_grads(tape: ad.Tape, grads: ad.Grads, params: MLP) -> list[np.ndarray]:

@@ -207,6 +207,26 @@ def chain_segment_mean(a, segments, num_segments, divisor):
     return ad.div(agg, divisor.reshape((num_segments,) + (1,) * (ad.value_of(agg).ndim - 1)))
 
 
+def per_edge_gns(params, x, v, h, edges: np.ndarray, tape: ad.Tape):
+    """GNS with the whole of φ run on every edge before ``segment_sum``: the
+    reference for ``baselines.gns_forward``, which runs φ's last layer once
+    per node after the aggregation."""
+    n = ad.value_of(x).shape[0]
+    recv, send = edges[:, 0], edges[:, 1]
+    mask, divisor = _receiver_mask(recv, n, params.aggregate)
+    mask = mask[:, None]
+    for _ in range(params.iterations):
+        rel = ad.sub(ad.gather(x, recv), ad.gather(x, send))
+        feats = ad.concat([rel, ad.gather(v, recv), ad.gather(v, send),
+                           ad.gather(h, recv), ad.gather(h, send)], axis=-1)
+        agg = ad.segment_sum(mlp_forward(params.phi, feats, tape=tape), recv, n, divisor)
+        upd = mlp_forward(params.psi, ad.concat([agg, v, h], axis=-1), tape=tape)
+        x = ad.add(x, ad.mul(ad.narrow(upd, -1, 0, 3), mask))
+        v = ad.add(v, ad.mul(ad.narrow(upd, -1, 3, 3), mask))
+        h = ad.add(h, ad.mul(ad.narrow(upd, -1, 6, params.n_scalar), mask))
+    return x, v, h
+
+
 def chain_ominus(zi, zj):
     """The six-record stack (four narrows, a sub and a concat): the
     reference for ``geometry.ominus``."""

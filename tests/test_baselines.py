@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sgnn import ad
 from sgnn.baselines import (
     egnn_forward,
     gns_forward,
@@ -11,11 +12,14 @@ from sgnn.baselines import (
     make_gmn_params,
     make_gns_params,
 )
+from sgnn.errors import ContractError
 from sgnn.geometry import Gravity, check_equivariance, random_subgroup_transform
 from sgnn.graph import ParticleSystem, build_edges, pool_objects
-from sgnn.layers import somp_forward
-from sgnn.mlp import MLP, mlp_forward
+from sgnn.layers import make_somp_params, somp_forward
+from sgnn.mlp import MLP, mlp_forward, mlp_grads
 from sgnn.verify import embed_egnn_in_gmn, embed_gmn_in_somp, reduction_suite
+
+from helpers import per_edge_gns
 
 GRAVITY = Gravity()
 
@@ -29,6 +33,14 @@ def random_system(rng, n=8, objects=2, n_attrs=2):
     )
 
 
+@pytest.mark.parametrize("make", [make_somp_params, make_gns_params, make_egnn_params,
+                                  make_gmn_params])
+@pytest.mark.parametrize("iterations", [0, -3])
+def test_every_params_family_rejects_fewer_than_one_iteration(make, iterations):
+    with pytest.raises(ContractError, match="iterations must be >= 1"):
+        make(np.random.default_rng(0), 2, hidden=4, iterations=iterations)
+
+
 def test_gns_zero_init_identity_on_positions():
     rng = np.random.default_rng(0)
     params = make_gns_params(rng, 2, hidden=8, iterations=3, zero_init_update=True)
@@ -39,33 +51,75 @@ def test_gns_zero_init_identity_on_positions():
     np.testing.assert_array_equal(v, sys_.velocities)
 
 
-def test_gns_matches_naive_transcription():
-    rng = np.random.default_rng(1)
-    params = make_gns_params(rng, 2, hidden=8, iterations=2, zero_init_update=False)
+def _system_with_isolated_particle(rng):
+    """``random_system`` with its last particle far beyond the cutoff, so it
+    receives no edge."""
     sys_ = random_system(rng)
-    edges = build_edges(sys_, 0.8).merged
-    got_x, got_v, got_h = gns_forward(
-        params, sys_.positions, sys_.velocities, sys_.attrs, edges
-    )
+    sys_.positions[-1] = 5.0
+    return sys_
+
+
+def _naive_gns(params, sys_, edges):
+    """GNS one edge and one node at a time, in plain numpy."""
     x, v, h = sys_.positions.copy(), sys_.velocities.copy(), sys_.attrs.copy()
     n = sys_.n_particles
     for _ in range(params.iterations):
         agg = np.zeros((n, params.msg_dim))
-        touched = np.zeros(n, dtype=bool)
+        degree = np.zeros(n)
         for i, j in edges:
             feats = np.concatenate([x[i] - x[j], v[i], v[j], h[i], h[j]])
             agg[i] += mlp_forward(params.phi, feats)
-            touched[i] = True
+            degree[i] += 1
         for i in range(n):
-            if not touched[i]:
+            if not degree[i]:
                 continue
-            upd = mlp_forward(params.psi, np.concatenate([agg[i], v[i], h[i]]))
+            msg = agg[i] / degree[i] if params.aggregate == "mean" else agg[i]
+            upd = mlp_forward(params.psi, np.concatenate([msg, v[i], h[i]]))
             x[i] = x[i] + upd[:3]
             v[i] = v[i] + upd[3:6]
             h[i] = h[i] + upd[6:]
-    np.testing.assert_allclose(got_x, x, atol=1e-10, rtol=0.0)
-    np.testing.assert_allclose(got_v, v, atol=1e-10, rtol=0.0)
-    np.testing.assert_allclose(got_h, h, atol=1e-10, rtol=0.0)
+    return x, v, h
+
+
+def test_gns_matches_naive_transcription():
+    rng = np.random.default_rng(1)
+    params = make_gns_params(rng, 2, hidden=8, iterations=2, zero_init_update=False)
+    sys_ = _system_with_isolated_particle(rng)
+    edges = build_edges(sys_, 0.8).merged
+    assert sys_.n_particles - 1 not in edges
+    given = (sys_.positions, sys_.velocities, sys_.attrs)
+    for aggregate in ("sum", "mean"):
+        params.aggregate = aggregate
+        got = gns_forward(params, *given, edges)
+        for g, want, inp in zip(got, _naive_gns(params, sys_, edges), given):
+            np.testing.assert_allclose(g, want, atol=1e-10, rtol=0.0)
+            # the particle that receives no edge comes back bit for bit
+            np.testing.assert_array_equal(g[-1], inp[-1])
+
+
+@pytest.mark.parametrize("aggregate", ["sum", "mean"])
+def test_gns_per_node_output_layer_matches_per_edge_phi_on_the_tape(aggregate):
+    # φ's last layer run per node after the aggregation against φ run whole
+    # on every edge: the prediction and every GNS parameter adjoint agree
+    rng = np.random.default_rng(12)
+    params = make_gns_params(rng, 2, hidden=8, iterations=2, zero_init_update=False)
+    params.aggregate = aggregate
+    for net in params.mlps():
+        for b in net.biases:
+            b[:] = rng.normal(size=b.shape)
+    sys_ = _system_with_isolated_particle(rng)
+    edges = build_edges(sys_, 0.8).merged
+    seed = rng.normal(size=sys_.positions.shape)
+    runs = []
+    for forward in (gns_forward, per_edge_gns):
+        tape = ad.Tape()
+        x, _, _ = forward(params, tape.var(sys_.positions), tape.var(sys_.velocities),
+                          tape.var(sys_.attrs), edges, tape=tape)
+        grads = tape.backward(x, seed)
+        runs.append([x.value] + [g for net in params.mlps()
+                                 for g in mlp_grads(tape, grads, net)])
+    for got, want in zip(*runs):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_gns_translation_equivariant_but_not_rotation():

@@ -155,7 +155,8 @@ def test_ablation_flags_reject_baselines(tiny_dataset, tmp_path):
     ("--batch-size", "0", "batch_size"), ("--lr", "-1", "lr"), ("--noise", "nan", "noise_scale"),
     ("--cutoff", "nan", "cutoff"), ("--hidden", "0", "dim"),
     ("--cutoff", "inf", "--cutoff must be finite and > 0"), ("--epochs", "-1", "max_epochs"),
-    ("--epochs", "0", "max_epochs"),
+    ("--epochs", "0", "max_epochs"), ("--iterations", "0", "iterations"),
+    ("--iterations", "-3", "iterations"),
 ])
 def test_train_rejects_invalid_values_with_an_error_line(tiny_dataset, tmp_path, capsys,
                                                          flag, value, key):
@@ -172,6 +173,18 @@ def test_eval_rejects_a_horizon_that_is_not_an_integer_before_loading(tmp_path, 
                  "--horizons", "5,x", "--out", str(tmp_path / "eval")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: --horizons") and "'x'" in err
+
+
+@pytest.mark.parametrize("horizons", ["", ",", "3,3"])
+def test_eval_rejects_an_empty_or_repeated_horizon_list_before_loading(tmp_path, capsys,
+                                                                       horizons):
+    # the checkpoint does not exist: the horizons are checked first
+    out = tmp_path / "eval"
+    assert main(["eval", str(tmp_path / "missing.sgnn"), "--data", str(tmp_path),
+                 "--horizons", horizons, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --horizons") and repr(horizons) in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("angle", ["abc", "nan", "inf"])

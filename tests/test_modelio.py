@@ -83,7 +83,7 @@ def test_a_sigma_of_the_other_format_raises(tmp_path, fixture, donor, match):
 V1_PREDICTIONS = {
     "sgnn": "66e3c9c6876171c8735e4a2c8aa89def12a885d1889876ecae7a6d30255270df",
     "sgnn_no_hierarchy": "a367bf0857e9ce0da468397ca0ccfd3a707ff4f1c1f99685fe00810b79301923",
-    "gns": "a23671e60abac6d5694f38f25c289b3421fa8cee565888647de9064a51e815a8",
+    "gns": "b904b5c9ef9ceb791f0ad3b984a2e61a967142c6ca10d69f3fcd63d689ca2b63",
     "egnn": "44a8792bc696a5662860152e66201ec9e0479ab52cfe47a7fa4a969e4fa0c64c",
     "egnn_s": "fc03ece0d62a34fadad400ee03b6faa14e41e7fc673cee003101cd6fab3d9cf1",
     "gmn": "e67b8fd1f20e4f3dbf022b97d4579faea1d241174073bd2235932b6472f4d108",
