@@ -205,6 +205,8 @@ def make_gmn_params(
     gates are live only with ``subequivariant``.  Sigmas are drawn square, then folded."""
     if iterations < 1:
         raise ContractError(f"iterations must be >= 1, got {iterations}")
+    if msg_extra < 0:
+        raise ContractError(f"msg_extra must be >= 0, got {msg_extra}")
     aug = 1 if subequivariant else 0
     sigma_msg = mlp_init(rng, [(3 + aug) ** 2 + 2 * n_scalar, hidden, hidden,
                                (3 + aug) * msg_channels + msg_extra], activation=activation)

@@ -78,6 +78,8 @@ def _load_dir(data_dir: str):
 def _build_model(variant: str, args, n_scalar: int):
     if not 0 < args.cutoff < np.inf:  # load_model accepts no other cutoff
         raise ContractError(f"--cutoff must be finite and > 0, got {args.cutoff}")
+    if args.init_seed < 0:
+        raise ContractError(f"--init-seed must be >= 0, got {args.init_seed}")
     rng = np.random.default_rng(args.init_seed)
     if variant == "sgnn":
         model = make_sgnn_model(
@@ -148,6 +150,8 @@ def cmd_eval(args) -> int:
     if angle is not None and not np.isfinite(angle):
         raise ContractError(f"--rotate-test: {args.rotate_test!r} is neither 'random' nor a "
                             "finite angle in radians")
+    if args.seed < 0:
+        raise ContractError(f"--seed must be >= 0, got {args.seed}")
     model = load_model(args.checkpoint)
     trajs = _load_dir(args.data)
     rotate_angles = None

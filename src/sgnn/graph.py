@@ -192,12 +192,9 @@ def pool_objects(system: ParticleSystem) -> ObjectFeatures:
     m = system.n_objects
     if m == 0:
         raise ContractError("cannot pool an empty system")
-    # ParticleSystem leaves no object empty, so every count is at least 1
-    counts = np.bincount(system.object_of, minlength=m).astype(np.float64)
-    C = ad.scatter_add(system.object_of, system.geometric_stack(), m)
-    C /= counts[:, None, None]
-    c = ad.scatter_add(system.object_of, system.attrs, m)
-    return ObjectFeatures(C=C, c=c)
+    _, divisor = _receiver_mask(system.object_of, m, "mean")
+    return ObjectFeatures(C=ad.segment_sum(system.geometric_stack(), system.object_of, m, divisor),
+                          c=ad.segment_sum(system.attrs, system.object_of, m))
 
 
 def pooled_object_edge_features(z, h, edges: EdgeSets):

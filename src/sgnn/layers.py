@@ -77,6 +77,8 @@ def make_somp_params(
         raise ContractError("need at least one scalar feature channel")
     if iterations < 1:
         raise ContractError(f"iterations must be >= 1, got {iterations}")
+    if msg_extra < 0:
+        raise ContractError(f"msg_extra must be >= 0, got {msg_extra}")
     pair = 2 * NODE_CHANNELS - 1  # z_i ominus z_j
     offset = NODE_CHANNELS + 1  # a node's ominus from its object's pooled stack
     m_edge = pair + 2 * offset if use_objects else pair

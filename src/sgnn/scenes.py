@@ -61,6 +61,8 @@ class SceneConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
         if self.objects < 1 or self.lattice < 2 or self.frames < 1 or self.record_every < 1:
             raise ContractError(
                 "need at least one object, 2^3 lattice, one frame, one substep per frame"
@@ -90,11 +92,16 @@ class SceneConfig:
         return self.contact_radius if self.contact_radius > 0 else self.spacing
 
 
-_CONFIG_TYPES = {f.name: f.type for f in fields(SceneConfig)}
+_BOOLEANS = {"true": True, "1": True, "yes": True, "on": True,
+             "false": False, "0": False, "no": False, "off": False}
+_PARSERS = {"bool": (lambda v: _BOOLEANS[v.lower()], "a boolean (true/false, 1/0, yes/no, on/off)"),
+            "int": (int, "an integer"), "float": (float, "a number")}
+_CONFIG_PARSERS = {f.name: _PARSERS[f.type] for f in fields(SceneConfig)}
 
 
 def parse_scene_config(text: str) -> SceneConfig:
-    """key=value per line; '#' comments; unknown keys are rejected."""
+    """key=value per line; '#' comments.  An unknown or repeated key, or a value
+    not of its key's type, raises ``ContractError`` naming the line and key."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -103,15 +110,15 @@ def parse_scene_config(text: str) -> SceneConfig:
         if "=" not in line:
             raise ContractError(f"line {lineno}: expected key=value, got {raw!r}")
         key, val = (s.strip() for s in line.split("=", 1))
-        if key not in _CONFIG_TYPES:
+        if key not in _CONFIG_PARSERS:
             raise ContractError(f"line {lineno}: unknown key {key!r}")
-        kind = _CONFIG_TYPES[key]
-        if kind in ("bool", bool):
-            values[key] = val.lower() in ("1", "true", "yes", "on")
-        elif kind in ("int", int):
-            values[key] = int(val)
-        else:
-            values[key] = float(val)
+        if key in values:
+            raise ContractError(f"line {lineno}: repeated key {key!r}")
+        parse, kind = _CONFIG_PARSERS[key]
+        try:
+            values[key] = parse(val)
+        except (KeyError, ValueError):
+            raise ContractError(f"line {lineno}: {key}={val!r} is not {kind}") from None
     return SceneConfig(**values)
 
 
@@ -313,15 +320,6 @@ def _contact_force(penetration, normal, rel_vel, cfg: SceneConfig):
     return fn + ft
 
 
-def _apart(positions: np.ndarray, pairs: np.ndarray, rc: float) -> np.ndarray:
-    """Which body pairs (M, 2) have particle bounding boxes more than
-    ``rc * (1 + 1e-6)`` apart on some axis.  Rounding is monotone, so every
-    computed particle distance of such a pair exceeds ``rc``."""
-    lo, hi = np.minimum.reduce(positions, 1), np.maximum.reduce(positions, 1)
-    gap = np.maximum(lo[pairs[:, 1]] - hi[pairs[:, 0]], lo[pairs[:, 0]] - hi[pairs[:, 1]])
-    return (gap > rc * (1.0 + 1e-6)).any(axis=1)
-
-
 def _step(bodies: _Bodies, cfg: SceneConfig, gravity_mag: float) -> None:
     """Advance every body by one substep of ``cfg.dt``, all bodies at once.
 
@@ -330,8 +328,7 @@ def _step(bodies: _Bodies, cfg: SceneConfig, gravity_mag: float) -> None:
     pairs a < b, each pair into a and then b).  Every float is rounded as in
     the per-body reference step ``loop_step`` in ``tests/helpers.py``.
     Quaternion products run on Python floats; the pair table and gravity
-    rows (for ``gravity_mag``) come once per scene from ``_make_bodies``;
-    pairs ``_apart`` by over ``rc * (1 + 1e-6)`` on an axis are culled, exactly.
+    rows (for ``gravity_mag``) come once per scene from ``_make_bodies``.
     """
     com, vel, omega, mass = bodies.com, bodies.vel, bodies.omega, bodies.mass
     n_bodies = com.shape[0]
@@ -362,8 +359,7 @@ def _step(bodies: _Bodies, cfg: SceneConfig, gravity_mag: float) -> None:
     gaps = _row_norms(com[pairs[:, 0]] - com[pairs[:, 1]])
     if (gaps < 0.5 * cfg.cube_side).any():
         raise GenerationError("object interpenetration deeper than the cube side; reduce dt")
-    near = pairs[~(gaps > reach)]
-    for a, b in near[~_apart(positions, near, rc)].tolist():
+    for a, b in pairs[~(gaps > reach)].tolist():
         diff = positions[a][:, None, :] - positions[b][None, :, :]
         dist = np.sqrt(np.add.reduce(diff * diff, 2))
         ia, ib = np.nonzero(dist < rc)
@@ -485,10 +481,8 @@ def contact_accuracy(
     if len(preds) != len(truths):
         raise ShapeError("prediction/truth counts differ")
     k, l = pair
-    hits = 0
-    for p, g in zip(preds, truths):
-        if objects_contact(p, k, l, threshold) == objects_contact(g, k, l, threshold):
-            hits += 1
+    hits = sum(objects_contact(p, k, l, threshold) == objects_contact(g, k, l, threshold)
+               for p, g in zip(preds, truths))
     return hits / len(preds) if preds else 0.0
 
 
@@ -498,9 +492,7 @@ def save_trajectory(traj: Trajectory, path) -> None:
     with open(path, "wb") as f:
         f.write(TRAJ_MAGIC)
         f.write(struct.pack("<I", TRAJ_VERSION))
-        n = traj.n_particles
-        t = traj.n_frames
-        f.write(struct.pack("<II", n, t))
+        f.write(struct.pack("<II", traj.n_particles, traj.n_frames))
         f.write(struct.pack("<d", traj.dt))
         f.write(np.ascontiguousarray(traj.object_of, dtype="<u4").tobytes())
         f.write(struct.pack("<I", traj.attrs.shape[1]))

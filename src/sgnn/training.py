@@ -49,6 +49,8 @@ class TrainConfig:
             raise ContractError("patience values must be >= 1")
         if self.noise_mode not in ("relative", "absolute"):
             raise ContractError("noise_mode must be 'relative' or 'absolute'")
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
         for key in ("batch_size", "max_epochs", "max_steps_per_epoch"):  # the last may be None
             if getattr(self, key) is not None and getattr(self, key) < 1:
                 raise ContractError(f"{key} must be >= 1")

@@ -41,6 +41,12 @@ def test_every_params_family_rejects_fewer_than_one_iteration(make, iterations):
         make(np.random.default_rng(0), 2, hidden=4, iterations=iterations)
 
 
+@pytest.mark.parametrize("make", [make_somp_params, make_gmn_params])
+def test_multichannel_params_reject_a_negative_msg_extra(make):
+    with pytest.raises(ContractError, match="msg_extra must be >= 0, got -1"):
+        make(np.random.default_rng(0), 2, hidden=4, msg_extra=-1)
+
+
 def test_gns_zero_init_identity_on_positions():
     rng = np.random.default_rng(0)
     params = make_gns_params(rng, 2, hidden=8, iterations=3, zero_init_update=True)

@@ -54,6 +54,25 @@ def test_generate_rejects_invalid_config_values(tmp_path, bad):
     assert not list(out.glob("*.sgtj"))
 
 
+@pytest.mark.parametrize("lines, argv, message", [
+    (["objects=abc"], [], "line 1: objects='abc' is not an integer"),
+    (["frames=1e3"], [], "line 1: frames='1e3' is not an integer"),
+    (["ground=maybe"], [], "line 1: ground='maybe' is not a boolean"),
+    (["objects=2", "objects=3"], [], "line 2: repeated key 'objects'"),
+    (["seed=-1"], [], "seed must be >= 0"),
+    (["objects=2"], ["--seed", "-1"], "seed must be >= 0"),
+], ids=["int", "int-exponent", "bool", "repeated-key", "config-seed", "seed-flag"])
+def test_generate_rejects_a_malformed_config_or_seed_and_writes_nothing(tmp_path, capsys,
+                                                                         lines, argv, message):
+    cfg = tmp_path / "scene.cfg"
+    cfg.write_text("".join(line + "\n" for line in lines))
+    out = tmp_path / "out"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)] + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("count", ["0", "-2"])
 def test_generate_rejects_a_count_below_one(tmp_path, capsys, count):
     out = tmp_path / "out"
@@ -157,6 +176,9 @@ def test_ablation_flags_reject_baselines(tiny_dataset, tmp_path):
     ("--cutoff", "inf", "--cutoff must be finite and > 0"), ("--epochs", "-1", "max_epochs"),
     ("--epochs", "0", "max_epochs"), ("--iterations", "0", "iterations"),
     ("--iterations", "-3", "iterations"),
+    # each used to escape as numpy's ValueError, or name no flag
+    ("--seed", "-1", "seed must be >= 0"), ("--init-seed", "-2", "--init-seed must be >= 0"),
+    ("--msg-extra", "-1", "msg_extra must be >= 0"),
 ])
 def test_train_rejects_invalid_values_with_an_error_line(tiny_dataset, tmp_path, capsys,
                                                          flag, value, key):
@@ -195,6 +217,15 @@ def test_eval_rejects_a_rotation_that_is_not_a_finite_angle_before_loading(tmp_p
                  "--rotate-test", angle, "--out", str(tmp_path / "eval")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: --rotate-test") and repr(angle) in err
+
+
+def test_eval_rejects_a_negative_seed_before_loading(tmp_path, capsys):
+    # the checkpoint does not exist: the seed is checked first
+    out = tmp_path / "eval"
+    assert main(["eval", str(tmp_path / "missing.sgnn"), "--data", str(tmp_path),
+                 "--rotate-test", "random", "--seed", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: --seed must be >= 0, got -1")
+    assert not out.exists()
 
 
 def test_eval_writes_metrics_with_rotation_columns(tiny_dataset, tmp_path, capsys):

@@ -235,6 +235,7 @@ def test_history_csv_schema(tmp_path):
     ("noise_scale", -0.1), ("noise_scale", float("nan")), ("noise_scale", float("inf")),
     ("velocity_input_scale", 0.0), ("velocity_input_scale", float("nan")),
     ("velocity_input_scale", float("inf")), ("max_steps_per_epoch", 0),
+    ("seed", -1),  # used to fail inside numpy's generator, naming no key
 ])
 def test_config_rejects_values_that_cannot_train(key, value):
     with pytest.raises(ContractError, match=key):
