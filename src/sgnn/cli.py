@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,9 @@ from .verify import run_suite
 
 VARIANTS = ("sgnn",) + BASELINE_VARIANTS
 ABLATIONS = ("no_hierarchy", "no_object_aware", "no_edge_separation", "full_equivariance")
+# TrainConfig fields whose flag is not the field's name
+_TRAIN_FLAGS = {"max_epochs": "epochs", "max_steps_per_epoch": "steps-per-epoch",
+                "noise_scale": "noise", "early_stop_patience": "early-stop"}
 
 
 def _echo_config(command: str, values: dict) -> None:
@@ -81,15 +85,16 @@ def _build_model(variant: str, args, n_scalar: int):
     if args.init_seed < 0:
         raise ContractError(f"--init-seed must be >= 0, got {args.init_seed}")
     rng = np.random.default_rng(args.init_seed)
+    extra = {} if args.msg_extra is None else {"msg_extra": args.msg_extra}
     if variant == "sgnn":
         model = make_sgnn_model(
             rng, n_scalar,
             hidden=args.hidden, iterations=args.iterations,
-            msg_channels=2, msg_extra=args.msg_extra, cutoff=args.cutoff,
+            cutoff=args.cutoff,
             no_hierarchy=args.no_hierarchy,
             zero_object_features=args.no_object_aware,
             shared_edges=args.no_edge_separation,
-            equivariant_only=args.full_equivariance,
+            equivariant_only=args.full_equivariance, **extra,
         )
         stages = [model.stage1] + ([] if model.no_hierarchy else [model.stage2, model.stage3])
         for st in stages:
@@ -98,34 +103,24 @@ def _build_model(variant: str, args, n_scalar: int):
     for flag in ABLATIONS:
         if getattr(args, flag):
             raise SgnnError(f"--{flag.replace('_', '-')} applies to the sgnn variant only")
+    if extra and variant not in ("gmn", "gmn_s"):
+        raise SgnnError("--msg-extra applies to the sgnn, gmn and gmn_s variants only")
     model = make_baseline(variant, rng, n_scalar, hidden=args.hidden,
-                          iterations=args.iterations, cutoff=args.cutoff)
+                          iterations=args.iterations, cutoff=args.cutoff, **extra)
     model.params.aggregate = args.aggregate
     return model
 
 
 def cmd_train(args) -> int:
     trajs = _load_dir(args.data)
-    cfg = TrainConfig(
-        lr=args.lr,
-        plateau_patience=args.plateau_patience,
-        decay_factor=args.decay_factor,
-        early_stop_patience=args.early_stop,
-        noise_scale=args.noise,
-        noise_mode=args.noise_mode,
-        batch_size=args.batch_size,
-        max_epochs=args.epochs,
-        seed=args.seed,
-        max_steps_per_epoch=args.steps_per_epoch,
-        velocity_input_scale=args.velocity_input_scale,
-    )
-    _echo_config("train", {**vars(args), "train_config": cfg.__dict__})
+    cfg = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
+    _echo_config("train", vars(args))
     model = _build_model(args.variant, args, trajs[0].attrs.shape[1])
     best, history = train(model, trajs, cfg)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_model(out, best)
-    history_path = args.history or str(out) + ".history.csv"
+    history_path = str(out) + ".history.csv"
     write_history_csv(history, history_path)
     print(f"checkpoint: {out}")
     print(f"history: {history_path}")
@@ -241,22 +236,14 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("variant", choices=VARIANTS)
     t.add_argument("--data", required=True)
     t.add_argument("--out", required=True, help="checkpoint path")
-    t.add_argument("--history", default=None, help="history CSV path")
-    t.add_argument("--lr", type=float, default=1e-4)
-    t.add_argument("--epochs", type=int, default=20)
-    t.add_argument("--steps-per-epoch", type=int, default=None)
-    t.add_argument("--batch-size", type=int, default=1)
-    t.add_argument("--noise", type=float, default=0.05)
-    t.add_argument("--noise-mode", choices=("relative", "absolute"), default="relative")
-    t.add_argument("--plateau-patience", type=int, default=3)
-    t.add_argument("--decay-factor", type=float, default=0.8)
-    t.add_argument("--early-stop", type=int, default=10)
-    t.add_argument("--velocity-input-scale", type=float, default=0.03)
-    t.add_argument("--seed", type=int, default=0)
+    for f in fields(TrainConfig):  # each training flag takes its field's default
+        t.add_argument("--" + _TRAIN_FLAGS.get(f.name, f.name.replace("_", "-")), dest=f.name,
+                       type=float if f.type == "float" else int, default=f.default)
     t.add_argument("--init-seed", type=int, default=0)
     t.add_argument("--hidden", type=int, default=64)
     t.add_argument("--iterations", type=int, default=None)
-    t.add_argument("--msg-extra", type=int, default=16)
+    t.add_argument("--msg-extra", type=int, default=None,
+                   help="invariant message extras (sgnn, gmn and gmn_s only)")
     t.add_argument("--cutoff", type=float, default=0.08)
     t.add_argument("--aggregate", choices=("sum", "mean"), default="sum")
     t.add_argument("--no-hierarchy", action="store_true",

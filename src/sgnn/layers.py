@@ -28,7 +28,7 @@ ETA_HIDDEN = 16
 ETA_INIT = 0.05
 # node stacks are [x, v]
 NODE_CHANNELS = 2
-# the object-aware edge stack's Gram norm counts v_r and v_s twice (format 1 stored them twice)
+# the object-aware edge stack's Gram norm counts v_r and v_s twice, as the square draw's stack does
 EDGE_MULTIPLICITY = np.array([1.0, 1.0, 2.0, 1.0, 1.0, 2.0, 1.0])
 
 
@@ -102,10 +102,10 @@ def make_somp_params(
 
 
 def fold_square_sigma(net: MLP, chan: tuple, out_channels: int) -> MLP:
-    """``net`` on format 1's square layout (rows for every Gram entry (a, b) of a
+    """``net`` drawn on the square layout (rows for every Gram entry (a, b) of a
     stack whose channel k is distinct channel ``chan[k]``, then the scalars; V's
-    columns per stored channel, then the extras), folded onto the layer's by the
-    0/1 products ``rows @ W_0``, ``W_L @ cols^T``, ``cols @ b_L`` format 1 ran per call."""
+    columns per drawn channel, then the extras), folded onto the layer's by the
+    0/1 products ``rows @ W_0``, ``W_L @ cols^T`` and ``cols @ b_L``."""
     c, m = np.asarray(chan), max(chan) + 1
     tri, n_scalar = m * (m + 1) // 2, net.in_dim - c.size**2
     extra = net.weights[-1].shape[1] - c.size * out_channels
@@ -123,9 +123,9 @@ def fold_square_sigma(net: MLP, chan: tuple, out_channels: int) -> MLP:
 
 
 def fold_v1_sigmas(params: SompParams) -> SompParams:
-    """Fold ``params``' sigmas from the first checkpoint format, in place.
-    Its object-aware edge stack [z_r ⊖ C_r, z_s ⊖ C_s, z_r ⊖ z_s, g] held v_r
-    and v_s twice: stored channel k is channel ``edge[k]`` of the layer's."""
+    """Fold the constructors' square draw of ``params``' sigmas onto the layer's layout,
+    in place (README, ``sgnn.layers``).  Its object-aware edge stack [z_r ⊖ C_r, z_s ⊖ C_s,
+    z_r ⊖ z_s, g] holds v_r and v_s twice: drawn channel k is channel ``edge[k]`` of the layer's."""
     aug = 0 if params.equivariant_only else 1
     edge = (1, 2, 3, 4, 5, 6, 0, 2, 5, 7)[:9 + aug] if params.use_objects else range(3 + aug)
     upd = params.msg_channels + 3 * params.use_objects + params.own_velocity + aug

@@ -4,7 +4,8 @@ The header section is a JSON config stored byte-per-float in a reserved
 tensor, followed by the gravity direction; parameter tensors follow, one
 pair of weight/bias records per layer per named MLP.  ``FAMILIES``, the key
 table, drives both ``save_model`` and ``load_model``: a file must hold exactly
-the keys and tensors it names.  Files of format 1 (no ``format`` key) fold at load.
+the keys and tensors it names.  Only format 2 loads: format 1 (no ``format``
+key), which stored each sigma on the square layout, is refused.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .baselines import make_egnn_params, make_gmn_params, make_gns_params
 from .checkpoint import read_tensors, write_tensors
 from .errors import CheckpointFormatError, SgnnError, ShapeError
 from .geometry import Gravity
-from .layers import NODE_CHANNELS, SompParams, fold_v1_sigmas, make_somp_params
+from .layers import NODE_CHANNELS, SompParams, make_somp_params
 from .mlp import _ACTIVATIONS, MLP
 from .model import SGNNModel
 
@@ -110,8 +111,8 @@ def _check_keys(path, where: str, cfg, types: dict) -> None:
                                         f"{' >= 0' if want is int else ''}, got {cfg[key]!r}")
 
 
-def _load_params(path, where: str, fam: Family, cfg, prefix: str, tensors, mlps, version: int):
-    """One params object; its (folded) MLPs must have the shapes ``fam.make`` allocates."""
+def _load_params(path, where: str, fam: Family, cfg, prefix: str, tensors, mlps):
+    """One params object; its MLPs must have the shapes ``fam.make`` allocates."""
     defaults = {f.name: f.default for f in fields(fam.cls)}
     _check_keys(path, where, cfg, {k: type(defaults[fam.negated.get(k, k)]) for k in fam.keys})
     for key, allowed in (("aggregate", ("sum", "mean")), ("node_channels", (NODE_CHANNELS,))):
@@ -137,12 +138,6 @@ def _load_params(path, where: str, fam: Family, cfg, prefix: str, tensors, mlps,
                                         f"{[a.shape for a in ws + bs]} ({err})") from None
     params = fam.cls(**nets, **fam.fixed, **{fam.negated.get(k, k): not v if k in fam.negated
                                              else v for k, v in cfg.items()})
-    if version == 1 and fam.cls is SompParams:
-        try:
-            fold_v1_sigmas(params)
-        except ShapeError as err:
-            raise CheckpointFormatError(f"{path}: {where} is not format 1's square sigma layout "
-                                        f"({err})") from None
     for name, attr in fam.mlps.items():
         got, want = ([a.shape for a in getattr(p, attr).parameters()] for p in (params, template))
         if got != want:
@@ -165,11 +160,13 @@ def load_model(path):
     variant = meta.get("variant") if type(meta) is dict else None
     if type(variant) is not str or variant not in FAMILIES:
         raise CheckpointFormatError(f"{path}: unknown variant {variant!r}")
-    if type(version := meta.pop("format", 1)) is not int or version not in (1, FORMAT):
+    version = meta.pop("format", 1)  # format 1 wrote no format key
+    if type(version) is int and version == 1:
+        raise CheckpointFormatError(f"{path}: format 1 checkpoints are no longer read; "
+                                    f"only format {FORMAT} loads")
+    if type(version) is not int or version != FORMAT:
         raise CheckpointFormatError(f"{path}: unknown header.format {version!r}")
     fam, sgnn = FAMILIES[variant], variant == "sgnn"
-    if sgnn and version == 1 and meta.pop("stage3_from_stage1", None) is not False:
-        raise CheckpointFormatError(f"{path}: a format 1 header needs stage3_from_stage1 false")
     _check_keys(path, "header", meta, {**_TOP, **(_SGNN_TOP if sgnn else {"params": dict})})
     for key in ("cutoff", "velocity_scale"):
         if not 0 < meta[key] < np.inf:  # NaN, which Python's json reads, fails too
@@ -196,7 +193,7 @@ def load_model(path):
     if set(tensors) != want:
         raise CheckpointFormatError(f"{path}: tensors lack {sorted(want - set(tensors))}, "
                                     f"have extra {sorted(set(tensors) - want)}")
-    params = {p: _load_params(path, where, fam, cfg, p, tensors, mlps, version)
+    params = {p: _load_params(path, where, fam, cfg, p, tensors, mlps)
               for p, (where, cfg) in cfgs.items()}
     common = dict(cutoff=meta["cutoff"], velocity_scale=meta["velocity_scale"],
                   gravity=Gravity(tensors[_GRAVITY_KEY].reshape(-1), meta["gravity_mag"]))

@@ -34,8 +34,7 @@ class TrainConfig:
     plateau_patience: int = 3
     decay_factor: float = 0.8
     early_stop_patience: int = 10
-    noise_scale: float = 0.05
-    noise_mode: str = "relative"  # x velocity std, or "absolute" in meters
+    noise_scale: float = 0.05  # x the training set's velocity std, per axis
     batch_size: int = 1
     max_epochs: int = 20
     seed: int = 0
@@ -47,8 +46,6 @@ class TrainConfig:
             raise ContractError("decay factor must lie in (0, 1)")
         if self.plateau_patience < 1 or self.early_stop_patience < 1:
             raise ContractError("patience values must be >= 1")
-        if self.noise_mode not in ("relative", "absolute"):
-            raise ContractError("noise_mode must be 'relative' or 'absolute'")
         if self.seed < 0:
             raise ContractError(f"seed must be >= 0, got {self.seed}")
         for key in ("batch_size", "max_epochs", "max_steps_per_epoch"):  # the last may be None
@@ -126,12 +123,7 @@ def train(model, trajectories: list[Trajectory], cfg: TrainConfig):
         raise ContractError("no trainable frame pairs")
 
     velocity_std = _velocity_std(train_trajs)
-    noise_sigma = None
-    if cfg.noise_scale > 0:
-        if cfg.noise_mode == "relative":
-            noise_sigma = cfg.noise_scale * velocity_std
-        else:
-            noise_sigma = np.full(3, cfg.noise_scale)
+    noise_sigma = cfg.noise_scale * velocity_std if cfg.noise_scale > 0 else None
 
     # scalar input normalization for the velocity channel, fit once from the
     # training set (a per-axis scale would break the rotation symmetry)

@@ -193,9 +193,8 @@ _HEADER_EDITS = {
     "stage3_from_stage1": (lambda m: m.update(stage3_from_stage1=True), "stage3_from_stage1"),
     "format_unknown": (lambda m: m.update(format=3), "unknown header.format 3"),
     "format_string": (lambda m: m.update(format="2"), "unknown header.format '2'"),
-    "format_1": (lambda m: m.update(format=1), "a format 1 header needs stage3_from_stage1 false"),
-    "format_missing": (lambda m: m.pop("format"),
-                       "a format 1 header needs stage3_from_stage1 false"),
+    "format_1": (lambda m: m.update(format=1), "format 1 checkpoints are no longer read"),
+    "format_missing": (lambda m: m.pop("format"), "format 1 checkpoints are no longer read"),
     "iterations_string": (_stage1("iterations", "2"), "stages.stage1.iterations must be"),
     "iterations_negative": (_stage1("iterations", -3), "stages.stage1.iterations must be"),
     "iterations_bool": (_stage1("iterations", True), "stages.stage1.iterations must be"),

@@ -1,15 +1,19 @@
 """CLI surface: exit codes, reproducibility, file outputs."""
 
+import json
 import struct
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from sgnn.cli import main
+from sgnn.checkpoint import read_tensors
+from sgnn.cli import build_parser, main
 from sgnn.modelio import load_model
 from sgnn.scenes import TRAJ_MAGIC, TRAJ_VERSION, load_trajectory
+from sgnn.training import TrainConfig
 
 
 def write_scene_config(path, **overrides):
@@ -116,9 +120,11 @@ def tiny_dataset(tmp_path_factory):
 
 
 def _train_args(data, out, variant="sgnn", extra=()):
+    # only the sgnn and gmn variants read --msg-extra; the others refuse it
+    reads = variant in ("sgnn", "gmn", "gmn_s")
     return [
         "train", variant, "--data", str(data), "--out", str(out),
-        "--hidden", "8", "--iterations", "1", "--msg-extra", "4",
+        "--hidden", "8", "--iterations", "1", *(["--msg-extra", "4"] if reads else []),
         "--epochs", "1", "--steps-per-epoch", "5", "--lr", "1e-4",
         "--aggregate", "mean",
     ] + list(extra)
@@ -164,10 +170,44 @@ def test_mean_aggregation_trains_and_evaluates(tiny_dataset, tmp_path, argv):
         assert rows and np.isfinite(values).all(), name
 
 
+def test_train_flags_keep_their_spelling_and_fill_every_train_config_field():
+    flags = {"--lr": "0.5", "--epochs": "2", "--steps-per-epoch": "3", "--batch-size": "4",
+             "--noise": "0.25", "--plateau-patience": "5", "--decay-factor": "0.5",
+             "--early-stop": "6", "--velocity-input-scale": "0.125", "--seed": "7"}
+    parser = build_parser()
+    base = ["train", "sgnn", "--data", "d", "--out", "o"]
+    given = parser.parse_args(base + [word for pair in flags.items() for word in pair])
+    assert TrainConfig(**{f.name: getattr(given, f.name) for f in fields(TrainConfig)}) == \
+        TrainConfig(lr=0.5, max_epochs=2, max_steps_per_epoch=3, batch_size=4, noise_scale=0.25,
+                    plateau_patience=5, decay_factor=0.5, early_stop_patience=6,
+                    velocity_input_scale=0.125, seed=7)
+    defaults = parser.parse_args(base)
+    assert all(getattr(defaults, f.name) == f.default for f in fields(TrainConfig))
+
+
 def test_ablation_flags_reject_baselines(tiny_dataset, tmp_path):
     rc = main(_train_args(tiny_dataset, tmp_path / "x.sgnn", variant="gns",
                           extra=["--no-hierarchy"]))
     assert rc == 1
+
+
+@pytest.mark.parametrize("variant", ["gmn", "gmn_s"])
+def test_gmn_header_records_the_msg_extra_given(tiny_dataset, tmp_path, variant):
+    ckpt = tmp_path / "gmn.sgnn"
+    assert main(_train_args(tiny_dataset, ckpt, variant=variant, extra=["--msg-extra", "3"])) == 0
+    raw = read_tensors(ckpt)["header/config_utf8"].reshape(-1)
+    assert json.loads(bytes(raw.astype(np.uint8)))["params"]["msg_extra"] == 3
+    assert load_model(ckpt).params.msg_extra == 3
+
+
+@pytest.mark.parametrize("variant", ["gns", "egnn", "egnn_s"])
+def test_msg_extra_is_refused_for_models_that_never_read_it(tiny_dataset, tmp_path, capsys,
+                                                            variant):
+    ckpt = tmp_path / "x.sgnn"
+    assert main(_train_args(tiny_dataset, ckpt, variant=variant,
+                            extra=["--msg-extra", "4"])) == 1
+    assert "error: --msg-extra applies to the sgnn, gmn and gmn_s" in capsys.readouterr().err
+    assert not ckpt.exists()
 
 
 @pytest.mark.parametrize("flag,value,key", [

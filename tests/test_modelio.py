@@ -1,10 +1,10 @@
-"""The checkpoint codec's key table, and checkpoints written before it.
+"""The checkpoint codec's key table, and the checkpoints it pins.
 
-``tests/data/*.sgnn`` pin format 1, ``tests/data/v2/*.sgnn`` format 2: one
-file per variant in each, from ``_fixture_model(name)``.  A fresh save writes
-the format-2 bytes, and a format-1 or format-2 fixture loads and rewrites to
-them exactly.  Format 1 stored the sigmas on the square layout, which the
-loader folds once; its files must still predict bit for bit as they did.
+``tests/data/v2/*.sgnn`` hold format 2, one file per variant, from
+``_fixture_model(name)``.  A fresh save writes their bytes, and each fixture
+loads and rewrites to them exactly.  They hold the models the format-1 files
+held (format 1, which stored the sigmas on the square layout, is refused), and
+must still predict bit for bit as those files did.
 """
 
 import hashlib
@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sgnn import layers
 from sgnn.baselines import make_baseline
 from sgnn.checkpoint import read_tensors, write_tensors
 from sgnn.errors import CheckpointFormatError
@@ -23,8 +24,7 @@ from sgnn.mlp import MLP
 from sgnn.model import make_sgnn_model
 from sgnn.modelio import FAMILIES, load_model, save_model
 
-DATA = Path(__file__).parent / "data"
-V2 = DATA / "v2"
+V2 = Path(__file__).parent / "data" / "v2"
 FIXTURES = ("sgnn", "sgnn_no_hierarchy", "gns", "egnn", "egnn_s", "gmn", "gmn_s")
 
 
@@ -49,37 +49,36 @@ def test_save_writes_the_fixture_bytes(tmp_path, name):
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_fixture_loads_and_rewrites_byte_for_byte(tmp_path, name):
-    # format 1 rewrites to format 2, and format 2 to itself
     path = tmp_path / f"{name}.sgnn"
-    for fixture in (DATA / f"{name}.sgnn", V2 / f"{name}.sgnn"):
-        model = load_model(fixture)
-        save_model(path, model)
-        assert path.read_bytes() == (V2 / f"{name}.sgnn").read_bytes()
-        out = np.asarray(model.predict(_parity_frame()))
-        assert out.shape == (8, 3)
-        assert np.isfinite(out).all()
+    model = load_model(V2 / f"{name}.sgnn")
+    save_model(path, model)
+    assert path.read_bytes() == (V2 / f"{name}.sgnn").read_bytes()
+    out = np.asarray(model.predict(_parity_frame()))
+    assert out.shape == (8, 3)
+    assert np.isfinite(out).all()
 
 
-@pytest.mark.parametrize("fixture,donor,match", [
-    (DATA / "sgnn.sgnn", V2 / "sgnn.sgnn",
-     "stages.stage1 is not format 1's square sigma layout (a sigma of 44 inputs"),
-    (V2 / "sgnn.sgnn", DATA / "sgnn.sgnn", "MLP stage1/phi_sigma has shapes [(108, 4)"),
-], ids=["v1_not_square", "v2_square"])
-def test_a_sigma_of_the_other_format_raises(tmp_path, fixture, donor, match):
-    # the fixture with stage 1's phi_sigma swapped for the other format's
-    tensors = read_tensors(fixture)
-    tensors.update({k: v for k, v in read_tensors(donor).items()
+def test_a_square_sigma_in_a_format_2_file_raises(tmp_path, monkeypatch):
+    # the fixture with stage 1's phi_sigma swapped for the constructors'
+    # unfolded square draw, the layout format 1 stored
+    with monkeypatch.context() as patch:
+        patch.setattr(layers, "fold_v1_sigmas", lambda params: params)
+        save_model(tmp_path / "square.sgnn", _fixture_model("sgnn"))
+    tensors = read_tensors(V2 / "sgnn.sgnn")
+    tensors.update({k: v for k, v in read_tensors(tmp_path / "square.sgnn").items()
                     if k.startswith("stage1/phi_sigma/")})
     path = tmp_path / "edited.sgnn"
     write_tensors(path, list(tensors.items()))
-    with pytest.raises(CheckpointFormatError, match=re.escape(match)):
+    with pytest.raises(CheckpointFormatError,
+                       match=re.escape("MLP stage1/phi_sigma has shapes [(108, 4)")):
         load_model(path)
 
 
-# SHA-256 of each v1 fixture's prediction on ``_parity_frame``, with every
-# zero-initialized last layer filled by ``_fill_zero_last_layers`` so that each
-# net reaches the output.  Measured with numpy on OpenBLAS 0.3.31 (x86-64,
-# Haswell kernels); another BLAS may round the matmuls differently.
+# SHA-256 of each format-1 fixture's prediction on ``_parity_frame``, with
+# every zero-initialized last layer filled by ``_fill_zero_last_layers`` so that
+# each net reaches the output; the v2 fixtures reproduce all seven.  Measured
+# with numpy on OpenBLAS 0.3.31 (x86-64, Haswell kernels); another BLAS may
+# round the matmuls differently.
 V1_PREDICTIONS = {
     "sgnn": "66e3c9c6876171c8735e4a2c8aa89def12a885d1889876ecae7a6d30255270df",
     "sgnn_no_hierarchy": "a367bf0857e9ce0da468397ca0ccfd3a707ff4f1c1f99685fe00810b79301923",
@@ -111,7 +110,8 @@ def _fill_zero_last_layers(model):
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_v1_fixture_predicts_bit_for_bit_as_before(name):
-    model = load_model(DATA / f"{name}.sgnn")
+    # the name keeps the digests' origin: the v2 fixture predicts as its v1 file did
+    model = load_model(V2 / f"{name}.sgnn")
     _fill_zero_last_layers(model)
     system = _parity_frame()
     out = np.asarray(model.predict(system))
@@ -121,7 +121,7 @@ def test_v1_fixture_predicts_bit_for_bit_as_before(name):
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_v1_fixture_loads_as_the_fixture_model(name):
-    got, want = load_model(DATA / f"{name}.sgnn").mlps(), _fixture_model(name).mlps()
+    got, want = load_model(V2 / f"{name}.sgnn").mlps(), _fixture_model(name).mlps()
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert a.activations == b.activations

@@ -180,13 +180,17 @@ def test_training_reduces_validation_loss():
 
 
 def test_noise_never_touches_targets_or_validation():
-    trajs = static_trajectories(3)
-    model = small_model()
-    cfg = TrainConfig(lr=0.0, max_epochs=1, seed=1, noise_scale=0.3, noise_mode="absolute")
-    best, history = train(model, trajs, cfg)
-    # training inputs are noised (nonzero loss) but validation is clean
-    assert history[0].train_loss > 1e-6
-    assert history[0].val_loss < 1e-20
+    # falling cubes: the velocity std that scales the noise is not zero
+    trajs = falling_trajectories(3, frames=8)
+
+    def first_epoch(noise_scale):
+        cfg = TrainConfig(lr=0.0, max_epochs=1, seed=1, noise_scale=noise_scale)
+        return train(small_model(), trajs, cfg)[1][0]
+
+    clean, noised = first_epoch(0.0), first_epoch(0.3)
+    # training inputs are noised, but validation reads the clean frames
+    assert noised.train_loss != clean.train_loss
+    assert noised.val_loss == clean.val_loss
 
 
 def test_scheduler_decays_and_never_increases():
