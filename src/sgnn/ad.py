@@ -9,8 +9,9 @@ code is written once and works for both inference and training.
 Every primitive computes its output and passes it to ``record`` with its
 arguments and a closure ``bwd(g)`` that gives one partial, or None, per
 argument.  Constant arguments get no tape variable, and the sweep keeps no
-adjoint for them.  Closures capture arrays, shapes and flags, never a
-``Var``, which would point back to the tape.
+adjoint for them.  Closures capture only what their backward reads (an
+operand's shape rather than the operand where the shape is all it reads),
+and never a ``Var``, which would point back to the tape.
 
 All values are float64.  A tape is swept once: ``backward`` pops each record
 as it reaches it and each intermediate adjoint once it is consumed, so the
@@ -166,39 +167,47 @@ def _unbroadcast(grad: Array, shape: tuple) -> Array:
 
 # ---------------------------------------------------------------- arithmetic
 
+def _var_shape(a, av: Array):
+    """``av``'s shape when ``a`` is a ``Var``, else None (no partial)."""
+    return av.shape if isinstance(a, Var) else None
+
+
 def add(a, b):
     av, bv = value_of(a), value_of(b)
-    ta, tb = isinstance(a, Var), isinstance(b, Var)
+    sa, sb = _var_shape(a, av), _var_shape(b, bv)
     return record(np.add(av, bv), (a, b), lambda g: (
-        _unbroadcast(g, av.shape) if ta else None,
-        _unbroadcast(g, bv.shape) if tb else None,
+        None if sa is None else _unbroadcast(g, sa),
+        None if sb is None else _unbroadcast(g, sb),
     ))
 
 
 def sub(a, b):
     av, bv = value_of(a), value_of(b)
-    ta, tb = isinstance(a, Var), isinstance(b, Var)
+    sa, sb = _var_shape(a, av), _var_shape(b, bv)
     return record(np.subtract(av, bv), (a, b), lambda g: (
-        _unbroadcast(g, av.shape) if ta else None,
-        _unbroadcast(-g, bv.shape) if tb else None,
+        None if sa is None else _unbroadcast(g, sa),
+        None if sb is None else _unbroadcast(-g, sb),
     ))
 
 
 def mul(a, b):
     av, bv = value_of(a), value_of(b)
-    ta, tb = isinstance(a, Var), isinstance(b, Var)
+    sa, sb = _var_shape(a, av), _var_shape(b, bv)
+    ka = None if sb is None else av  # each operand is read only for the other's partial
+    kb = None if sa is None else bv
     return record(np.multiply(av, bv), (a, b), lambda g: (
-        _unbroadcast(g * bv, av.shape) if ta else None,
-        _unbroadcast(g * av, bv.shape) if tb else None,
+        None if sa is None else _unbroadcast(g * kb, sa),
+        None if sb is None else _unbroadcast(g * ka, sb),
     ))
 
 
 def div(a, b):
     av, bv = value_of(a), value_of(b)
-    ta, tb = isinstance(a, Var), isinstance(b, Var)
+    sa, sb = _var_shape(a, av), _var_shape(b, bv)
+    ka = None if sb is None else av  # read only for the divisor's partial
     return record(np.divide(av, bv), (a, b), lambda g: (
-        _unbroadcast(g / bv, av.shape) if ta else None,
-        _unbroadcast(-g * av / (bv * bv), bv.shape) if tb else None,
+        None if sa is None else _unbroadcast(g / bv, sa),
+        None if sb is None else _unbroadcast(-g * ka / (bv * bv), sb),
     ))
 
 
@@ -208,10 +217,12 @@ def matmul(a, b):
         raise ShapeError("matmul operands must be at least 2-D")
     if av.shape[-1] != bv.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {av.shape} @ {bv.shape}")
-    ta, tb = isinstance(a, Var), isinstance(b, Var)
+    sa, sb = _var_shape(a, av), _var_shape(b, bv)
+    ka = None if sb is None else av  # each operand is read only for the other's partial
+    kb = None if sa is None else bv
     return record(np.matmul(av, bv), (a, b), lambda g: (
-        _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape) if ta else None,
-        _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape) if tb else None,
+        None if sa is None else _unbroadcast(g @ np.swapaxes(kb, -1, -2), sa),
+        None if sb is None else _unbroadcast(np.swapaxes(ka, -1, -2) @ g, sb),
     ))
 
 
@@ -221,54 +232,60 @@ def mlp(x, layers: Sequence[tuple]):
 
     Each layer runs the numpy operations of a matmul, bias-add and activation
     record in their order, forward and backward, so values and adjoints match
-    that chain bit for bit.  The backward walks the layers in reverse and
-    drops each one's arrays once its partials are out.
+    that chain bit for bit.  The record keeps per layer only what its backward
+    reads: the input when the weight has a partial, a SiLU's derivative
+    factor, a ReLU's output, and nothing below the first layer with a partial
+    to give.  The backward walks the layers in reverse and drops each one's
+    arrays once its partials are out.
     """
     xv = value_of(x)
     h = xv.reshape(1, -1) if xv.ndim == 1 else xv
     args = [x] + [a for w, b, _ in layers for a in (w, b)]
     wants = [isinstance(a, Var) for a in args]
+    # the first layer with a partial to give; with no Var, none is saved
+    lo = max(wants.index(True) - 1, 0) // 2 if any(wants) else len(layers)
     values = [(value_of(w), value_of(b), act) for w, b, act in layers]
-    saved = []  # per layer: input, pre-activation (ReLU: output), SiLU's 1 + e^-x, w, b's shape, act
-    for wv, bv, act in values:
+    saved = []  # per layer from lo: input or None, SiLU factor or ReLU output, w, b's shape, act
+    for k, (wv, bv, act) in enumerate(values):
+        hk = h
         pre = np.matmul(h, wv)
         pre += bv
-        d = None
         if act == "silu":  # x / (1 + e^-x); below x = -709.78 e^-x is inf and the SiLU -0.0
             d = np.negative(pre)
             with np.errstate(over="ignore"):
                 np.exp(d, out=d)
             d += 1.0
-        if any(wants):
-            saved.append((h, pre, d, wv, bv.shape, act))
-        if act == "silu":
-            h = np.divide(pre, d, out=None if any(wants) else d)
+            h = np.divide(pre, d, out=None if k >= lo else d)
+            if k >= lo:  # (1 + x - y) / d, as sigmoid = 1 / d and x sigmoid = y, in x's buffer
+                t = np.add(1.0, pre, out=pre)
+                t -= h
+                t /= d  # before g: (1 + x - y) / d is bounded where g (1 + x - y) may overflow
+            del d
         else:  # in place: a ReLU output is > 0 exactly where its input is
             h = np.maximum(pre, 0.0, out=pre) if act == "relu" else pre
+        if k >= lo:
+            saved.append((hk if wants[2 * k + 1] else None,
+                          pre if act != "linear" else None, wv, bv.shape, act))
+    out_shape, x_shape = h.shape, xv.shape
 
     def bwd(g):
-        g = g.reshape(h.shape)
+        g = g.reshape(out_shape)
         grads = [None] * len(wants)
-        lo = max(wants.index(True) - 1, 0) // 2  # the first layer with a partial to give
-        y = h  # the output of layer k, which is layer k + 1's input
-        for k in range(len(saved) - 1, lo - 1, -1):
-            hk, pre, d, wv, bshape, act = saved.pop()
-            if act == "silu":  # g (1 + x - y) / d, as sigmoid = 1 / d and x sigmoid = y; pre is free
-                t = np.add(1.0, pre, out=pre)
-                t -= y
-                t /= d  # before g: (1 + x - y) / d is bounded where g (1 + x - y) may overflow
+        for k in reversed(range(lo, len(wants) // 2)):
+            hk, t, wv, bshape, act = saved.pop()
+            if act == "silu":  # the factor is read once: g t in its buffer
                 g = np.multiply(g, t, out=t)
             elif act == "relu":
-                g = g * (pre > 0.0)
-            del pre, d
-            y = hk
+                g = g * (t > 0.0)
+            del t
             if wants[2 * k + 1]:
                 grads[2 * k + 1] = _unbroadcast(np.swapaxes(hk, -1, -2) @ g, wv.shape)
             if wants[2 * k + 2]:
                 grads[2 * k + 2] = _unbroadcast(g, bshape)
-            if k > lo or wants[0]:
-                g = _unbroadcast(g @ np.swapaxes(wv, -1, -2), hk.shape)
-        grads[0] = g.reshape(xv.shape) if wants[0] else None
+            del hk
+            if k > lo or wants[0]:  # wv is 2-D, so this is already the input's shape
+                g = g @ np.swapaxes(wv, -1, -2)
+        grads[0] = g.reshape(x_shape) if wants[0] else None
         return grads
 
     return record(h.reshape(-1) if xv.ndim == 1 else h, args, bwd)
@@ -278,7 +295,8 @@ def mlp(x, layers: Sequence[tuple]):
 
 def reshape(a, shape):
     av = value_of(a)
-    return record(av.reshape(tuple(shape)), (a,), lambda g: (g.reshape(av.shape),))
+    old = av.shape
+    return record(av.reshape(tuple(shape)), (a,), lambda g: (g.reshape(old),))
 
 
 def concat(parts: Sequence, axis: int):
@@ -300,12 +318,13 @@ def concat(parts: Sequence, axis: int):
 def narrow(a, axis: int, start: int, length: int):
     """Contiguous slice along one axis."""
     av = value_of(a)
+    shape = av.shape
     sl = [slice(None)] * av.ndim
     sl[axis] = slice(start, start + length)
     sl = tuple(sl)
 
     def bwd(g):
-        out = np.zeros_like(av)
+        out = np.zeros(shape)
         out[sl] = g
         return (out,)
 

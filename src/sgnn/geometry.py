@@ -113,7 +113,7 @@ def normalized_gram(z, normalize: bool = True, multiplicity=None):
     gram = np.matmul(np.ascontiguousarray(np.swapaxes(zv, -1, -2)), zv)
     out = np.take(gram.reshape(zv.shape[:-2] + (-1,)), upper, axis=-1)
     if not normalize:
-        return ad.record(out, (z,), lambda g: (zv @ np.take(g * twice, index, axis=-1),))
+        return ad.record(out, (z,), lambda g: (zv @ (g * twice)[..., index],))
     w = off2 if multiplicity is None else off2 * np.outer(multiplicity, multiplicity).take(upper)
     sq = (out * out) @ w[:, None]
     mask = sq >= GRAM_NORM_EPS**2
@@ -122,8 +122,11 @@ def normalized_gram(z, normalize: bool = True, multiplicity=None):
 
     def bwd(g):
         # U + U^T holds alpha_ab at (a, b) and (b, a); no norm term if unscaled
-        alpha = g - np.einsum("...k,...k->...", g, out)[..., None] * mask * (w * out)
-        return (zv @ np.take(alpha * twice, index, axis=-1) / denom[..., None],)
+        alpha = np.multiply(w, out)
+        alpha *= np.einsum("...k,...k->...", g, out)[..., None] * mask
+        alpha = np.subtract(g, alpha, out=alpha)
+        alpha *= twice
+        return (zv @ alpha[..., index] / denom[..., None],)
 
     return ad.record(out, (z,), bwd)
 

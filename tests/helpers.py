@@ -107,6 +107,18 @@ def masked_sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def fill_zero_last_layers(model) -> None:
+    """Zero-initialized last layers (the residual updates) make a fresh
+    model predict its input, whatever its other nets hold, and stop every
+    adjoint before it reaches the nets below them.  Their shapes do not
+    depend on the checkpoint format, so the same fixed values fill them in
+    each."""
+    for net in model.mlps():
+        w = net.weights[-1]
+        if not w.any():
+            w[:] = 0.5 * np.cos(np.arange(w.size) + 0.25).reshape(w.shape)
+
+
 def add_at_scatter(index: np.ndarray, values: np.ndarray, rows: int) -> np.ndarray:
     """``np.add.at`` into zeros: the reference for ``ad.scatter_add``."""
     out = np.zeros((rows,) + values.shape[1:])

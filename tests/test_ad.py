@@ -1,6 +1,7 @@
 """Tape engine: forward semantics, adjoints vs finite differences, fused records."""
 
 import tracemalloc
+import types
 import weakref
 
 import numpy as np
@@ -435,3 +436,74 @@ def test_sweep_frees_each_record_before_the_earlier_ones_run():
     assert alive_at_first_bwd == [False]
     assert sorted(grads._table) == [x._vid, w._vid]
     np.testing.assert_array_equal(grads.of(y), np.zeros(3))
+
+
+def _kept_arrays(tape) -> list:
+    """Every array the tape's records reach, through lists, tuples and
+    closure cells (not a function's globals), with the bases of views."""
+    seen, found, todo = set(), [], [tape._records]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+            todo.append(obj.base)
+        elif isinstance(obj, (list, tuple)):
+            todo.extend(obj)
+        elif isinstance(obj, types.FunctionType):
+            todo.extend(c.cell_contents for c in obj.__closure__ or ())
+    return found
+
+
+@pytest.mark.parametrize("taped", ["all", "from-layer-2"])
+def test_taped_mlp_frees_pre_activations_denominators_and_output(taped):
+    # SiLU, SiLU, linear: the record keeps each layer's input and each SiLU's
+    # derivative factor (1 + x - y) / d, never x, d = 1 + e^-x or the output;
+    # from layer 2 (x and the first layer constant) it keeps nothing for the
+    # first layer
+    rng = np.random.default_rng(53)
+    x = rng.normal(size=(9, 5))
+    layers = [(rng.normal(size=(i, o)), rng.normal(size=o), act)
+              for i, o, act in [(5, 6, "silu"), (6, 4, "silu"), (4, 3, "linear")]]
+    tape = ad.Tape()
+    first = 0 if taped == "all" else 1
+    args = [(tape.param(w), tape.param(b), act) if k >= first else (w, b, act)
+            for k, (w, b, act) in enumerate(layers)]
+    y = ad.mlp(tape.var(x) if first == 0 else x, args)
+    out = weakref.ref(y.value)
+    del y
+    assert out() is None
+    dropped, h = [], x  # the pre-activations and denominators, by value
+    for w, b, act in layers:
+        pre = h @ w + b
+        d = 1.0 + np.exp(-pre)
+        dropped += [pre] if act == "linear" else [pre, d]
+        h = pre / d if act == "silu" else pre
+    kept = [a for a in _kept_arrays(tape) if a.dtype == np.float64]
+    for a in kept:
+        assert not any(a.shape == b.shape and np.allclose(a, b) for b in dropped)
+    sizes = sorted(a.size for a in kept if a.base is None and all(a is not p for p, _, _ in layers))
+    # x, then per SiLU layer its input and factor, then the linear layer's input
+    assert sizes == sorted([9 * 6, 9 * 4, 9 * 4] + ([] if first else [9 * 5, 9 * 6]))
+
+
+@pytest.mark.parametrize("op", ["narrow", "reshape", "add", "sub", "mul", "div", "matmul"])
+def test_records_keep_no_operand_their_backward_does_not_read(op):
+    # a slice, a reshape and a sum read only shapes; a product or quotient
+    # reads a's value only for b's partial, and b is constant here
+    tape = ad.Tape()
+    a, b = np.ones((4, 6)), np.full(6, 2.0)
+    freed = [weakref.ref(a)] + ([weakref.ref(b)] if op in ("add", "sub") else [])
+    y = {
+        "narrow": lambda: ad.narrow(tape.var(a), -1, 1, 3),
+        "reshape": lambda: ad.reshape(tape.var(a), (6, 4)),
+        "add": lambda: ad.add(tape.var(a), tape.var(b)),
+        "sub": lambda: ad.sub(tape.var(a), b),
+        "mul": lambda: ad.mul(tape.var(a), b),
+        "div": lambda: ad.div(tape.var(a), b),
+        "matmul": lambda: ad.matmul(tape.var(a), b.reshape(6, 1)),
+    }[op]()
+    del a, b, y  # a reshape's output is a view of its operand
+    assert all(ref() is None for ref in freed)

@@ -1,16 +1,19 @@
 """Hierarchical model: transcription oracle, symmetry, rollout, projection."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from sgnn import ad
+from sgnn.baselines import make_baseline
 from sgnn.errors import ContractError, RolloutError
-from sgnn.geometry import Gravity, check_equivariance, random_subgroup_transform
+from sgnn.geometry import Gravity, check_equivariance, random_orthogonal, random_subgroup_transform
 from sgnn.graph import ObjectFeatures, ParticleSystem, build_edges, pool_objects
 from sgnn.layers import somp_forward
 from sgnn.model import make_sgnn_model, rigid_project, rollout
 
-from helpers import loop_rigid_project, naive_ominus, naive_somp
+from helpers import fill_zero_last_layers, loop_rigid_project, naive_ominus, naive_somp
 
 GRAVITY = Gravity()
 
@@ -127,6 +130,38 @@ def test_end_to_end_axis_equivariance():
         trials=100, seed=4, translate=True,
     )
     assert dev < 1e-9
+
+
+@pytest.mark.parametrize("variant", ["sgnn", "egnn_s", "gmn_s"])
+def test_turning_gravity_with_the_scene_gives_full_orthogonal_equivariance(variant):
+    # f(O Z + t, O g) = O f(Z, g) + t for O drawn from all of O(3), proper and
+    # improper: gravity is the only direction the model prefers
+    rng = np.random.default_rng(12)
+    if variant == "sgnn":
+        model = make_sgnn_model(rng, 2, hidden=12, iterations=2, cutoff=0.1, msg_extra=4)
+    else:
+        model = make_baseline(variant, rng, 2, hidden=12, iterations=2, cutoff=0.1)
+    fill_zero_last_layers(model)  # off the zero init, so the update is not the identity
+    system = contact_system(rng, n=16, objects=2)
+    base = model.predict(system)
+    update = np.abs(base - system.positions).max()
+    assert update > 1e-3
+    worst, fixed = 0.0, np.inf
+    for trial in range(10):
+        O = random_orthogonal(rng)
+        if (np.linalg.det(O) < 0) != bool(trial % 2):
+            O = -O
+        t = rng.normal(size=3)
+        moved = ParticleSystem(system.positions @ O.T + t, system.velocities @ O.T,
+                               system.attrs, system.object_of)
+        turned = dataclasses.replace(model, gravity=Gravity(O @ model.gravity.direction,
+                                                            model.gravity.magnitude))
+        want = base @ O.T + t
+        worst = max(worst, np.abs(turned.predict(moved) - want).max())
+        # witness: with g held fixed the same maps break the symmetry
+        fixed = min(fixed, np.abs(model.predict(moved) - want).max())
+    assert worst <= 1e-9 * update
+    assert fixed > 1e-2 * update
 
 
 def test_ablation_variants_run():

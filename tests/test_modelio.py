@@ -24,6 +24,8 @@ from sgnn.mlp import MLP
 from sgnn.model import make_sgnn_model
 from sgnn.modelio import FAMILIES, load_model, save_model
 
+from helpers import fill_zero_last_layers
+
 V2 = Path(__file__).parent / "data" / "v2"
 FIXTURES = ("sgnn", "sgnn_no_hierarchy", "gns", "egnn", "egnn_s", "gmn", "gmn_s")
 
@@ -75,7 +77,7 @@ def test_a_square_sigma_in_a_format_2_file_raises(tmp_path, monkeypatch):
 
 
 # SHA-256 of each format-1 fixture's prediction on ``_parity_frame``, with
-# every zero-initialized last layer filled by ``_fill_zero_last_layers`` so that
+# every zero-initialized last layer filled by ``fill_zero_last_layers`` so that
 # each net reaches the output; the v2 fixtures reproduce all seven.  Measured
 # with numpy on OpenBLAS 0.3.31 (x86-64, Haswell kernels); another BLAS may
 # round the matmuls differently.
@@ -98,21 +100,11 @@ def _parity_frame():
                           attrs=rng.normal(size=(n, 2)), object_of=np.arange(n) % 2)
 
 
-def _fill_zero_last_layers(model):
-    """Zero-initialized last layers (the residual updates) make a fresh
-    model predict its input, whatever its other nets hold.  Their shapes do
-    not depend on the format, so the same fixed values fill them in each."""
-    for net in model.mlps():
-        w = net.weights[-1]
-        if not w.any():
-            w[:] = 0.5 * np.cos(np.arange(w.size) + 0.25).reshape(w.shape)
-
-
 @pytest.mark.parametrize("name", FIXTURES)
 def test_v1_fixture_predicts_bit_for_bit_as_before(name):
     # the name keeps the digests' origin: the v2 fixture predicts as its v1 file did
     model = load_model(V2 / f"{name}.sgnn")
-    _fill_zero_last_layers(model)
+    fill_zero_last_layers(model)
     system = _parity_frame()
     out = np.asarray(model.predict(system))
     assert np.abs(out - system.positions).max() > 1e-4  # the filled nets are read

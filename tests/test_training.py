@@ -1,6 +1,8 @@
 """Training loop: loss semantics, scheduler, determinism, rotation robustness."""
 
 import gc
+import hashlib
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -11,6 +13,7 @@ from sgnn.baselines import BASELINE_VARIANTS, make_baseline
 from sgnn.errors import ContractError
 from sgnn.graph import build_edges
 from sgnn.model import make_sgnn_model
+from sgnn.modelio import save_model
 from sgnn.scenes import SceneConfig, Trajectory, generate_scene, rollout_mse
 from sgnn.training import (
     TrainConfig,
@@ -19,6 +22,8 @@ from sgnn.training import (
     train,
     write_history_csv,
 )
+
+from helpers import fill_zero_last_layers
 
 
 def static_trajectories(n=3, frames=8):
@@ -121,6 +126,28 @@ def test_training_without_edges_takes_zero_gradients(variant):
     assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
 
+def _budget_sample():
+    """The criterion-8 model config and a frame where all three stages run
+    (734 inter and 2,082 within-object edges): the scene, model, frame and
+    edges of the tape budgets."""
+    traj = generate_scene(SceneConfig(objects=3, frames=12, push_speed=0.25,
+                                      drop_height=0.12, seed=0))
+    model = make_sgnn_model(np.random.default_rng(0), traj.attrs.shape[1], hidden=32,
+                            iterations=2, msg_extra=8, cutoff=0.08)
+    for st in (model.stage1, model.stage2, model.stage3):
+        st.aggregate = "mean"
+    system = traj.system_at(10)
+    edges = build_edges(system, model.cutoff)
+    assert edges.obj.shape[0] > 0  # all three stages run
+    return traj, model, system, edges
+
+
+def _budget_loss(sample, tape):
+    traj, model, system, edges = sample
+    diff = ad.sub(model.predict(system, edges, tape=tape), traj.frames[11])
+    return ad.div(ad.sum_(ad.mul(diff, diff)), float(system.n_particles))
+
+
 def test_sgnn_sample_tape_record_budget():
     """One SGNN training sample at the criterion-8 model config records at
     most 210 tape entries (210).  It recorded 377 before the frame's inputs
@@ -132,20 +159,28 @@ def test_sgnn_sample_tape_record_budget():
     has its own rows and columns in the message network's weights), and 221
     while each of the 11 scalarizations reshaped its square Gram (each sigma
     stores first-layer rows for the Gram triangle and reads it now)."""
-    traj = generate_scene(SceneConfig(objects=3, frames=12, push_speed=0.25,
-                                      drop_height=0.12, seed=0))
-    model = make_sgnn_model(np.random.default_rng(0), traj.attrs.shape[1], hidden=32,
-                            iterations=2, msg_extra=8, cutoff=0.08)
-    for st in (model.stage1, model.stage2, model.stage3):
-        st.aggregate = "mean"
-    system = traj.system_at(10)
-    edges = build_edges(system, model.cutoff)
-    assert edges.obj.shape[0] > 0  # all three stages run
     tape = ad.Tape()
-    pred = model.predict(system, edges, tape=tape)
-    diff = ad.sub(pred, traj.frames[11])
-    ad.div(ad.sum_(ad.mul(diff, diff)), float(system.n_particles))
+    _budget_loss(_budget_sample(), tape)
     assert len(tape._records) <= 210
+
+
+def test_sgnn_sample_tape_byte_budget():
+    """The record-budget sample's tape, with only the loss held beside it,
+    keeps at most 14 MiB alive after the forward (13.22 MiB).  It kept
+    18.05 MiB while each SiLU layer kept its pre-activation and 1 + e^-x, a
+    linear last layer its output, and narrow, reshape, add and sub their
+    whole operands for the shapes."""
+    sample = _budget_sample()  # built before tracing starts, so not counted
+    tracemalloc.start()
+    try:
+        tape = ad.Tape()
+        loss = _budget_loss(sample, tape)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(loss, ad.Var)
+    assert held <= 14 * 2**20, f"{held / 2**20:.2f} MiB"
 
 
 def test_frozen_model_loss_equals_mean_rollout_mse():
@@ -221,6 +256,43 @@ def test_training_is_bit_deterministic():
         for wa, wb in zip(pa.parameters(), pb.parameters()):
             assert np.array_equal(wa, wb)
     assert [r.val_loss for r in ha] == [r.val_loss for r in hb]
+
+
+# SHA-256 of the checkpoint each model saves after three Adam steps in
+# ``test_training_writes_the_pinned_checkpoint``.  Measured with numpy on
+# OpenBLAS 0.3.31 (x86-64, Haswell kernels), as test_modelio's prediction
+# digests are.  They pin the backward's bits, which the predictions never
+# read: a change to the tape or to a record's backward keeps them, or
+# re-pins them and says why.
+TRAINED_CHECKPOINTS = {
+    "sgnn": "c6abebbc668203391699610261f820e7d2d9ba4b3cd7b1cfbe80848aa2d133de",
+    "gns": "19179bdb41ba8a835d640049e7492908a3a636cc9ae0e91a39c3b2b737a301f4",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TRAINED_CHECKPOINTS))
+def test_training_writes_the_pinned_checkpoint(tmp_path, kind):
+    # the record-budget scene, where all three SGNN stages run; the filled
+    # last layers let the adjoints reach every layer below them
+    traj = generate_scene(SceneConfig(objects=3, frames=12, push_speed=0.25,
+                                      drop_height=0.12, seed=0))
+    rng = np.random.default_rng(1)  # seed 0 leaves every hidden ReLU of GNS's psi dead
+    n_scalar = traj.attrs.shape[1]
+    if kind == "sgnn":
+        model = make_sgnn_model(rng, n_scalar, hidden=8, iterations=1, msg_extra=4, cutoff=0.08)
+        for st in (model.stage1, model.stage2, model.stage3):
+            st.aggregate = "mean"
+    else:
+        model = make_baseline("gns", rng, n_scalar, hidden=8, iterations=1, cutoff=0.08)
+        model.params.aggregate = "mean"
+    fill_zero_last_layers(model)
+    before = [p.copy() for net in model.mlps() for p in net.parameters()]
+    train(model, [traj], TrainConfig(lr=1e-3, max_epochs=1, seed=0, max_steps_per_epoch=3))
+    after = [p for net in model.mlps() for p in net.parameters()]
+    assert all((a != b).any() for a, b in zip(after, before))  # every tensor took a step
+    path = tmp_path / f"{kind}.sgnn"
+    save_model(path, model)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TRAINED_CHECKPOINTS[kind]
 
 
 def test_history_csv_schema(tmp_path):
