@@ -95,40 +95,56 @@ def triangle(m: int) -> tuple:
     return rows * m + cols, index, 2.0 - (rows == cols), 1.0 + (rows == cols)
 
 
-def normalized_gram(z, normalize: bool = True, multiplicity=None):
-    """Upper triangle T (see ``triangle``) of the Gram matrix G of the stack
-    over |G|, with channel a repeated c_a = ``multiplicity[a]`` times (once by
-    default): |G|^2 = sum_{a<=b} w_ab T_ab^2, w_ab = c_a c_b, twice if a < b.
+def normalized_gram(z, normalize: bool = True, multiplicity=None, h=None):
+    """σ's input ``[T | h]``: the upper triangle T (see ``triangle``) of the
+    Gram matrix G of the stack over |G|, with channel a repeated c_a =
+    ``multiplicity[a]`` times (once by default): |G|^2 = sum_{a<=b} w_ab
+    T_ab^2, w_ab = c_a c_b, twice if a < b; then the scalars ``h``, whose
+    leading shape is the stack's batch shape.  Without ``h`` it is T alone.
 
     Scaling is skipped (divide by 1) whenever the norm falls below 1e-12 so
     all-zero stacks stay finite.  Accepts (3, m) or (B, 3, m).  One tape
-    record with an analytic backward ``z (U + U^T) / |G|``, where U is the
-    upper-triangle scatter of ``g - <g, out> (w * out)`` (of ``g`` where
-    scaling is skipped).
+    record, which keeps the packed output once and reads T from it: its
+    backward gives h the adjoint's last columns and z the analytic
+    ``z (U + U^T) / |G|``, where U is the upper-triangle scatter of
+    ``g - <g, T> (w * T)`` (of ``g`` where scaling is skipped), g the
+    adjoint's first m(m+1)/2 columns.
     """
     zv = ad.value_of(z)
     upper, index, off2, twice = triangle(zv.shape[-1])
+    hv = None if h is None else ad.value_of(h)
+    if hv is not None and (hv.ndim != zv.ndim - 1 or hv.shape[:-1] != zv.shape[:-2]):
+        raise ShapeError(f"scalars of shape {hv.shape} do not match the stack's batch "
+                         f"shape {zv.shape[:-2]}")
     # the contiguous transpose takes numpy's fast matmul path; the strided
     # view computes the same values about twice as slowly
     gram = np.matmul(np.ascontiguousarray(np.swapaxes(zv, -1, -2)), zv)
     out = np.take(gram.reshape(zv.shape[:-2] + (-1,)), upper, axis=-1)
+    if normalize:
+        w = off2 if multiplicity is None else off2 * np.outer(multiplicity, multiplicity).take(upper)
+        sq = (out * out) @ w[:, None]
+        mask = sq >= GRAM_NORM_EPS**2
+        denom = np.where(mask, np.sqrt(sq), 1.0)
+        out = np.divide(out, denom, out=out)
+    # T is scaled in its own buffer and copied once: on strided column views
+    # of the packed array the take, product and division run 1.3-6x slower
+    if hv is not None:
+        out = np.concatenate([out, hv], axis=-1)
+    k = upper.size
     if not normalize:
-        return ad.record(out, (z,), lambda g: (zv @ (g * twice)[..., index],))
-    w = off2 if multiplicity is None else off2 * np.outer(multiplicity, multiplicity).take(upper)
-    sq = (out * out) @ w[:, None]
-    mask = sq >= GRAM_NORM_EPS**2
-    denom = np.where(mask, np.sqrt(sq), 1.0)
-    out = np.divide(out, denom, out=out)
+        return ad.record(out, (z, h), lambda g: (zv @ (g[..., :k] * twice)[..., index],
+                                                 g[..., k:]))
 
     def bwd(g):
         # U + U^T holds alpha_ab at (a, b) and (b, a); no norm term if unscaled
-        alpha = np.multiply(w, out)
-        alpha *= np.einsum("...k,...k->...", g, out)[..., None] * mask
-        alpha = np.subtract(g, alpha, out=alpha)
+        gt, t = g[..., :k], out[..., :k]
+        alpha = np.multiply(w, t)
+        alpha *= np.einsum("...k,...k->...", gt, t)[..., None] * mask
+        alpha = np.subtract(gt, alpha, out=alpha)
         alpha *= twice
-        return (zv @ alpha[..., index] / denom[..., None],)
+        return zv @ alpha[..., index] / denom[..., None], g[..., k:]
 
-    return ad.record(out, (z,), bwd)
+    return ad.record(out, (z, h), bwd)
 
 
 def scalarize_subequivariant(
@@ -146,9 +162,10 @@ def scalarize_subequivariant(
 ):
     """Batched scalarization Z V with V = sigma(gram(Z), h), returning the
     (geometric, extras) pair for ``z`` of shape (B, 3, m) and ``h`` (B, n).
-    The MLP sigma reads [triangle, h] (see ``normalized_gram``), m(m+1)/2 + n
-    inputs, and writes ``out_channels`` columns of V per channel, then the
-    extras.  ``multiplicity`` weights z's channels in the Gram's norm (gravity's is 1).
+    The MLP sigma reads [triangle | h] (``normalized_gram``'s one record),
+    m(m+1)/2 + n inputs, and writes ``out_channels`` columns of V per
+    channel, then the extras.  ``multiplicity`` weights z's channels in the
+    Gram's norm (gravity's is 1).
 
     With ``eta`` the gravity direction is appended as channel m with scale
     eta(h), so the output can leave the span of Z along the vertical axis
@@ -171,8 +188,7 @@ def scalarize_subequivariant(
         z = ad.concat([z, g_col], axis=-1) if m else g_col
         m += 1
         multiplicity = None if multiplicity is None else np.append(multiplicity, 1.0)
-    gram = normalized_gram(z, normalize, multiplicity)
-    out = mlp_forward(sigma, ad.concat([gram, h], axis=-1), tape=tape)
+    out = mlp_forward(sigma, normalized_gram(z, normalize, multiplicity, h), tape=tape)
     width = ad.value_of(out).shape[-1]
     if width != m * out_channels + extra_channels:
         raise ShapeError(f"sigma output width {width} != channels {m}*{out_channels} "

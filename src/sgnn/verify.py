@@ -9,7 +9,7 @@ for the acceptance tests, so thresholds here are the authoritative ones.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -23,6 +23,7 @@ from .geometry import (
     check_equivariance,
     horizontal_axis_rotation,
     lemma5_witness,
+    random_orthogonal,
     random_subgroup_transform,
     scalarize_subequivariant,
     triangle,
@@ -100,6 +101,28 @@ def _witness(model, system: ParticleSystem, sample_O, seed: int) -> float:
     return worst
 
 
+def _joint_o3(model, system: ParticleSystem, trials: int, seed: int,
+              turn_gravity: bool = True) -> float:
+    """Largest deviation of f(O Z + t, O g) from O f(Z, g) + t over
+    ``trials`` draws of O from O(3) and a standard normal t: gravity is an
+    input of the map, turned with the scene.  With ``turn_gravity`` off, g is
+    held fixed under the same maps, which a gravity-aware model must fail."""
+    rng = np.random.default_rng(seed)
+    base = model.predict(system)
+    worst = 0.0
+    for _ in range(trials):
+        O, t = random_orthogonal(rng), rng.normal(size=3)
+        moved = ParticleSystem(
+            positions=system.positions @ O.T + t, velocities=system.velocities @ O.T,
+            attrs=system.attrs, object_of=system.object_of,
+        )
+        g, turned = model.gravity, model
+        if turn_gravity:
+            turned = replace(model, gravity=Gravity(O @ g.direction, g.magnitude))
+        worst = max(worst, float(np.max(np.abs(turned.predict(moved) - (base @ O.T + t)))))
+    return worst
+
+
 # ----------------------------------------------------------- equivariance
 
 def equivariance_suite(trials: int = 200, seed: int = 0) -> list[PropertyResult]:
@@ -155,6 +178,7 @@ def equivariance_suite(trials: int = 200, seed: int = 0) -> list[PropertyResult]
         trials=trials, seed=seed + 3, translate=True,
     )
     results.append(PropertyResult("full model axis equivariance", dev, 1e-9, "max"))
+    joint_rows = [("full model", model, sys1, seed + 15)]
 
     # strictness: a horizontal-axis rotation must break the full model
     witness_model = _nonzero_sgnn(np.random.default_rng(seed + 40))
@@ -178,6 +202,18 @@ def equivariance_suite(trials: int = 200, seed: int = 0) -> list[PropertyResult]
             witness = _witness(b, sys2, horizontal_axis_rotation, seed + 11)
             results.append(
                 PropertyResult(f"{variant} full orthogonal broken (witness)", witness, 1e-3, "min"))
+            joint_rows.append((variant, b, sys2, s + 3))
+
+    # gravity is the only direction the gravity-aware models prefer: turning
+    # it with the scene gives the whole orthogonal group, and holding it
+    # fixed under the same maps breaks that
+    for name, m, sys_, s in joint_rows:
+        dev = _joint_o3(m, sys_, min(trials, 100), s)
+        results.append(PropertyResult(f"{name} joint O(3) equivariance (gravity turned)",
+                                      dev, 1e-9, "max"))
+        held = _joint_o3(m, sys_, 20, s, turn_gravity=False)
+        results.append(PropertyResult(f"{name} joint O(3) broken with gravity held (witness)",
+                                      held, 1e-3, "min"))
 
     # non-equivariant baseline: a vertical-axis rotation already breaks it
     gns = make_baseline("gns", np.random.default_rng(seed + 12), 2, hidden=12, iterations=2,

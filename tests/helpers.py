@@ -6,7 +6,7 @@ import numpy as np
 
 from sgnn import ad
 from sgnn.errors import ContractError, GenerationError
-from sgnn.geometry import GRAM_NORM_EPS, Gravity, ominus
+from sgnn.geometry import GRAM_NORM_EPS, Gravity, ominus, triangle
 from sgnn.graph import EdgeSets, ParticleSystem, _receiver_mask
 from sgnn.mlp import MLP, mlp_forward, mlp_grads
 from sgnn.model import RigidFit
@@ -200,6 +200,37 @@ def chain_normalized_gram(z, normalize=True):
     norm = sqrt(ad.add(ad.mul(sq, mask), 1.0 - mask))
     denom = ad.add(ad.mul(norm, mask), 1.0 - mask)
     return ad.div(tri, denom)
+
+
+def triangle_gram(z, normalize=True, multiplicity=None):
+    """The normalized Gram triangle alone as one record whose closure keeps
+    it, as ``geometry.normalized_gram`` was before it packed the scalars."""
+    zv = ad.value_of(z)
+    upper, index, off2, twice = triangle(zv.shape[-1])
+    gram = np.matmul(np.ascontiguousarray(np.swapaxes(zv, -1, -2)), zv)
+    out = np.take(gram.reshape(zv.shape[:-2] + (-1,)), upper, axis=-1)
+    if not normalize:
+        return ad.record(out, (z,), lambda g: (zv @ (g * twice)[..., index],))
+    w = off2 if multiplicity is None else off2 * np.outer(multiplicity, multiplicity).take(upper)
+    sq = (out * out) @ w[:, None]
+    mask = sq >= GRAM_NORM_EPS**2
+    denom = np.where(mask, np.sqrt(sq), 1.0)
+    out = np.divide(out, denom, out=out)
+
+    def bwd(g):
+        alpha = np.multiply(w, out)
+        alpha *= np.einsum("...k,...k->...", g, out)[..., None] * mask
+        alpha = np.subtract(g, alpha, out=alpha)
+        alpha *= twice
+        return (zv @ alpha[..., index] / denom[..., None],)
+
+    return ad.record(out, (z,), bwd)
+
+
+def two_record_gram(z, h, normalize=True, multiplicity=None):
+    """The triangle record, then a concat record with the scalars: the
+    reference for ``geometry.normalized_gram`` with scalars."""
+    return ad.concat([triangle_gram(z, normalize, multiplicity), h], axis=-1)
 
 
 def square_gram(z, multiplicity=None):

@@ -29,6 +29,7 @@ from helpers import (
     fd_grad,
     rel_err,
     square_gram,
+    two_record_gram,
     value_and_adjoints,
 )
 
@@ -281,6 +282,38 @@ def test_fused_gram_matches_ten_record_chain_bit_for_bit(case, reuse):
     assert fused.tobytes() == chain.tobytes()
     eager = normalized_gram(z, normalize)
     assert eager.tobytes() == chain.tobytes()
+
+
+@pytest.mark.parametrize("reuse", [False, True], ids=["fresh", "reused"])
+@pytest.mark.parametrize("weighted", [False, True], ids=["plain", "multiplicity"])
+@pytest.mark.parametrize("normalize", [True, False], ids=["normalized", "unnormalized"])
+@pytest.mark.parametrize("shape", [(6, 3, 4), (3, 4)], ids=["batched", "unbatched"])
+def test_packed_gram_matches_triangle_then_concat_bit_for_bit(shape, normalize, weighted, reuse):
+    # [T | h] as one record: its value, on a tape and eager, and the z and h
+    # adjoints equal those of the triangle record followed by a concat
+    z = _gram_stack(shape)
+    h = np.random.default_rng(22).normal(size=shape[:-2] + (5,))
+    c = np.array([2.0, 1.0, 3.0, 1.0]) if weighted else None
+    packed = value_and_adjoints(lambda v, s: normalized_gram(v, normalize, c, s), [z, h], 21,
+                                reuse)
+    chain = value_and_adjoints(lambda v, s: two_record_gram(v, s, normalize, c), [z, h], 21,
+                               reuse)
+    for got, want in zip(packed, chain):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert normalized_gram(z, normalize, c, h).tobytes() == chain[0].tobytes()
+
+
+@pytest.mark.parametrize("shape, scalars", [
+    ((6, 3, 4), (5, 2)),
+    ((6, 3, 4), (2,)),
+    ((6, 3, 4), (1, 6, 2)),
+    ((3, 4), (1, 2)),
+    ((3, 4), ()),
+])
+def test_packed_gram_rejects_scalars_off_the_stack_batch_shape(shape, scalars):
+    with pytest.raises(ShapeError, match="batch shape"):
+        normalized_gram(np.ones(shape), h=np.ones(scalars))
 
 
 def _stack_norms(a):

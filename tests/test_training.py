@@ -150,26 +150,25 @@ def _budget_loss(sample, tape):
 
 def test_sgnn_sample_tape_record_budget():
     """One SGNN training sample at the criterion-8 model config records at
-    most 210 tape entries (210).  It recorded 377 before the frame's inputs
+    most 199 tape entries (199).  It recorded 377 before the frame's inputs
     were kept off the tape and each node's object offset was built once per
     iteration, 293 while each ``ominus`` took six records, 267 while each
     mean aggregation took two, 255 while each dense layer took one (an MLP
     takes one now), 222 while the object-aware edge stack took six
     records and repeated two channels (five now, and each distinct channel
-    has its own rows and columns in the message network's weights), and 221
+    has its own rows and columns in the message network's weights), 221
     while each of the 11 scalarizations reshaped its square Gram (each sigma
-    stores first-layer rows for the Gram triangle and reads it now)."""
+    stores first-layer rows for the Gram triangle and reads it now), and 210
+    while each scalarization concatenated the Gram triangle and the scalars
+    in a record of its own (the Gram record writes both now)."""
     tape = ad.Tape()
     _budget_loss(_budget_sample(), tape)
-    assert len(tape._records) <= 210
+    assert len(tape._records) <= 199
 
 
-def test_sgnn_sample_tape_byte_budget():
-    """The record-budget sample's tape, with only the loss held beside it,
-    keeps at most 14 MiB alive after the forward (13.22 MiB).  It kept
-    18.05 MiB while each SiLU layer kept its pre-activation and 1 + e^-x, a
-    linear last layer its output, and narrow, reshape, add and sub their
-    whole operands for the shapes."""
+def _traced_budget_tape():
+    """The record-budget sample's tape memory, with only the loss held beside
+    it: the bytes alive after the forward and the peak across the backward."""
     sample = _budget_sample()  # built before tracing starts, so not counted
     tracemalloc.start()
     try:
@@ -177,10 +176,34 @@ def test_sgnn_sample_tape_byte_budget():
         loss = _budget_loss(sample, tape)
         gc.collect()
         held = tracemalloc.get_traced_memory()[0]
+        assert isinstance(loss, ad.Var)
+        tracemalloc.reset_peak()
+        tape.backward(loss, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert isinstance(loss, ad.Var)
-    assert held <= 14 * 2**20, f"{held / 2**20:.2f} MiB"
+    return held, peak
+
+
+def test_sgnn_sample_tape_byte_budget():
+    """The record-budget sample's tape keeps at most 12 MiB alive after the
+    forward (11.59 MiB).  It kept 18.05 MiB while each SiLU layer kept its
+    pre-activation and 1 + e^-x, a linear last layer its output, and narrow,
+    reshape, add and sub their whole operands for the shapes, and 13.19 MiB
+    while each sigma's input was kept twice: as the Gram triangle, by its
+    record, and as the triangle concatenated with the scalars, by sigma's."""
+    held, _ = _traced_budget_tape()
+    assert held <= 12 * 2**20, f"{held / 2**20:.2f} MiB"
+
+
+def test_sgnn_sample_backward_peak_budget():
+    """Across ``tape.backward`` the record-budget sample peaks at most at
+    13.5 MiB (13.01 MiB): the sweep frees each record's arrays once its
+    partials are out.  It peaked at 14.60 MiB while each sigma's input was
+    kept twice (see the byte budget) and at 19.63 MiB before each record
+    kept only what its backward reads."""
+    _, peak = _traced_budget_tape()
+    assert peak <= 13.5 * 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 def test_frozen_model_loss_equals_mean_rollout_mse():

@@ -25,6 +25,10 @@ def test_equivariance_suite_passes():
         assert r.passed, r.line()
     names = [r.name for r in results]
     assert any("witness" in n for n in names)
+    # gravity turned with the scene for each gravity-aware model, and held
+    for model in ("full model", "egnn_s", "gmn_s"):
+        assert f"{model} joint O(3) equivariance (gravity turned)" in names
+        assert f"{model} joint O(3) broken with gravity held (witness)" in names
 
 
 def test_gradient_suite_passes():
